@@ -24,14 +24,11 @@ from .errors import (
     PreconditionError,
 )
 from .graphs import (
-    EdgePath,
     Graph,
     Metric,
     block_path_length,
-    cyclic_word_to_loop,
     path_length,
     rose,
-    tighten,
     unit_metric,
 )
 from .laminations import (
@@ -64,7 +61,6 @@ from .limits import (
     normalized_sequence,
     per_block_lengths,
     polynomial_degree,
-    translation_length,
 )
 from .maps import (
     GraphMap,
@@ -100,7 +96,6 @@ from .words import (
     cyclic_reduce,
     enumerate_cyclic_words,
     format_word,
-    identity_automorphism,
     invert_word,
     is_cyclically_reduced,
     is_reduced,

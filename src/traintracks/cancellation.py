@@ -15,9 +15,7 @@ from dataclasses import dataclass
 from .errors import InputError, PreconditionError
 from .graphs import Metric, path_length
 from .maps import GraphMap
-from .words import reduce_word
-
-_POSITIVE = "abcdefghijklmnopqrstuvwxyz"
+from .words import ALPHABET, reduce_word
 
 
 def lipschitz_constant(gmap: GraphMap, metric: Metric) -> float:
@@ -73,7 +71,7 @@ def measure_split(gmap: GraphMap, metric: Metric, p: str, q: str) -> float:
 
 def sample_reduced_words(rank: int, count: int, rng: random.Random, min_len: int = 2, max_len: int = 14):
     """Uniform-ish reduced words: each letter avoids cancelling its predecessor."""
-    alphabet = _POSITIVE[:rank] + _POSITIVE[:rank].upper()
+    alphabet = ALPHABET[:rank] + ALPHABET[:rank].upper()
     words = []
     for _ in range(count):
         n = rng.randint(min_len, max_len)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 
 from . import corpus
 from .cancellation import cancellation_bound, measure_cancellation
@@ -25,16 +26,21 @@ from .errors import (
 )
 from .graphs import Metric, unit_metric
 from .laminations import build_leaf_corpus, quasiperiodicity_window
-from .limits import (
-    CyclicOrbit,
-    classify_growth,
-    convergence_constants,
-    limit_length,
-    per_block_lengths,
+from .limits import classify_growth
+from .pipeline import (
+    AnalysisConfig,
+    analyze,
+    convergence_section,
+    lengths_section,
+    parse_input,
+    report_json,
+    round_floats,
+    spectral_section,
+    train_track_section,
+    transition_section,
 )
-from .pipeline import AnalysisConfig, analyze, parse_input, report_json, round_floats
 from .spectral import analyze_train_track
-from .words import parse_word
+from .words import enumerate_cyclic_words, parse_word
 
 
 def _read_source(source: str) -> str:
@@ -61,10 +67,11 @@ def _emit_json(args, payload) -> None:
             fh.write(text + "\n")
 
 
-def _word_list(args, rank: int):
+def _word_list(args, rank: int | None = None, sweep_len: int | None = None):
+    """The ``--words`` classes, else every class up to ``sweep_len`` if given."""
     if args.words:
         return [parse_word(w, rank) for chunk in args.words.split(",") for w in chunk.split() if w]
-    return None
+    return None if sweep_len is None else enumerate_cyclic_words(rank, sweep_len)
 
 
 def _g(x: float) -> str:
@@ -74,56 +81,30 @@ def _g(x: float) -> str:
 def _cmd_verify_tt(args) -> int:
     parsed = _load(args)
     tt = analyze_train_track(parsed.gmap)
-    v = tt.verdict
-    if v.is_train_track:
-        print(f"train track: yes ({v.checked_turns} taken turns, all orbits nondegenerate)")
+    verdict = train_track_section(tt)
+    transition = transition_section(tt)
+    if verdict["is_train_track"]:
+        print(f"train track: yes ({verdict['checked_turns']} taken turns, all orbits nondegenerate)")
     else:
-        orbit = " -> ".join("{" + ",".join(sorted(t)) + "}" for t in v.witness_orbit)
-        print(f"train track: NO (degenerate at iterate {v.fails_at_iterate}: {orbit})")
-    inv = parsed.gmap.find_invariant_subgraph()
+        orbit = " -> ".join("{" + ",".join(t) + "}" for t in verdict["witness_orbit"])
+        print(f"train track: NO (degenerate at iterate {verdict['fails_at_iterate']}: {orbit})")
+    inv = transition["invariant_subgraph"]
     print(f"irreducible: {'yes' if tt.irreducible else 'no'}", end="")
-    print(f" (invariant subgraph: {{{','.join(sorted(inv))}}})" if inv else "")
-    _emit_json(
-        args,
-        {
-            "is_train_track": v.is_train_track,
-            "checked_turns": v.checked_turns,
-            "witness_orbit": [sorted(t) for t in v.witness_orbit] if v.witness_orbit else None,
-            "fails_at_iterate": v.fails_at_iterate,
-            "irreducible": tt.irreducible,
-            "invariant_subgraph": sorted(inv) if inv else None,
-        },
-    )
+    print(f" (invariant subgraph: {{{','.join(inv)}}})" if inv else "")
+    _emit_json(args, {**verdict, **transition})
     return 0
-
-
-def _require_spectral(tt):
-    if not tt.irreducible:
-        raise PreconditionError("transition matrix is reducible; no spectral data")
 
 
 def _cmd_spectral(args) -> int:
     parsed = _load(args)
     tt = analyze_train_track(parsed.gmap, tol=args.tol)
-    _require_spectral(tt)
-    pf = tt.pf
-    print(f"lambda = {_g(pf.lam)}  (k = {pf.k}, residual {_g(pf.residual)})")
-    print(f"nu = ({', '.join(_g(x) for x in pf.nu)})")
-    print("blocks: " + "  ".join("{" + ",".join(b) + "}" for b in pf.blocks))
+    sp = spectral_section(tt)
+    print(f"lambda = {_g(sp['lambda'])}  (k = {sp['k']}, residual {_g(sp['residual'])})")
+    print(f"nu = ({', '.join(_g(x) for x in sp['nu'])})")
+    print("blocks: " + "  ".join("{" + ",".join(b) + "}" for b in sp["blocks"]))
     if tt.verdict.is_train_track:
         print(f"homothety defect: {_g(tt.homothety_defect())}")
-    _emit_json(
-        args,
-        {
-            "lambda": pf.lam,
-            "nu": [float(x) for x in pf.nu],
-            "k": pf.k,
-            "blocks": [list(b) for b in pf.blocks],
-            "residual": pf.residual,
-            "iterations": pf.iterations,
-            "primitive_first_return": list(pf.primitive_first_return),
-        },
-    )
+    _emit_json(args, sp)
     return 0
 
 
@@ -132,11 +113,7 @@ def _cmd_growth(args) -> int:
     if parsed.auto is None:
         raise PreconditionError("growth classification needs a rose map")
     auto = parsed.auto
-    words = _word_list(args, auto.rank)
-    if words is None:
-        from .words import enumerate_cyclic_words
-
-        words = enumerate_cyclic_words(auto.rank, args.sweep_len)
+    words = _word_list(args, auto.rank, args.sweep_len)
     out = {}
     for word in words:
         cls = classify_growth(auto, word, M=args.max_m)
@@ -158,30 +135,16 @@ def _cmd_lengths(args) -> int:
         raise PreconditionError("limit lengths need a rose map")
     auto = parsed.auto
     tt = analyze_train_track(parsed.gmap, tol=args.tol)
-    _require_spectral(tt)
-    words = _word_list(args, auto.rank)
-    if words is None:
-        from .words import enumerate_cyclic_words
-
-        words = enumerate_cyclic_words(auto.rank, args.sweep_len)
-    out = {}
+    k = spectral_section(tt)["k"]  # on a reducible map, exits 2 with the section's skip reason
+    words = _word_list(args, auto.rank, args.sweep_len)
+    lengths = lengths_section(auto, tt, words, M=args.max_m)
     for word in words:
-        orbit = CyclicOrbit(auto, word)
-        rep = limit_length(auto, word, tt, M=args.max_m, orbit=orbit)
-        line = f"{word}: limit {_g(rep.limit)} at m={rep.m_stop} [{rep.classification.label()}]"
-        entry = {
-            "limit": rep.limit,
-            "m_stop": rep.m_stop,
-            "converged": rep.converged,
-            "classification": rep.classification.label(),
-        }
-        if tt.expanding and rep.classification.is_exponential and tt.pf.k > 1:
-            blocks = per_block_lengths(auto, word, tt, orbit=orbit)
-            line += "  blocks (" + ", ".join(_g(x) for x in blocks.limits) + ")"
-            entry["per_block"] = blocks.limits
+        entry = lengths[word]
+        line = f"{word}: limit {_g(entry['limit'])} at m={entry['m_stop']} [{entry['classification']}]"
+        if "per_block" in entry and k > 1:
+            line += "  blocks (" + ", ".join(_g(x) for x in entry["per_block"]) + ")"
         print(line)
-        out[word] = entry
-    _emit_json(args, out)
+    _emit_json(args, lengths)
     return 0
 
 
@@ -242,10 +205,7 @@ def _cmd_cancellation(args) -> int:
     _emit_json(
         args,
         {
-            "lipschitz": bound.lipschitz,
-            "volume": bound.volume,
-            "bound": bound.bound,
-            "projection_bound": bound.projection_bound,
+            **asdict(bound),
             "count": sample.count,
             "max_measured": sample.max_measured,
             "mean_measured": sample.mean_measured,
@@ -261,32 +221,17 @@ def _cmd_convergence(args) -> int:
     if parsed.auto is None:
         raise PreconditionError("convergence constants need a rose map")
     tt = analyze_train_track(parsed.gmap)
-    if args.metric:
-        lengths = [float(x) for x in args.metric.split(",")]
-        alt = Metric(lengths)
-    else:
-        alt = unit_metric(parsed.gmap.graph)
+    alt = Metric([float(x) for x in args.metric.split(",")]) if args.metric else None
     words = _word_list(args, parsed.auto.rank)
-    conv = convergence_constants(
-        parsed.auto, tt, alt, depth=args.depth, loop_words=words
-    )
-    for i, (c, s) in enumerate(zip(conv.constants, conv.spreads)):
+    conv = convergence_section(parsed.auto, tt, alt, depth=args.depth, loop_words=words)
+    for i, (c, s) in enumerate(zip(conv["constants"], conv["spreads"])):
         print(f"c_{i} = {_g(c)} (spread {_g(s)})")
-    if conv.uniform_checked:
+    if conv["uniform_checked"]:
         print(
-            f"uniform check on {conv.uniform_checked} loops: "
-            f"max relative error {_g(conv.uniform_max_rel_error)}"
+            f"uniform check on {conv['uniform_checked']} loops: "
+            f"max relative error {_g(conv['uniform_max_rel_error'])}"
         )
-    _emit_json(
-        args,
-        {
-            "constants": conv.constants,
-            "spreads": conv.spreads,
-            "depth": conv.depth,
-            "uniform_checked": conv.uniform_checked,
-            "uniform_max_rel_error": conv.uniform_max_rel_error,
-        },
-    )
+    _emit_json(args, conv)
     return 0
 
 
@@ -298,12 +243,8 @@ def _cmd_analyze(args) -> int:
         leaf_depth=args.depth,
         samples=args.samples,
         seed=args.seed,
-        max_iter=args.max_iter,
     )
-    words = None
-    if args.words:
-        words = [w for chunk in args.words.split(",") for w in chunk.split() if w]
-    report = analyze(_read_source(args.input), config=config, words=words)
+    report = analyze(_read_source(args.input), config=config, words=_word_list(args))
     _print_summary(report)
     _emit_json(args, report)
     return 0
@@ -365,7 +306,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("spectral", help="stretch factor and eigenmetric")
     _add_common(p)
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--max-iter", type=int, default=10**6)
     p.set_defaults(func=_cmd_spectral)
 
     p = subs.add_parser("growth", help="exponential/polynomial classification")
@@ -413,7 +353,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=12)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iter", type=int, default=10**6)
     p.add_argument("--words", help="extra classes for the lengths section")
     p.set_defaults(func=_cmd_analyze)
 
@@ -434,7 +373,6 @@ def main(argv=None) -> int:
         NotALeafSegmentError,
         NotIrreducibleError,
         BudgetExceededError,
-        KeyError,
     ) as exc:
         msg = exc.args[0] if exc.args else str(exc)
         print(f"error: {msg}", file=sys.stderr)

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from .words import Automorphism
+from .errors import InputError
+from .words import ALPHABET, Automorphism
 
 
 def fibonacci() -> Automorphism:
@@ -68,17 +69,16 @@ REGISTRY = {
 
 
 def get(name: str) -> Automorphism:
-    try:
-        return REGISTRY[name]()
-    except KeyError:
+    if name not in REGISTRY:
         known = ", ".join(sorted(REGISTRY))
-        raise KeyError(f"unknown example {name!r}; bundled: {known}") from None
+        raise InputError(f"unknown example {name!r}; bundled: {known}")
+    return REGISTRY[name]()
 
 
 def input_text(name: str) -> str:
     """The example in the text format the CLI reads."""
     auto = get(name)
-    letters = [chr(ord("a") + i) for i in range(auto.rank)]
+    letters = ALPHABET[: auto.rank]
     lines = [f"# bundled example: {name}", f"rank: {auto.rank}"]
     lines += [f"{g} -> {auto.images[i]}" for i, g in enumerate(letters)]
     if auto.inverse_images is not None:

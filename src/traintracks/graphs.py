@@ -1,7 +1,7 @@
 """Finite graphs with involutive oriented edges, edge paths and metrics.
 
 Oriented edges reuse the word alphabet: the i-th edge pair is written with
-the lowercase letter ``chr(97 + i)`` and its reversal with the matching
+the i-th lowercase letter of ``ALPHABET`` and its reversal with the matching
 uppercase letter.  On a rose, edge paths and group words coincide, so the
 word routines do all the heavy lifting.
 """
@@ -11,9 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError
-from .words import MAX_RANK, invert_word, letter_index, reduce_word
-
-_LOWER = "abcdefghijklmnopqrstuvwxyz"
+from .words import ALPHABET, MAX_RANK
 
 
 class Graph:
@@ -34,15 +32,15 @@ class Graph:
             raise InputError(f"at most {MAX_RANK} edge pairs are supported by the letter encoding")
         for i, (o, t) in enumerate(endpoints):
             if not (0 <= o < vertex_count and 0 <= t < vertex_count):
-                raise InputError(f"edge {_LOWER[i]!r} has endpoints ({o}, {t}) outside 0..{vertex_count - 1}")
+                raise InputError(f"edge {ALPHABET[i]!r} has endpoints ({o}, {t}) outside 0..{vertex_count - 1}")
         self.vertex_count = vertex_count
         self.edge_pairs = len(endpoints)
         self.endpoints = tuple(endpoints)
         # origin of each oriented edge, indexed by letter
         self._origin = {}
-        for i, (o, t) in enumerate(endpoints):
-            self._origin[_LOWER[i]] = o
-            self._origin[_LOWER[i].upper()] = t
+        for g, (o, t) in zip(ALPHABET, endpoints):
+            self._origin[g] = o
+            self._origin[g.upper()] = t
         if not self._connected():
             raise InputError("graph is not connected")
 
@@ -60,7 +58,7 @@ class Graph:
 
     @property
     def letters(self) -> str:
-        return _LOWER[: self.edge_pairs]
+        return ALPHABET[: self.edge_pairs]
 
     def origin(self, letter: str) -> int:
         return self._origin[letter]
@@ -72,25 +70,27 @@ class Graph:
         return self.edge_pairs - self.vertex_count + 1
 
     def is_path(self, word: str) -> bool:
-        """True when consecutive letters are end-to-end composable."""
+        """True when every letter is an edge and consecutive ones compose."""
         try:
-            for i in range(len(word) - 1):
-                if self.terminus(word[i]) != self.origin(word[i + 1]):
-                    return False
-            if word:
-                self.origin(word[0])
-        except KeyError:
+            self.check_path(word)
+        except InputError:
             return False
         return True
 
     def check_path(self, word: str) -> str:
+        """Return ``word`` if it is an edge path, else raise :class:`InputError`.
+
+        >>> rose(2).check_path("abA")
+        'abA'
+        """
+        for ch in word:
+            if ch not in self._origin:
+                raise InputError(f"unknown edge letter {ch!r}")
         for i in range(len(word) - 1):
             if self.terminus(word[i]) != self.origin(word[i + 1]):
                 raise InputError(
                     f"edges {word[i]!r} and {word[i + 1]!r} do not compose at position {i}"
                 )
-        if word and word[0] not in self._origin:
-            raise InputError(f"unknown edge letter {word[0]!r}")
         return word
 
     def is_rose(self) -> bool:
@@ -107,52 +107,6 @@ def rose(rank: int) -> Graph:
     return Graph(1, [(0, 0)] * rank)
 
 
-def tighten(word: str, graph: Graph | None = None) -> str:
-    """Erase backtracking (an edge followed by its reversal) until none remains.
-
-    On any graph this is exactly free reduction of the letter string, and it
-    never breaks composability.
-    """
-    rank = graph.edge_pairs if graph is not None else None
-    return reduce_word(word, rank)
-
-
-class EdgePath:
-    """A tight edge path in a graph.
-
-    >>> g = rose(2)
-    >>> EdgePath(g, "abA").word
-    'abA'
-    """
-
-    __slots__ = ("graph", "word")
-
-    def __init__(self, graph: Graph, word: str, pre_tightened: bool = False):
-        graph.check_path(word)
-        self.graph = graph
-        self.word = word if pre_tightened else tighten(word, graph)
-
-    def __len__(self):
-        return len(self.word)
-
-    def reverse(self) -> "EdgePath":
-        return EdgePath(self.graph, invert_word(self.word), pre_tightened=True)
-
-    def start(self):
-        return self.graph.origin(self.word[0]) if self.word else None
-
-    def end(self):
-        return self.graph.terminus(self.word[-1]) if self.word else None
-
-    def __eq__(self, other):
-        if isinstance(other, EdgePath):
-            return self.graph is other.graph and self.word == other.word
-        return NotImplemented
-
-    def __repr__(self):
-        return f"EdgePath({self.word!r})"
-
-
 class Metric:
     """Positive edge lengths, one per edge pair, orientation independent."""
 
@@ -164,9 +118,9 @@ class Metric:
             raise InputError("edge lengths must be positive")
         self.lengths = lengths
         table = np.zeros(128, dtype=float)
-        for i, val in enumerate(lengths):
-            table[ord(_LOWER[i])] = val
-            table[ord(_LOWER[i].upper())] = val
+        for g, val in zip(ALPHABET, lengths):
+            table[ord(g)] = val
+            table[ord(g.upper())] = val
         self._table = table
 
     @property
@@ -199,9 +153,9 @@ def unit_metric(graph_or_rank) -> Metric:
     return Metric(np.ones(n))
 
 
-def path_length(word_or_path, metric: Metric) -> float:
-    """Metric length of an edge path (a string or an :class:`EdgePath`)."""
-    word = word_or_path.word if isinstance(word_or_path, EdgePath) else word_or_path
+def path_length(word: str, metric: Metric) -> float:
+    """Metric length of an edge path; for a cyclically reduced word on a rose,
+    the translation length of its conjugacy class."""
     if not word:
         return 0.0
     codes = np.frombuffer(word.encode("ascii"), dtype=np.uint8)
@@ -218,14 +172,3 @@ def block_path_length(word: str, metric: Metric, block_letters: frozenset) -> fl
         if letter.lower() in block_letters:
             total += word.count(letter) * table[ord(letter)]
     return float(total)
-
-
-def cyclic_word_to_loop(cyclic_word: str, graph: Graph | None = None) -> str:
-    """Based loop on the rose tracing a conjugacy-class representative.
-
-    On a rose every vertex is the basepoint, so the representative itself is
-    the loop.
-    """
-    if graph is not None and not graph.is_rose():
-        raise InputError("cyclic words trace loops only on a rose")
-    return cyclic_word

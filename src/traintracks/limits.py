@@ -29,11 +29,6 @@ LOXODROMIC_THRESHOLD = 1e-6
 _POLY_DEGREE_CAP = 6
 
 
-def translation_length(word: str, metric: Metric) -> float:
-    """Metric length of a cyclically reduced conjugacy representative."""
-    return path_length(word, metric)
-
-
 class CyclicOrbit:
     """Lazily extended orbit of a conjugacy class under an automorphism.
 
@@ -183,9 +178,6 @@ class LengthSequence:
     normalized: list
     truncated: bool
 
-    def term(self, m: int):
-        return (m, self.raw[m], self.normalized[m])
-
 
 def normalized_sequence(
     auto: Automorphism,
@@ -208,7 +200,7 @@ def normalized_sequence(
         w = orbit.word_at(m)
         if w is None:
             break
-        raw.append(translation_length(w, metric))
+        raw.append(path_length(w, metric))
     normalized = [r / lam**m for m, r in enumerate(raw)]
     return LengthSequence(
         word=word, lam=lam, raw=raw, normalized=normalized, truncated=len(raw) < M + 1
@@ -255,7 +247,7 @@ def _strided_values(orbit, metric, lam, k, M, tol):
         if w is None:
             truncated = True
             break
-        t = translation_length(w, metric) / lam**m
+        t = path_length(w, metric) / lam**m
         if vals and t > vals[-1][1] + MONOTONE_SLACK:
             raise InternalConsistencyError(
                 f"normalized lengths increased at m={m}: {vals[-1][1]!r} -> {t!r}"
@@ -460,8 +452,8 @@ def homothety_check(
     for word in words:
         orbit = CyclicOrbit(auto, word)
         if not tt.expanding:
-            a = translation_length(orbit.word_at(0), tt.metric)
-            b = translation_length(orbit.word_at(1), tt.metric)
+            a = path_length(orbit.word_at(0), tt.metric)
+            b = path_length(orbit.word_at(1), tt.metric)
             err = abs(b - a) / a if a else 0.0
             checked.append((word, err))
             worst = max(worst, err)
@@ -498,7 +490,7 @@ def _alt_limit(orbit, alt_metric, lam, k, M, tol):
         w = orbit.word_at(m)
         if m > M or w is None:
             return prev
-        t = translation_length(w, alt_metric) / lam**m
+        t = path_length(w, alt_metric) / lam**m
         if prev is not None and abs(prev - t) < tol and not (1e-7 <= t <= 1e-3):
             return t
         prev = t

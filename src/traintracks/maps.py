@@ -14,12 +14,9 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from ._subst import SubstTable
 from .errors import BudgetExceededError, InputError
 from .graphs import Graph, rose
-from .words import DEFAULT_WORD_BUDGET, Automorphism, invert_word, letter_index, reduce_word
-
-_LOWER = "abcdefghijklmnopqrstuvwxyz"
+from .words import ALPHABET, DEFAULT_WORD_BUDGET, Automorphism, letter_index, reduce_word, signed_substitution
 
 
 def _turn(d1: str, d2: str) -> frozenset:
@@ -61,20 +58,12 @@ class GraphMap:
             graph.check_path(w)
             t = reduce_word(w, graph.edge_pairs)
             if not t:
-                raise InputError(f"image of edge {_LOWER[i]!r} reduces to the empty path")
+                raise InputError(f"image of edge {ALPHABET[i]!r} reduces to the empty path")
             tight.append(t)
         self.graph = graph
         self.edge_images = tuple(tight)
         self.budget = budget
-        table = {}
-        for i, w in enumerate(self.edge_images):
-            table[_LOWER[i]] = w
-            table[_LOWER[i].upper()] = invert_word(w)
-        self._letter_images = table
-        self._subst = SubstTable(table)
-        self._pairs = tuple(
-            p for i in range(graph.edge_pairs) for p in (_LOWER[i] + _LOWER[i].upper(), _LOWER[i].upper() + _LOWER[i])
-        )
+        self._letter_images, self._subst = signed_substitution(self.edge_images)
         if vertex_images is None:
             vertex_images = self._infer_vertex_images()
         self.vertex_images = tuple(vertex_images)
@@ -82,8 +71,8 @@ class GraphMap:
 
     def _infer_vertex_images(self):
         img = [None] * self.graph.vertex_count
-        for i in range(self.graph.edge_pairs):
-            for letter in (_LOWER[i], _LOWER[i].upper()):
+        for g in self.graph.letters:
+            for letter in (g, g.upper()):
                 v = self.graph.origin(letter)
                 if img[v] is None:
                     img[v] = self.graph.origin(self.image_of_letter(letter)[0])
@@ -96,9 +85,7 @@ class GraphMap:
         for v, w in enumerate(self.vertex_images):
             if not 0 <= w < g.vertex_count:
                 raise InputError(f"vertex image {w} outside 0..{g.vertex_count - 1}")
-        for i in range(g.edge_pairs):
-            c = _LOWER[i]
-            path = self.edge_images[i]
+        for c, path in zip(g.letters, self.edge_images):
             if g.origin(path[0]) != self.vertex_images[g.origin(c)]:
                 raise InputError(f"image of edge {c!r} does not start at the image of its origin")
             if g.terminus(path[-1]) != self.vertex_images[g.terminus(c)]:
@@ -115,12 +102,7 @@ class GraphMap:
         w = self._subst(word)
         if len(w) > cap:
             raise BudgetExceededError(f"image length {len(w)} exceeds budget {cap}", m_reached=0, partial=word)
-        while True:
-            n = len(w)
-            for p in self._pairs:
-                w = w.replace(p, "")
-            if len(w) == n:
-                return w
+        return reduce_word(w, self.graph.edge_pairs)
 
     def substitute(self, word: str) -> str:
         """Image without tightening (callers must know no cancellation occurs)."""
@@ -172,22 +154,7 @@ class GraphMap:
         Closed means the image of every edge in the set only crosses edges of
         the set; irreducibility is exactly the absence of such a witness.
         """
-        mat = self.transition_matrix()
-        n = len(mat)
-        if n == 1:
-            return None
-        # digraph on edge pairs: j -> i whenever edge i occurs in the image of j
-        adj = csr_matrix((mat.T != 0).astype(np.int8))
-        count, labels = connected_components(adj, directed=True, connection="strong")
-        if count == 1:
-            return None
-        reach = mat.T != 0
-        for comp in range(count):
-            members = np.flatnonzero(labels == comp)
-            outside = np.flatnonzero(labels != comp)
-            if not reach[np.ix_(members, outside)].any():
-                return frozenset(_LOWER[i] for i in members)
-        raise AssertionError("condensation of a finite digraph has a sink component")
+        return invariant_subgraph(self.transition_matrix())
 
     # ----------------------------------------------------------------- turns
 
@@ -195,13 +162,14 @@ class GraphMap:
         """Direction map: the first edge crossed by the image of a direction."""
         return self._letter_images[letter][0]
 
+    def _taken_in_order(self) -> dict:
+        """Taken turns, keyed in order of first appearance in the edge images."""
+        pairs = ((w[i], w[i + 1]) for w in self.edge_images for i in range(len(w) - 1))
+        return dict.fromkeys(_turn(x.swapcase(), y) for x, y in pairs)
+
     def taken_turns(self) -> frozenset:
         """Turns crossed in the interior of some edge image."""
-        turns = set()
-        for w in self.edge_images:
-            for i in range(len(w) - 1):
-                turns.add(_turn(w[i].swapcase(), w[i + 1]))
-        return frozenset(turns)
+        return frozenset(self._taken_in_order())
 
     def turn_orbit(self, turn: frozenset):
         """Derivative orbit of a turn up to its first repeat or degeneracy."""
@@ -223,9 +191,11 @@ class GraphMap:
         """Decide whether every iterated edge image stays tight.
 
         Closes the taken turns under the derivative map; the map is a train
-        track exactly when no degenerate turn appears in the closure.
+        track exactly when no degenerate turn appears in the closure.  The
+        search starts from the taken turns in order of first appearance, so
+        the witness does not depend on string hashing.
         """
-        taken = self.taken_turns()
+        taken = self._taken_in_order()
         closure = set(taken)
         frontier = list(taken)
         parent = {t: None for t in taken}
@@ -255,8 +225,31 @@ class GraphMap:
         return TrainTrackVerdict(is_train_track=True, checked_turns=len(closure))
 
     def __repr__(self):
-        body = ", ".join(f"{_LOWER[i]}->{w}" for i, w in enumerate(self.edge_images))
+        body = ", ".join(f"{g}->{w}" for g, w in zip(self.graph.letters, self.edge_images))
         return f"GraphMap({body})"
+
+
+def invariant_subgraph(matrix):
+    """A proper nonempty set of edge pairs whose images stay inside it, or None.
+
+    The sets are read off the strongly connected components of the occurrence
+    digraph (j -> i when ``matrix[i, j] > 0``): a sink component is closed,
+    and a matrix of size > 1 is irreducible exactly when it is one component.
+    """
+    mat = np.asarray(matrix)
+    if len(mat) == 1:
+        return None
+    reach = mat.T != 0
+    adj = csr_matrix(reach.astype(np.int8))
+    count, labels = connected_components(adj, directed=True, connection="strong")
+    if count == 1:
+        return None
+    for comp in range(count):
+        members = np.flatnonzero(labels == comp)
+        outside = np.flatnonzero(labels != comp)
+        if not reach[np.ix_(members, outside)].any():
+            return frozenset(ALPHABET[i] for i in members)
+    raise AssertionError("condensation of a finite digraph has a sink component")
 
 
 def rose_map(auto: Automorphism, budget: int | None = None) -> GraphMap:

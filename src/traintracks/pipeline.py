@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .cancellation import cancellation_bound, measure_cancellation
-from .errors import InputError, ParseError, PreconditionError
+from .errors import InputError, NotIrreducibleError, ParseError, PreconditionError
 from .graphs import Graph, Metric, unit_metric
 from .laminations import (
     build_leaf_corpus,
@@ -32,9 +32,7 @@ from .limits import (
 )
 from .maps import GraphMap, rose_map, to_automorphism
 from .spectral import TrainTrackData, analyze_train_track, is_simplicial
-from .words import Automorphism, enumerate_cyclic_words, parse_word
-
-_LOWER = "abcdefghijklmnopqrstuvwxyz"
+from .words import ALPHABET, Automorphism, enumerate_cyclic_words, parse_word
 
 
 @dataclass
@@ -56,11 +54,7 @@ class AnalysisConfig:
     leaf_budget: int = 500_000
     samples: int = 200
     seed: int = 0
-    max_iter: int = 10**6
     convergence_depth: int = 14
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -170,7 +164,7 @@ def parse_input(text: str) -> ParsedInput:
             raise ParseError("cannot mix generator images with a graph/map description")
         if vertices is None:
             raise ParseError("graph section needs a 'vertices:' line")
-        expected = [_LOWER[i] for i in range(len(edge_letters))]
+        expected = list(ALPHABET[: len(edge_letters)])
         if sorted(edge_letters) != expected:
             raise ParseError(f"edges must be named consecutively a..{expected[-1]}")
         order = {c: i for i, c in enumerate(edge_letters)}
@@ -185,7 +179,7 @@ def parse_input(text: str) -> ParsedInput:
 
     if rank is None:
         raise ParseError("missing 'rank:' line")
-    expected = [_LOWER[i] for i in range(rank)]
+    expected = list(ALPHABET[:rank])
     missing = [c for c in expected if c not in images]
     if missing:
         raise ParseError(f"missing images for generators {missing}")
@@ -200,30 +194,6 @@ def parse_input(text: str) -> ParsedInput:
         inv = [inverses[c] for c in expected]
     auto = Automorphism([images[c] for c in expected], inverse_images=inv, rank=rank)
     return ParsedInput(gmap=rose_map(auto), auto=auto)
-
-
-def _verdict_dict(verdict) -> dict:
-    return {
-        "is_train_track": verdict.is_train_track,
-        "checked_turns": verdict.checked_turns,
-        "witness_orbit": [sorted(t) for t in verdict.witness_orbit] if verdict.witness_orbit else None,
-        "fails_at_iterate": verdict.fails_at_iterate,
-    }
-
-
-def _spectral_dict(tt: TrainTrackData) -> dict:
-    pf = tt.pf
-    return {
-        "lambda": pf.lam,
-        "nu": [float(x) for x in pf.nu],
-        "k": pf.k,
-        "blocks": [list(b) for b in pf.blocks],
-        "residual": pf.residual,
-        "primitive_first_return": list(pf.primitive_first_return),
-        "iterations": pf.iterations,
-        "expanding": pf.expanding,
-        "simplicial": is_simplicial(tt.matrix),
-    }
 
 
 @dataclass
@@ -305,6 +275,175 @@ def _coerce(source):
     raise InputError(f"cannot analyze {type(source).__name__}")
 
 
+# One function per report section.  ``analyze`` calls them in report order;
+# the CLI subcommands call the same functions for their JSON output.
+
+
+def input_section(gmap: GraphMap) -> dict:
+    return {
+        "rank": gmap.graph.edge_pairs,
+        "vertices": gmap.graph.vertex_count,
+        "is_rose": gmap.graph.is_rose(),
+        "images": {letter: gmap.image_of_letter(letter) for letter in gmap.graph.letters},
+    }
+
+
+def validation_section(auto: Automorphism) -> dict:
+    return asdict(auto.validate())
+
+
+def train_track_section(tt: TrainTrackData) -> dict:
+    orbit = tt.verdict.witness_orbit
+    return {**asdict(tt.verdict), "witness_orbit": [sorted(t) for t in orbit] if orbit else None}
+
+
+def transition_section(tt: TrainTrackData) -> dict:
+    invariant = tt.gmap.find_invariant_subgraph()
+    return {
+        "matrix": tt.matrix.tolist(),
+        "irreducible": tt.irreducible,
+        "invariant_subgraph": sorted(invariant) if invariant else None,
+    }
+
+
+def spectral_section(tt: TrainTrackData) -> dict:
+    """Perron-Frobenius data; raises :class:`NotIrreducibleError` (the
+    section's skip reason) for a reducible transition matrix."""
+    if not tt.irreducible:
+        raise NotIrreducibleError("transition matrix is reducible; no positive eigendata")
+    pf = tt.pf
+    return {
+        "lambda": pf.lam,
+        "nu": [float(x) for x in pf.nu],
+        "k": pf.k,
+        "blocks": [list(b) for b in pf.blocks],
+        "residual": pf.residual,
+        "primitive_first_return": list(pf.primitive_first_return),
+        "iterations": pf.iterations,
+        "expanding": pf.expanding,
+        "simplicial": is_simplicial(tt.matrix),
+    }
+
+
+def homothety_section(tt: TrainTrackData) -> dict:
+    return {"max_rel_defect": tt.homothety_defect()}
+
+
+def growth_section(auto: Automorphism, tt: TrainTrackData, sweep, eq, config: AnalysisConfig) -> dict:
+    """Exponential and polynomial counts over the sweep: the equivalence
+    sweep's verdicts when there is one, else the growth classifier's."""
+    growth: dict = {"sweep_len": config.max_word_len, "classes": len(sweep)}
+    if eq is not None:
+        growth.update(
+            exponential=eq.exponential,
+            polynomial=eq.polynomial,
+            rate=tt.pf.lam,
+        )
+        return growth
+    n_exp = sum(
+        classify_growth(auto, word, M=config.sweep_M, budget=config.sweep_budget).is_exponential
+        for word in sweep
+    )
+    growth.update(exponential=n_exp, polynomial=len(sweep) - n_exp)
+    return growth
+
+
+def equivalence_section(eq: EquivalenceReport) -> dict:
+    return {
+        "checked": eq.checked,
+        "discrepancies": len(eq.discrepancies),
+        "details": eq.discrepancies[:10],
+    }
+
+
+def lengths_section(
+    auto: Automorphism, tt: TrainTrackData, words, M: int = 40, tol: float = 1e-6, budget: int | None = None
+) -> dict:
+    """Limit length of each class, split by block for exponential classes."""
+    lengths: dict = {}
+    for word in words:
+        orbit = CyclicOrbit(auto, word, budget=budget)
+        rep = limit_length(auto, word, tt, M=M, tol=tol, orbit=orbit)
+        entry = {
+            "limit": rep.limit,
+            "converged": rep.converged,
+            "m_stop": rep.m_stop,
+            "classification": rep.classification.label(),
+        }
+        if rep.classification.is_exponential:
+            entry["per_block"] = per_block_lengths(auto, word, tt, orbit=orbit).limits
+        lengths[word] = entry
+    return lengths
+
+
+def lamination_section(corpus) -> dict:
+    windows = []
+    for p in corpus.prefixes:
+        seg = p.centered_slice(3)
+        cert = quasiperiodicity_window(p, seg)
+        windows.append({"segment": seg, "window": cert.window, "status": cert.status})
+    return {
+        "k": corpus.k,
+        "depth": corpus.depth,
+        "seeds": [{"edge": p.seed.edge, "power": p.seed.power, "anchor": p.seed.anchor} for p in corpus.prefixes],
+        "prefix_lengths": [len(p.word) for p in corpus.prefixes],
+        "truncated": [p.truncated for p in corpus.prefixes],
+        "previews": [p.spelled(radius=15) for p in corpus.prefixes],
+        "windows": windows,
+    }
+
+
+def cancellation_section(tt: TrainTrackData, samples: int, seed: int) -> dict:
+    """Cancellation bound in the eigenmetric (unit metric without one) and
+    its measured values over random and, on train tracks, legal splits."""
+    gmap = tt.gmap
+    metric = tt.metric if tt.metric is not None else unit_metric(gmap.graph)
+    lam = tt.pf.lam if tt.expanding else None
+    bound = cancellation_bound(gmap, metric, lam=lam)
+    sample = measure_cancellation(gmap, metric, samples=samples, seed=seed, lam=lam)
+    cancel = {
+        "metric": "eigenmetric" if tt.metric is not None else "unit",
+        **asdict(bound),
+        "random_splits": {
+            "count": sample.count,
+            "max_measured": sample.max_measured,
+            "mean_measured": sample.mean_measured,
+            "within_bound": sample.within_bound,
+        },
+    }
+    if tt.verdict.is_train_track:
+        try:
+            legal = measure_cancellation(gmap, metric, samples=samples, seed=seed, lam=lam, legal_only=True)
+            cancel["legal_splits"] = {
+                "count": legal.count,
+                "max_measured": legal.max_measured,
+            }
+        except PreconditionError as exc:
+            cancel["legal_splits"] = {"skipped": str(exc)}
+    return cancel
+
+
+def convergence_section(
+    auto: Automorphism,
+    tt: TrainTrackData,
+    alt_metric: Metric | None = None,
+    corpus=None,
+    depth: int = 14,
+    loop_words=None,
+) -> dict:
+    """Per-block comparison constants against ``alt_metric`` (unit if None)."""
+    alt = unit_metric(tt.gmap.graph) if alt_metric is None else alt_metric
+    conv = convergence_constants(auto, tt, alt, corpus=corpus, depth=depth, loop_words=loop_words)
+    return {
+        "alt_metric": "unit" if alt_metric is None else alt_metric.lengths.tolist(),
+        "constants": conv.constants,
+        "spreads": conv.spreads,
+        "depth": conv.depth,
+        "uniform_checked": conv.uniform_checked,
+        "uniform_max_rel_error": conv.uniform_max_rel_error,
+    }
+
+
 def analyze(source, config: AnalysisConfig | None = None, words=None) -> dict:
     """Full analysis of an automorphism or marked graph map.
 
@@ -322,185 +461,66 @@ def analyze(source, config: AnalysisConfig | None = None, words=None) -> dict:
         "meta": {
             "tool": "traintracks",
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            "config": config.to_dict(),
+            "config": asdict(config),
         },
-        "input": {
-            "rank": gmap.graph.edge_pairs,
-            "vertices": gmap.graph.vertex_count,
-            "is_rose": gmap.graph.is_rose(),
-            "images": {letter: gmap.image_of_letter(letter) for letter in gmap.graph.letters},
-        },
+        "input": input_section(gmap),
     }
 
     if auto is not None:
-        val = auto.validate()
-        report["validation"] = {
-            "ok": val.ok,
-            "abelianization_det": val.abelianization_det,
-            "inverse_checked": val.inverse_checked,
-            "problems": val.problems,
-            "warnings": val.warnings,
-        }
+        report["validation"] = validation_section(auto)
     else:
         skipped["validation"] = "not a rose map; no group automorphism to validate"
 
     tt = analyze_train_track(gmap, tol=min(1e-12, config.tol))
-    report["train_track"] = _verdict_dict(tt.verdict)
-    invariant = gmap.find_invariant_subgraph()
-    report["transition"] = {
-        "matrix": tt.matrix.tolist(),
-        "irreducible": tt.irreducible,
-        "invariant_subgraph": sorted(invariant) if invariant else None,
-    }
-
-    if tt.irreducible:
-        report["spectral"] = _spectral_dict(tt)
-    else:
-        skipped["spectral"] = "transition matrix is reducible; no positive eigendata"
+    report["train_track"] = train_track_section(tt)
+    report["transition"] = transition_section(tt)
+    try:
+        report["spectral"] = spectral_section(tt)
+    except NotIrreducibleError as exc:
+        skipped["spectral"] = str(exc)
 
     structured = tt.verdict.is_train_track and tt.irreducible
     if structured:
-        report["homothety"] = {"max_rel_defect": tt.homothety_defect()}
+        report["homothety"] = homothety_section(tt)
     else:
         skipped["homothety"] = "needs a verified irreducible train track"
 
-    sweep = None
+    leafy = structured and tt.expanding
+    corpus = build_leaf_corpus(tt, depth=config.leaf_depth, budget=config.leaf_budget) if leafy else None
     eq = None
     if auto is not None:
         sweep = enumerate_cyclic_words(auto.rank, config.max_word_len)
-        growth: dict = {"sweep_len": config.max_word_len, "classes": len(sweep)}
-        if structured and tt.expanding:
-            corpus = build_leaf_corpus(tt, depth=config.leaf_depth, budget=config.leaf_budget)
+        if leafy:
             eq = equivalence_sweep(auto, tt, corpus, sweep, config)
-            growth.update(
-                exponential=eq.exponential,
-                polynomial=eq.polynomial,
-                rate=tt.pf.lam,
-            )
-            report["growth"] = growth
-            report["equivalence"] = {
-                "checked": eq.checked,
-                "discrepancies": len(eq.discrepancies),
-                "details": eq.discrepancies[:10],
-            }
+        report["growth"] = growth_section(auto, tt, sweep, eq, config)
+        if eq is not None:
+            report["equivalence"] = equivalence_section(eq)
         else:
-            n_exp = 0
-            n_poly = 0
-            for word in sweep:
-                cls = classify_growth(auto, word, M=config.sweep_M, budget=config.sweep_budget)
-                if cls.is_exponential:
-                    n_exp += 1
-                else:
-                    n_poly += 1
-            growth.update(exponential=n_exp, polynomial=n_poly)
-            report["growth"] = growth
             skipped["equivalence"] = "verdict comparison needs an expanding train track"
-            corpus = None
     else:
         skipped["growth"] = "conjugacy sweeps need a rose map"
         skipped["equivalence"] = "conjugacy sweeps need a rose map"
-        corpus = None
 
-    if structured and tt.expanding and auto is not None:
-        lengths: dict = {}
-        probe_words = list(words) if words else [_LOWER[i] for i in range(min(auto.rank, 4))]
-        for word in probe_words:
-            orbit = CyclicOrbit(auto, word, budget=config.word_budget)
-            rep = limit_length(auto, word, tt, M=config.M, tol=config.tol, orbit=orbit)
-            entry = {
-                "limit": rep.limit,
-                "converged": rep.converged,
-                "m_stop": rep.m_stop,
-                "classification": rep.classification.label(),
-            }
-            if rep.classification.is_exponential:
-                blocks = per_block_lengths(auto, word, tt, orbit=orbit)
-                entry["per_block"] = blocks.limits
-            lengths[word] = entry
-        report["lengths"] = lengths
+    if leafy and auto is not None:
+        probe_words = list(words) if words else list(ALPHABET[: min(auto.rank, 4)])
+        report["lengths"] = lengths_section(
+            auto, tt, probe_words, M=config.M, tol=config.tol, budget=config.word_budget
+        )
     else:
         skipped["lengths"] = "limit lengths need an expanding irreducible train track"
 
-    if structured and tt.expanding:
-        if corpus is None:
-            corpus = build_leaf_corpus(tt, depth=config.leaf_depth, budget=config.leaf_budget)
-        lam_section = {
-            "k": corpus.k,
-            "depth": corpus.depth,
-            "seeds": [
-                {"edge": p.seed.edge, "power": p.seed.power, "anchor": p.seed.anchor}
-                for p in corpus.prefixes
-            ],
-            "prefix_lengths": [len(p.word) for p in corpus.prefixes],
-            "truncated": [p.truncated for p in corpus.prefixes],
-            "previews": [p.spelled(radius=15) for p in corpus.prefixes],
-        }
-        windows = []
-        for p in corpus.prefixes:
-            seg = p.centered_slice(3)
-            cert = quasiperiodicity_window(p, seg)
-            windows.append(
-                {"segment": seg, "window": cert.window, "status": cert.status}
-            )
-        lam_section["windows"] = windows
-        report["lamination"] = lam_section
+    if leafy:
+        report["lamination"] = lamination_section(corpus)
     else:
         skipped["lamination"] = "leaves need an expanding irreducible train track"
 
-    metric = tt.metric if tt.metric is not None else unit_metric(gmap.graph)
-    lam = tt.pf.lam if tt.expanding else None
-    bound = cancellation_bound(gmap, metric, lam=lam)
-    cancel = {
-        "metric": "eigenmetric" if tt.metric is not None else "unit",
-        "lipschitz": bound.lipschitz,
-        "volume": bound.volume,
-        "bound": bound.bound,
-        "projection_bound": bound.projection_bound,
-    }
-    sample = measure_cancellation(
-        gmap, metric, samples=config.samples, seed=config.seed, lam=lam
-    )
-    cancel["random_splits"] = {
-        "count": sample.count,
-        "max_measured": sample.max_measured,
-        "mean_measured": sample.mean_measured,
-        "within_bound": sample.within_bound,
-    }
-    if tt.verdict.is_train_track:
-        try:
-            legal = measure_cancellation(
-                gmap, metric, samples=config.samples, seed=config.seed, lam=lam, legal_only=True
-            )
-            cancel["legal_splits"] = {
-                "count": legal.count,
-                "max_measured": legal.max_measured,
-            }
-        except PreconditionError as exc:
-            cancel["legal_splits"] = {"skipped": str(exc)}
-    report["cancellation"] = cancel
+    report["cancellation"] = cancellation_section(tt, config.samples, config.seed)
 
-    if structured and tt.expanding and auto is not None:
-        loop_words = [
-            w
-            for w in (sweep or [])
-            if len(w) <= 2 and eq is not None and eq.labels[w].startswith("Exponential")
-        ][:6]
-        conv = convergence_constants(
-            auto,
-            tt,
-            unit_metric(gmap.graph),
-            corpus=corpus,
-            depth=config.convergence_depth,
-            loop_words=loop_words,
+    if leafy and auto is not None:
+        loop_words = [w for w in sweep if len(w) <= 2 and eq.labels[w].startswith("Exponential")][:6]
+        report["convergence"] = convergence_section(
+            auto, tt, corpus=corpus, depth=config.convergence_depth, loop_words=loop_words
         )
-        report["convergence"] = {
-            "alt_metric": "unit",
-            "constants": conv.constants,
-            "spreads": conv.spreads,
-            "depth": conv.depth,
-            "uniform_checked": conv.uniform_checked,
-            "uniform_max_rel_error": conv.uniform_max_rel_error,
-        }
     else:
         skipped["convergence"] = "comparison constants need an expanding train track"
 

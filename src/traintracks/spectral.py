@@ -12,14 +12,11 @@ from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import NotIrreducibleError, PowerIterationError
 from .graphs import Metric, path_length
-from .maps import GraphMap, TrainTrackVerdict
-
-_LOWER = "abcdefghijklmnopqrstuvwxyz"
+from .maps import GraphMap, TrainTrackVerdict, invariant_subgraph
+from .words import ALPHABET
 
 DEFAULT_TOL = 1e-12
 MAX_POWER_ITERATIONS = 10**6
@@ -30,9 +27,7 @@ def is_irreducible_matrix(matrix) -> bool:
     mat = np.asarray(matrix)
     if len(mat) == 1:
         return mat[0, 0] > 0
-    adj = csr_matrix((mat.T != 0).astype(np.int8))
-    count, _ = connected_components(adj, directed=True, connection="strong")
-    return count == 1
+    return invariant_subgraph(mat) is None
 
 
 def cyclic_index(matrix) -> tuple[int, tuple]:
@@ -44,7 +39,7 @@ def cyclic_index(matrix) -> tuple[int, tuple]:
     mat = np.asarray(matrix)
     n = len(mat)
     if not is_irreducible_matrix(mat):
-        raise NotIrreducibleError("cyclic index is defined for irreducible matrices")
+        raise NotIrreducibleError("matrix is reducible; no cyclic index or positive eigenvector")
     succ = [np.flatnonzero(mat[:, j]) for j in range(n)]
     dist = np.full(n, -1)
     dist[0] = 0
@@ -62,7 +57,7 @@ def cyclic_index(matrix) -> tuple[int, tuple]:
         for v in succ[u]:
             k = gcd(k, int(dist[u]) + 1 - int(dist[v]))
     k = abs(k) if k else 1
-    blocks = tuple(tuple(_LOWER[i] for i in np.flatnonzero(dist % k == r)) for r in range(k))
+    blocks = tuple(tuple(ALPHABET[i] for i in np.flatnonzero(dist % k == r)) for r in range(k))
     return k, blocks
 
 
@@ -122,9 +117,7 @@ def pf_eigen(matrix, tol: float = DEFAULT_TOL, max_iter: int = MAX_POWER_ITERATI
         if lam <= 0:
             raise NotIrreducibleError("1x1 transition matrix with zero entry")
         return PFData(lam, np.array([1.0]), 1, (("a",),), 0.0, (True,), 0)
-    if not is_irreducible_matrix(mat):
-        raise NotIrreducibleError("matrix is reducible; no positive eigenvector exists")
-    k, blocks = cyclic_index(mat)
+    k, blocks = cyclic_index(mat)  # raises NotIrreducibleError for a reducible matrix
     step = np.linalg.matrix_power(mat.T, k)
     u = np.full(n, 1.0 / n)
     est = None

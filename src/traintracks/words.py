@@ -21,39 +21,27 @@ import numpy as np
 from ._subst import SubstTable
 from .errors import BudgetExceededError, InputError
 
-MAX_RANK = 26
+# The generators in order; every module spells letters and edges with it.
+ALPHABET = "abcdefghijklmnopqrstuvwxyz"
+
+MAX_RANK = len(ALPHABET)
 
 DEFAULT_WORD_BUDGET = 10**7
 
-_LOWER = "abcdefghijklmnopqrstuvwxyz"
-
 # Cancelling two-letter blocks, most common letters first.
-_CANCEL_PAIRS = tuple(
-    p for i in range(MAX_RANK) for p in (_LOWER[i] + _LOWER[i].upper(), _LOWER[i].upper() + _LOWER[i])
-)
+_CANCEL_PAIRS = tuple(p for g in ALPHABET for p in (g + g.upper(), g.upper() + g))
 
 # Alphabet reordering used for canonical rotations: the letter order is
 # generator index first, then orientation (a < A < b < B < ...), which is
 # not the ASCII order.
-_CANON_IN = "".join(c + c.upper() for c in _LOWER)
+_CANON_IN = "".join(c + c.upper() for c in ALPHABET)
 _CANON_TABLE = str.maketrans(_CANON_IN, "".join(map(chr, range(33, 33 + 52))))
 _CANON_BACK = str.maketrans("".join(map(chr, range(33, 33 + 52))), _CANON_IN)
-
-
-def generator_letter(index: int) -> str:
-    """Letter of the ``index``-th generator (0-based)."""
-    if not 0 <= index < MAX_RANK:
-        raise InputError(f"generator index {index} outside 0..{MAX_RANK - 1}")
-    return _LOWER[index]
 
 
 def letter_index(letter: str) -> int:
     """0-based generator index of a letter, ignoring orientation."""
     return ord(letter.lower()) - 97
-
-
-def is_positive(letter: str) -> bool:
-    return letter.islower()
 
 
 def invert_word(word: str) -> str:
@@ -75,15 +63,13 @@ def check_word(word: str, rank: int) -> str:
     return word
 
 
-def _letters_of(word: str):
-    return {c.lower() for c in word}
-
-
 def reduce_word(word: str, rank: int | None = None) -> str:
     """Freely reduce a word by cancelling adjacent inverse pairs.
 
-    Runs replace passes until a fixed point; each pass is a C-level scan, and
-    the number of passes is bounded by the nesting depth of cancellations.
+    The package's one reduction: automorphism images and graph-map path
+    images are reduced here.  Runs replace passes until a fixed point; each
+    pass is a C-level scan, and the number of passes is bounded by the
+    nesting depth of cancellations.  ``rank`` limits the pairs tried.
 
     >>> reduce_word("aA")
     ''
@@ -92,11 +78,7 @@ def reduce_word(word: str, rank: int | None = None) -> str:
     >>> reduce_word("BaAb")
     ''
     """
-    if rank is None:
-        pairs = [g + g.upper() for g in sorted(_letters_of(word))]
-        pairs += [p[::-1] for p in pairs]
-    else:
-        pairs = _CANCEL_PAIRS[: 2 * rank]
+    pairs = _CANCEL_PAIRS[: 2 * (rank or MAX_RANK)]
     w = word
     while True:
         n = len(w)
@@ -191,7 +173,7 @@ def enumerate_cyclic_words(rank: int, max_len: int):
     """
     if not 1 <= rank <= MAX_RANK:
         raise InputError(f"rank must be in 1..{MAX_RANK}, got {rank}")
-    alphabet = [c for i in range(rank) for c in (_LOWER[i], _LOWER[i].upper())]
+    alphabet = [c for g in ALPHABET[:rank] for c in (g, g.upper())]
     seen = set()
     stack = [""]
     while stack:
@@ -228,13 +210,23 @@ def format_word(word: str, spaced: bool = False) -> str:
     return " ".join(word) if spaced else word
 
 
+def signed_substitution(images) -> tuple[dict, SubstTable]:
+    """Letter table sending the i-th generator to ``images[i]`` and its
+    inverse to the inverse word, with the :class:`SubstTable` that applies it."""
+    table = {}
+    for g, w in zip(ALPHABET, images):
+        table[g] = w
+        table[g.upper()] = invert_word(w)
+    return table, SubstTable(table)
+
+
 def _image_tuple(images):
     """Accept generator images as a sequence or as a letter-keyed mapping."""
     if isinstance(images, dict):
         letters = sorted(images)
-        if letters != [_LOWER[i] for i in range(len(letters))]:
+        if letters != list(ALPHABET[: len(letters)]):
             raise InputError(
-                f"image mapping must use consecutive generators a..{_LOWER[max(len(letters) - 1, 0)]}, got {letters}"
+                f"image mapping must use consecutive generators a..{ALPHABET[max(len(letters) - 1, 0)]}, got {letters}"
             )
         return tuple(images[g] for g in letters)
     return tuple(images)
@@ -273,17 +265,11 @@ class Automorphism:
             raise InputError("a generator image reduces to the empty word")
         self.inverse_images = None
         if inverse_images is not None:
-            inverse_images = tuple(inverse_images)
             if len(inverse_images) != rank:
                 raise InputError(f"expected {rank} inverse images, got {len(inverse_images)}")
             self.inverse_images = tuple(reduce_word(check_word(w, rank), rank) for w in inverse_images)
         self.budget = budget
-        table = {}
-        for i, w in enumerate(self.images):
-            table[_LOWER[i]] = w
-            table[_LOWER[i].upper()] = invert_word(w)
-        self._subst = SubstTable(table)
-        self._pairs = _CANCEL_PAIRS[: 2 * rank]
+        _, self._subst = signed_substitution(self.images)
 
     def substitute(self, word: str) -> str:
         """Letterwise substitution without reduction."""
@@ -291,13 +277,7 @@ class Automorphism:
 
     def apply(self, word: str) -> str:
         """Image of a reduced word, freely reduced."""
-        w = self._subst(word)
-        while True:
-            n = len(w)
-            for p in self._pairs:
-                w = w.replace(p, "")
-            if len(w) == n:
-                return w
+        return reduce_word(self._subst(word), self.rank)
 
     def apply_cyclic(self, word: str) -> str:
         """Image of a cyclically reduced word, cyclically reduced again.
@@ -356,7 +336,7 @@ class Automorphism:
         if self.inverse_images is not None:
             inv = Automorphism(self.inverse_images, rank=self.rank)
             for i in range(self.rank):
-                g = _LOWER[i]
+                g = ALPHABET[i]
                 if self.apply(inv.images[i]) != g or inv.apply(self.images[i]) != g:
                     problems.append(f"inverse images do not round-trip on generator {g!r}")
                     break
@@ -373,9 +353,5 @@ class Automorphism:
         )
 
     def __repr__(self):
-        body = ", ".join(f"{_LOWER[i]}->{w}" for i, w in enumerate(self.images))
+        body = ", ".join(f"{g}->{w}" for g, w in zip(ALPHABET, self.images))
         return f"Automorphism({body})"
-
-
-def identity_automorphism(rank: int) -> Automorphism:
-    return Automorphism(tuple(_LOWER[i] for i in range(rank)), tuple(_LOWER[i] for i in range(rank)))

@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from traintracks import (
-    EdgePath,
     Graph,
     InputError,
     Metric,
     block_path_length,
-    cyclic_word_to_loop,
+    invert_word,
     path_length,
+    reduce_word,
     rose,
-    tighten,
     unit_metric,
 )
 
@@ -58,21 +57,21 @@ def test_theta_incidence():
 
 def test_edge_path_tightens():
     g = theta()
-    p = EdgePath(g, "aAbB")
-    assert p.word == ""
-    q = EdgePath(g, "aBbA")
-    assert q.word == ""
-    r = EdgePath(g, "aB")
-    assert r.reverse().word == "bA"
-    assert r.start() == 0 and r.end() == 0
+    assert reduce_word(g.check_path("aAbB"), g.edge_pairs) == ""
+    assert reduce_word(g.check_path("aBbA"), g.edge_pairs) == ""
+    r = g.check_path("aB")
+    assert g.check_path(invert_word(r)) == "bA"
+    assert g.origin(r[0]) == 0 and g.terminus(r[-1]) == 0
     with pytest.raises(InputError):
-        EdgePath(g, "aa")
+        g.check_path("aa")
+    with pytest.raises(InputError, match="unknown edge letter"):
+        g.check_path("aBz")  # an unknown letter past the first is malformed input too
 
 
 def test_tighten_is_free_reduction_on_rose():
     g = rose(2)
-    assert tighten("abBA", g) == ""
-    assert tighten("abBa", g) == "aa"
+    assert reduce_word(g.check_path("abBA"), g.edge_pairs) == ""
+    assert reduce_word(g.check_path("abBa"), g.edge_pairs) == "aa"
 
 
 def test_metric_validation():
@@ -107,19 +106,13 @@ def test_block_lengths_partition_total(w):
 def test_path_length_accepts_edge_path():
     g = rose(2)
     m = unit_metric(g)
-    assert path_length(EdgePath(g, "abA"), m) == 3.0
+    assert path_length(g.check_path("abA"), m) == 3.0
     assert path_length("", m) == 0.0
 
 
 def test_unit_metric_from_rank_or_graph():
     assert unit_metric(4).volume() == 4.0
     assert unit_metric(rose(2)).volume() == 2.0
-
-
-def test_cyclic_word_to_loop():
-    assert cyclic_word_to_loop("ab", rose(2)) == "ab"
-    with pytest.raises(InputError):
-        cyclic_word_to_loop("ab", theta())
 
 
 def test_metric_lengths_are_read_only_view():

@@ -23,7 +23,6 @@ from traintracks import (
     path_length,
     per_block_lengths,
     polynomial_degree,
-    translation_length,
     unit_metric,
 )
 
@@ -296,4 +295,4 @@ def test_convergence_needs_expansion(swap, swap_tt):
 
 
 def test_translation_length_is_metric_length(fib_tt):
-    assert translation_length("ab", fib_tt.metric) == pytest.approx(1.0, abs=1e-12)
+    assert path_length("ab", fib_tt.metric) == pytest.approx(1.0, abs=1e-12)

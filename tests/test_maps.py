@@ -158,6 +158,25 @@ def test_conjugate_b_failure_witness(conj_b_tt):
         assert d == nxt
 
 
+def test_conjugate_b_witness_independent_of_hash_seed():
+    import os
+    import subprocess
+    import sys
+
+    import traintracks
+
+    code = (
+        "from traintracks import corpus, rose_map\n"
+        "v = rose_map(corpus.fibonacci_conjugate_b()).is_train_track()\n"
+        "print([sorted(t) for t in v.witness_orbit], v.fails_at_iterate)\n"
+    )
+    src = os.path.dirname(os.path.dirname(traintracks.__file__))
+    for seed in ("1", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[['a', 'b'], ['B']] 2", seed
+
+
 def test_fibonacci_verdict_details(fib_tt):
     verdict = fib_tt.verdict
     assert verdict.is_train_track

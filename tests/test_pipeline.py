@@ -1,5 +1,6 @@
 """Input parsing, the full analyze report, JSON shaping, and the CLI."""
 
+import hashlib
 import json
 import math
 import re
@@ -222,21 +223,41 @@ def test_round_floats_shapes():
     assert out["s"] == "word"
 
 
+# SHA-256 of report_json(report) without "meta", at FAST, recorded before the
+# report sections were shared with the CLI; the report must not drift.
+GOLDEN_FAST_DIGESTS = {
+    "fibonacci": "4d5c35b475814a77c8acde5cf3ee857c4ccf905f53910c2cdbcfde23aee6de87",
+    "fibonacci-conj-a": "c94022e298b1317c3d4b06bb759f20d8570415e8f707976e3c92d384adcb048c",
+    "fibonacci-conj-b": "246a66f3350c9e8dd3dec2aeac3e3a7a2c095d4a28fd36ca12298b604a04fa02",
+    "identity": "f633099568ee25752582ad95aaefcea41ca2d59078ea93041e9e4fe84958717c",
+    "swap": "40e7ca3dd20d3e5f64d921ec6f19daec5f5088e070999830e7717bf77e96cc53",
+    "swap-fibonacci": "b17b6c279f755c24334665238147d9856499f3ddac5ef1540a4da93523cc4e77",
+    "unipotent": "a9fa063a1c874636dcd36318792b6d092ea4b4c48ab72a4df42183fecc83f50a",
+}
+
+
 def test_report_json_serializes_all_examples():
     for name in sorted(corpus.REGISTRY):
         report = analyze(corpus.get(name), config=FAST)
         parsed = json.loads(report_json(report))
         assert parsed["input"]["rank"] == corpus.get(name).rank
+        report.pop("meta")
+        assert hashlib.sha256(report_json(report).encode()).hexdigest() == GOLDEN_FAST_DIGESTS[name], name
 
 
 # --------------------------------------------------------------------- cli
 
 
-def test_cli_verify_tt(capsys):
-    assert main(["verify-tt", "example:fibonacci"]) == 0
+def _json_tail(out: str):
+    return json.loads(out[out.index("\n{") :])
+
+
+def test_cli_verify_tt(capsys, fib_report):
+    assert main(["verify-tt", "example:fibonacci", "--json", "-"]) == 0
     out = capsys.readouterr().out
     assert "train track: yes" in out
     assert "irreducible: yes" in out
+    assert _json_tail(out) == {**fib_report["train_track"], **fib_report["transition"]}
 
 
 def test_cli_verify_tt_failure_is_exit_zero(capsys):
@@ -247,10 +268,10 @@ def test_cli_verify_tt_failure_is_exit_zero(capsys):
 
 def test_cli_spectral_json(capsys):
     assert main(["spectral", "example:fibonacci", "--json", "-"]) == 0
-    out = capsys.readouterr().out
-    payload = json.loads(out[out.index("\n{") :])
+    payload = _json_tail(capsys.readouterr().out)
     assert payload["lambda"] == pytest.approx(PHI, abs=1e-8)
     assert payload["k"] == 1
+    assert payload["expanding"] is True and payload["simplicial"] is False
 
 
 def test_cli_growth(capsys):
@@ -259,9 +280,18 @@ def test_cli_growth(capsys):
 
 
 def test_cli_lengths(capsys):
-    assert main(["lengths", "example:fibonacci", "--words", "a"]) == 0
+    assert main(["lengths", "example:fibonacci", "--words", "a", "--json", "-"]) == 0
     out = capsys.readouterr().out
     assert "a: limit 0.618" in out
+    assert "blocks (" not in out  # one block: the text shows no split
+    assert _json_tail(out)["a"]["per_block"] == [pytest.approx(0.618034, abs=1e-6)]
+
+
+def test_cli_lengths_answers_on_non_expanding_train_track(capsys):
+    assert main(["lengths", "example:swap", "--words", "a", "--json", "-"]) == 0
+    out = capsys.readouterr().out
+    assert "a: limit 0 at m=0 [Polynomial(0)]" in out
+    assert "per_block" not in _json_tail(out)["a"]
 
 
 def test_cli_lengths_per_block(capsys):
@@ -292,10 +322,11 @@ def test_cli_cancellation_legal(capsys):
 
 
 def test_cli_convergence(capsys):
-    assert main(["convergence", "example:fibonacci", "--depth", "12"]) == 0
+    assert main(["convergence", "example:fibonacci", "--depth", "12", "--json", "-"]) == 0
     out = capsys.readouterr().out
     c0 = float(re.search(r"c_0 = ([0-9.e+-]+)", out).group(1))
     assert c0 == pytest.approx(PHI**3 / math.sqrt(5), abs=1e-6)
+    assert _json_tail(out)["alt_metric"] == "unit"
 
 
 def test_cli_analyze_json_file(tmp_path, capsys):
@@ -347,9 +378,27 @@ def test_cli_unknown_example_is_input_error(capsys):
     assert "nonsense" in capsys.readouterr().err
 
 
+def test_corpus_get_unknown_is_input_error():
+    from traintracks import InputError
+
+    with pytest.raises(InputError, match="nonsense"):
+        corpus.get("nonsense")
+
+
+def test_cli_internal_key_error_is_not_input_error(monkeypatch):
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr("traintracks.cli.analyze_train_track", broken)
+    with pytest.raises(KeyError):
+        main(["verify-tt", "example:fibonacci"])
+
+
 def test_cli_reducible_spectral_is_domain_error(capsys):
     assert main(["spectral", "example:unipotent"]) == 2
-    assert "reducible" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "reducible" in err
+    assert analyze(corpus.unipotent_rank2(), config=FAST)["skipped"]["spectral"] in err
 
 
 def test_cli_leaf_on_non_expanding_is_domain_error(capsys):

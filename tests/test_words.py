@@ -19,7 +19,6 @@ from traintracks import (
     cyclic_reduce,
     enumerate_cyclic_words,
     format_word,
-    identity_automorphism,
     invert_word,
     is_cyclically_reduced,
     is_reduced,
@@ -283,6 +282,6 @@ def test_validate_reports():
 
 
 def test_identity_automorphism():
-    ident = identity_automorphism(3)
-    assert ident.apply("abcABC") == "abcABC"
-    assert ident.validate().ok
+    ident = corpus.identity_rank2()
+    assert ident.apply("abAB") == "abAB"
+    assert ident.validate().ok and ident.validate().inverse_checked
