@@ -69,16 +69,27 @@ def measure_split(gmap: GraphMap, metric: Metric, p: str, q: str) -> float:
     return lost / 2.0
 
 
-def sample_reduced_words(rank: int, count: int, rng: random.Random, min_len: int = 2, max_len: int = 14):
-    """Uniform-ish reduced words: each letter avoids cancelling its predecessor."""
+def sample_reduced_words(
+    rank: int, count: int, rng: random.Random, min_len: int = 2, max_len: int = 14, legal=None
+):
+    """Uniform-ish reduced words: each letter avoids cancelling its predecessor.
+
+    Given a set of ``legal`` turns, each letter instead forms a legal turn
+    with its predecessor, so the words are legal paths; a word ends early at
+    a letter with no legal continuation.
+    """
     alphabet = ALPHABET[:rank] + ALPHABET[:rank].upper()
+    if legal is None:
+        nexts = {x: set(alphabet) - {x.swapcase()} for x in alphabet}
+    else:
+        nexts = {x: {y for y in alphabet if frozenset((x.swapcase(), y)) in legal} for x in alphabet}
     words = []
     for _ in range(count):
         n = rng.randint(min_len, max_len)
         out = [rng.choice(alphabet)]
-        while len(out) < n:
+        while len(out) < n and nexts[out[-1]]:
             ch = rng.choice(alphabet)
-            if ch != out[-1].swapcase():
+            if ch in nexts[out[-1]]:
                 out.append(ch)
         words.append("".join(out))
     return words
@@ -108,33 +119,31 @@ def measure_cancellation(
 ) -> CancellationSample:
     """Cancellation measured over random reduced splits p|q.
 
-    With legal_only, only splits whose junction turn is legal are kept; on a
-    verified train track these must measure exactly zero, because the image
-    of a legal turn never degenerates.
+    With legal_only, only splits of legal paths p.q are kept (every turn of
+    p.q legal), and sampled words are drawn as legal paths.  On a verified
+    train track these must measure exactly zero: the images of p and q are
+    legal and meet at the derivative image of the legal junction turn, so
+    nothing cancels.
     """
     rank = gmap.graph.edge_pairs
     rng = random.Random(seed)
+    legal = gmap.legal_turns() if legal_only else None
     if words is None:
-        words = sample_reduced_words(rank, samples, rng)
+        words = sample_reduced_words(rank, samples, rng, legal=legal)
     bound = cancellation_bound(gmap, metric, lam=lam)
     measured = []
     worst = None
-    tries = 0
     for word in words:
         word = reduce_word(word, rank)
         if len(word) < 2:
             continue
-        for _ in range(20):
-            tries += 1
-            cut = rng.randint(1, len(word) - 1)
-            turn = frozenset({word[cut - 1].swapcase(), word[cut]})
-            if legal_only and not gmap.is_legal_turn(turn):
-                continue
-            lost = measure_split(gmap, metric, word[:cut], word[cut:])
-            measured.append(lost)
-            if worst is None or lost > worst[2]:
-                worst = (word, cut, lost)
-            break
+        if legal_only and any(frozenset((x.swapcase(), y)) not in legal for x, y in zip(word, word[1:])):
+            continue
+        cut = rng.randint(1, len(word) - 1)
+        lost = measure_split(gmap, metric, word[:cut], word[cut:])
+        measured.append(lost)
+        if worst is None or lost > worst[2]:
+            worst = (word, cut, lost)
     if not measured:
         raise PreconditionError("no admissible splits were found")
     max_measured = max(measured)

@@ -134,10 +134,10 @@ def _cmd_lengths(args) -> int:
     if parsed.auto is None:
         raise PreconditionError("limit lengths need a rose map")
     auto = parsed.auto
-    tt = analyze_train_track(parsed.gmap, tol=args.tol)
+    tt = analyze_train_track(parsed.gmap, tol=min(1e-12, args.tol))
     k = spectral_section(tt)["k"]  # on a reducible map, exits 2 with the section's skip reason
     words = _word_list(args, auto.rank, args.sweep_len)
-    lengths = lengths_section(auto, tt, words, M=args.max_m)
+    lengths = lengths_section(auto, tt, words, M=args.max_m, tol=args.tol)
     for word in words:
         entry = lengths[word]
         line = f"{word}: limit {_g(entry['limit'])} at m={entry['m_stop']} [{entry['classification']}]"
@@ -223,9 +223,9 @@ def _cmd_convergence(args) -> int:
     tt = analyze_train_track(parsed.gmap)
     alt = Metric([float(x) for x in args.metric.split(",")]) if args.metric else None
     words = _word_list(args, parsed.auto.rank)
-    conv = convergence_section(parsed.auto, tt, alt, depth=args.depth, loop_words=words)
-    for i, (c, s) in enumerate(zip(conv["constants"], conv["spreads"])):
-        print(f"c_{i} = {_g(c)} (spread {_g(s)})")
+    conv = convergence_section(parsed.auto, tt, alt, loop_words=words)
+    for i, c in enumerate(conv["constants"]):
+        print(f"c_{i} = {_g(c)}")
     if conv["uniform_checked"]:
         print(
             f"uniform check on {conv['uniform_checked']} loops: "
@@ -320,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--words", help="comma-separated conjugacy classes")
     p.add_argument("--sweep-len", type=int, default=2)
     p.add_argument("--max-m", type=int, default=40)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=1e-6)
     p.set_defaults(func=_cmd_lengths)
 
     p = subs.add_parser("leaf", help="lamination leaf prefixes and windows")
@@ -340,7 +340,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("convergence", help="per-block metric comparison constants")
     _add_common(p)
-    p.add_argument("--depth", type=int, default=14)
     p.add_argument("--metric", help="comma-separated edge lengths (default: unit)")
     p.add_argument("--words", help="loops for the uniform cross-check")
     p.set_defaults(func=_cmd_convergence)

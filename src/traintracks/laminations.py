@@ -425,7 +425,10 @@ def weak_limit_probe(
     judges the stride-k subsequence: verdict True iff its last quartile is
     strictly increasing and exceeds three times the first quartile's
     maximum.  Exponentially growing classes shadow leaves, so their segment
-    lengths blow up; bounded or polynomial classes stall.
+    lengths blow up; bounded or polynomial classes stall.  The series ends
+    before the first orbit word longer than ``cap``: the matcher only
+    searches a ``cap``-letter slice of each leaf, so longer words would
+    stall for want of leaf, not of growth.
     """
     from .limits import CyclicOrbit
 
@@ -435,7 +438,7 @@ def weak_limit_probe(
     values = []
     for m in range(M + 1):
         w = orbit.word_at(m)
-        if w is None:
+        if w is None or len(w) > cap:
             break
         match = longest_leaf_segment(w, corpus, metric, cap=cap)
         values.append(match.length)

@@ -11,14 +11,14 @@ cyclically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InternalConsistencyError, PreconditionError
 from .graphs import Metric, block_path_length, path_length
-from .spectral import TrainTrackData
-from .words import Automorphism, check_word, cyclic_reduce, reduce_word
+from .spectral import TrainTrackData, pf_eigen
+from .words import Automorphism, check_word, cyclic_reduce, letter_index, reduce_word
 
 MONOTONE_SLACK = 1e-9
 
@@ -27,6 +27,13 @@ MONOTONE_SLACK = 1e-9
 LOXODROMIC_THRESHOLD = 1e-6
 
 _POLY_DEGREE_CAP = 6
+
+# Word budget of the orbits in conjugacy sweeps, shared by the uniform
+# cross-check of the convergence constants.
+SWEEP_BUDGET = 200_000
+
+# Allowed alt-metric limit of a class whose limit length vanishes.
+UNIFORM_TOL = 1e-5
 
 
 class CyclicOrbit:
@@ -474,9 +481,6 @@ def homothety_check(
 @dataclass
 class ConvergenceReport:
     constants: list
-    spreads: list
-    depth: int
-    segments_per_block: int
     uniform_checked: int
     uniform_max_rel_error: float | None
 
@@ -501,66 +505,42 @@ def convergence_constants(
     auto: Automorphism,
     tt: TrainTrackData,
     alt_metric: Metric,
-    corpus=None,
-    depth: int = 14,
-    segments_per_block: int = 5,
     loop_words=None,
-    spread_tol: float = 1e-4,
-    uniform_tol: float = 1e-5,
 ) -> ConvergenceReport:
     """Per-block comparison constants between an alternative metric and the limit.
 
-    For leaf segments of block i, lam^-(m k) * (alt length of the m k-fold
-    image) divided by the eigenmetric length of the segment converges to a
-    constant c_i independent of the segment.  The constants are measured by
-    iteration at the given stride depth; excessive spread across segments
-    signals broken train-track data.  For arbitrary loops the alt-metric
-    limit equals sum_i c_i * (block-i limit length), which is spot-checked
-    on loop_words.
+    On block i, lam^-(m k) |tau^(m k)(sigma)|_delta / |sigma|_nu tends to
+    c_i = delta_i . r_i / nu_i . r_i for every path sigma of the block, where
+    r is the right Perron-Frobenius vector of the transition matrix and the
+    subscript i restricts a vector to the block's edges: A^k is block
+    diagonal with primitive blocks, so its power A^(m k) on block i is
+    asymptotic to lam^(m k) r_i nu_i^T / nu_i . r_i.  For arbitrary loops
+    the alt-metric limit equals sum_i c_i * (block-i limit length), which is
+    checked by iteration on loop_words.
     """
-    from .laminations import build_leaf_corpus
-
     _require_spectral(tt)
     if not tt.expanding:
         raise PreconditionError("convergence constants need an expanding stretch factor")
     if len(alt_metric) != tt.gmap.graph.edge_pairs:
         raise PreconditionError("alternative metric does not match the graph")
-    if corpus is None:
-        corpus = build_leaf_corpus(tt, depth=8, budget=200_000)
     k = tt.pf.k
     lam = tt.pf.lam
-    power = k * depth
+    right = pf_eigen(tt.matrix.T).nu
     constants = []
-    spreads = []
-    for block in range(k):
-        prefix = corpus.prefixes[block]
-        segs = _sample_segments(prefix, segments_per_block)
-        ests = []
-        for seg in segs:
-            img = seg
-            for _ in range(power):
-                img = tt.gmap.substitute(img)
-            est = path_length(img, alt_metric) / (lam**power * path_length(seg, tt.metric))
-            ests.append(est)
-        center = float(np.mean(ests))
-        spread = float(max(abs(e - center) for e in ests))
-        if spread > spread_tol:
-            raise InternalConsistencyError(
-                f"segment constants for block {block} spread by {spread!r}"
-            )
-        constants.append(center)
-        spreads.append(spread)
+    for block in tt.pf.blocks:
+        idx = [letter_index(e) for e in block]
+        constants.append(float(alt_metric.lengths[idx] @ right[idx] / (tt.pf.nu[idx] @ right[idx])))
     uniform_checked = 0
     uniform_worst = None
     if loop_words:
         uniform_worst = 0.0
         for word in loop_words:
-            orbit = CyclicOrbit(auto, word)
+            orbit = CyclicOrbit(auto, word, budget=SWEEP_BUDGET)
             blocks_rep = per_block_lengths(auto, word, tt, tol=1e-8, orbit=orbit)
             rhs = sum(c * b for c, b in zip(constants, blocks_rep.limits))
             lhs = _alt_limit(orbit, alt_metric, lam, k, M=120, tol=1e-8)
             if rhs < LOXODROMIC_THRESHOLD:
-                if lhs is not None and abs(lhs - rhs) > uniform_tol:
+                if lhs is not None and abs(lhs - rhs) > UNIFORM_TOL:
                     raise InternalConsistencyError(
                         f"bounded class {word!r} has alt-metric limit {lhs!r}"
                     )
@@ -570,24 +550,6 @@ def convergence_constants(
             uniform_checked += 1
     return ConvergenceReport(
         constants=constants,
-        spreads=spreads,
-        depth=depth,
-        segments_per_block=segments_per_block,
         uniform_checked=uniform_checked,
         uniform_max_rel_error=uniform_worst,
     )
-
-
-def _sample_segments(prefix, count: int):
-    """Deterministic spread of subpaths around the prefix center."""
-    word = prefix.word
-    segs = []
-    sizes = (1, 2, 3, 5, 8, 13, 21)
-    for j in range(count):
-        size = sizes[j % len(sizes)]
-        start = prefix.center - size // 2 + 3 * j
-        start = max(0, min(start, len(word) - size))
-        seg = word[start : start + size]
-        if seg:
-            segs.append(seg)
-    return segs

@@ -187,6 +187,12 @@ class GraphMap:
     def is_legal_turn(self, turn: frozenset) -> bool:
         return not is_degenerate(self.turn_orbit(turn)[-1])
 
+    def legal_turns(self) -> frozenset:
+        """Every legal turn between two distinct directions of the graph."""
+        dirs = self.graph.letters + self.graph.letters.upper()
+        turns = {_turn(x, y) for i, x in enumerate(dirs) for y in dirs[i + 1 :]}
+        return frozenset(t for t in turns if self.is_legal_turn(t))
+
     def is_train_track(self) -> TrainTrackVerdict:
         """Decide whether every iterated edge image stays tight.
 

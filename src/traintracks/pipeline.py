@@ -24,6 +24,7 @@ from .laminations import (
     weak_limit_probe,
 )
 from .limits import (
+    SWEEP_BUDGET,
     CyclicOrbit,
     classify_growth,
     convergence_constants,
@@ -48,13 +49,12 @@ class AnalysisConfig:
     word_budget: int = 10**7
     max_word_len: int = 5
     sweep_M: int = 24
-    sweep_budget: int = 200_000
+    sweep_budget: int = SWEEP_BUDGET
     probe_M: int = 12
     leaf_depth: int = 12
     leaf_budget: int = 500_000
     samples: int = 200
     seed: int = 0
-    convergence_depth: int = 14
 
 
 @dataclass
@@ -427,18 +427,14 @@ def convergence_section(
     auto: Automorphism,
     tt: TrainTrackData,
     alt_metric: Metric | None = None,
-    corpus=None,
-    depth: int = 14,
     loop_words=None,
 ) -> dict:
     """Per-block comparison constants against ``alt_metric`` (unit if None)."""
     alt = unit_metric(tt.gmap.graph) if alt_metric is None else alt_metric
-    conv = convergence_constants(auto, tt, alt, corpus=corpus, depth=depth, loop_words=loop_words)
+    conv = convergence_constants(auto, tt, alt, loop_words=loop_words)
     return {
         "alt_metric": "unit" if alt_metric is None else alt_metric.lengths.tolist(),
         "constants": conv.constants,
-        "spreads": conv.spreads,
-        "depth": conv.depth,
         "uniform_checked": conv.uniform_checked,
         "uniform_max_rel_error": conv.uniform_max_rel_error,
     }
@@ -518,9 +514,7 @@ def analyze(source, config: AnalysisConfig | None = None, words=None) -> dict:
 
     if leafy and auto is not None:
         loop_words = [w for w in sweep if len(w) <= 2 and eq.labels[w].startswith("Exponential")][:6]
-        report["convergence"] = convergence_section(
-            auto, tt, corpus=corpus, depth=config.convergence_depth, loop_words=loop_words
-        )
+        report["convergence"] = convergence_section(auto, tt, loop_words=loop_words)
     else:
         skipped["convergence"] = "comparison constants need an expanding train track"
 

@@ -28,6 +28,7 @@ from traintracks import (
     homothety_check,
     limit_length,
     measure_cancellation,
+    path_length,
     quasiperiodicity_window,
     reduce_word,
     report_json,
@@ -211,21 +212,47 @@ def test_criterion_08_bounded_cancellation():
                 assert legal.max_measured <= 1e-12, (name, legal.max_measured)
 
 
+def _iterated_segment_constants(tt, alt, depth=14):
+    """Reference for the closed-form constants: apply tau^(k depth) to five
+    leaf segments around each block's prefix centre and read off
+    lam^-(k depth) |image|_alt / |segment|_nu for each segment."""
+    leaves = build_leaf_corpus(tt, depth=8, budget=200_000)
+    power = tt.pf.k * depth
+    out = []
+    for prefix in leaves.prefixes:
+        ests = []
+        for j, size in enumerate((1, 2, 3, 5, 8)):
+            start = max(0, min(prefix.center - size // 2 + 3 * j, len(prefix.word) - size))
+            seg = img = prefix.word[start : start + size]
+            for _ in range(power):
+                img = tt.gmap.substitute(img)
+            ests.append(path_length(img, alt) / (tt.pf.lam**power * path_length(seg, tt.metric)))
+        out.append(ests)
+    return out
+
+
 def test_criterion_09_convergence_constants():
     with criterion(9, "per-segment constants agree, scale linearly, and predict loop limits"):
+        for name in ("fibonacci", "swap-fibonacci"):
+            auto, tt = corpus.get(name), _tt(name)
+            alt = unit_metric(auto.rank)
+            rep = convergence_constants(auto, tt, alt)
+            segments = _iterated_segment_constants(tt, alt)
+            assert len(rep.constants) == len(segments) == tt.pf.k
+            for c, ests in zip(rep.constants, segments):
+                assert len(ests) == 5
+                assert all(abs(e - c) <= 1e-4 for e in ests), (name, c, ests)
+
         fib = corpus.get("fibonacci")
         tt = _tt("fibonacci")
         alt = unit_metric(2)
-        rep = convergence_constants(fib, tt, alt, depth=14, segments_per_block=5)
-        assert rep.segments_per_block >= 5
-        assert all(s <= 1e-4 for s in rep.spreads)
-
-        scaled = convergence_constants(fib, tt, alt.scaled(2.25), depth=14)
+        rep = convergence_constants(fib, tt, alt)
+        scaled = convergence_constants(fib, tt, alt.scaled(2.25))
         for c, cs in zip(rep.constants, scaled.constants):
             assert abs(cs - 2.25 * c) <= 1e-9 * abs(cs)
 
         loops = [w for w in enumerate_cyclic_words(2, 3) if "b" in w.lower()][:12]
-        checked = convergence_constants(fib, tt, alt, depth=14, loop_words=loops)
+        checked = convergence_constants(fib, tt, alt, loop_words=loops)
         assert checked.uniform_checked >= 10
         assert checked.uniform_max_rel_error < 1e-5
 

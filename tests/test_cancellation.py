@@ -13,14 +13,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from traintracks import (
+    Automorphism,
     InputError,
     PreconditionError,
+    analyze_train_track,
     cancellation_bound,
     lipschitz_constant,
     measure_cancellation,
     measure_split,
     path_length,
     reduce_word,
+    rose_map,
     unit_metric,
 )
 from traintracks.cancellation import sample_reduced_words
@@ -122,7 +125,21 @@ def test_legal_splits_cancel_nothing(fib_tt, rank4_tt):
         sample = measure_cancellation(tt.gmap, tt.metric, samples=200, seed=0, legal_only=True)
         assert sample.legal_only
         assert sample.max_measured <= 1e-12
-        assert sample.count > 150  # a few length-2 words have no legal split
+        assert sample.count == 200  # sampled words are legal paths, so every one splits
+
+
+def test_legal_splits_are_splits_of_legal_paths():
+    """On a -> bcaca, b -> ca, c -> a the split BcaB | ACb has a legal
+    junction turn {b, A}, but the turn {A, B} inside p is illegal and the
+    tightened image loses length there; such splits are not legal."""
+    tt = analyze_train_track(rose_map(Automorphism(["bcaca", "ca", "a"])))
+    assert tt.verdict.is_train_track
+    assert measure_split(tt.gmap, tt.metric, "BcaB", "ACb") > 0.7
+    with pytest.raises(PreconditionError):
+        measure_cancellation(tt.gmap, tt.metric, words=["BcaBACb"], legal_only=True)
+    sample = measure_cancellation(tt.gmap, tt.metric, samples=200, seed=0, legal_only=True)
+    assert sample.count == 200
+    assert sample.max_measured <= 1e-12
 
 
 def test_non_train_track_cancels_positively(conj_b_tt):

@@ -12,9 +12,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from traintracks import (
+    Automorphism,
+    CyclicOrbit,
     InternalConsistencyError,
     NotALeafSegmentError,
     PreconditionError,
+    analyze_train_track,
     build_leaf_corpus,
     expand_leaf,
     find_eigen_seed,
@@ -23,6 +26,7 @@ from traintracks import (
     longest_leaf_segment,
     path_length,
     quasiperiodicity_window,
+    rose_map,
     weak_limit_probe,
 )
 from traintracks.laminations import _SuffixAutomaton
@@ -332,3 +336,19 @@ def test_probe_rank4(rank4, rank4_tt, rank4_corpus):
     assert rep.strided == rep.values[::2]
     rep = weak_limit_probe(rank4, "abAB", rank4_corpus, rank4_tt.metric, M=16)
     assert not rep.verdict
+
+
+def test_probe_stops_at_matcher_cap():
+    """The matcher searches a 30_000-letter slice of each leaf, so a longer
+    orbit word would stall the series.  Under a -> bcaca, b -> ca, c -> a the
+    orbit of b passes that length at m = 10; the probe ends there and sees
+    the growth."""
+    auto = Automorphism(["bcaca", "ca", "a"])
+    tt = analyze_train_track(rose_map(auto))
+    leaves = build_leaf_corpus(tt, depth=12, budget=500_000)
+    for word in ("b", "B"):
+        orbit = CyclicOrbit(auto, word, budget=200_000)
+        probe = weak_limit_probe(auto, word, leaves, tt.metric, M=12, orbit=orbit)
+        assert probe.verdict, probe.strided
+        assert len(probe.values) == 10
+        assert len(orbit.word_at(10)) > 30_000

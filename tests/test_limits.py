@@ -9,12 +9,18 @@ a b^-1 drops once and is then constant at 1/phi^3.
 import dataclasses
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from traintracks import (
+    Automorphism,
     CyclicOrbit,
     InternalConsistencyError,
+    Metric,
     PreconditionError,
+    analyze_train_track,
     classify_growth,
     convergence_constants,
     homothety_check,
@@ -23,8 +29,10 @@ from traintracks import (
     path_length,
     per_block_lengths,
     polynomial_degree,
+    rose_map,
     unit_metric,
 )
+from traintracks.words import ALPHABET, letter_index
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -258,35 +266,91 @@ def test_homothety_non_expanding_exact(swap, swap_tt):
 
 def test_convergence_constant_fibonacci_unit(fib, fib_tt):
     """Binet: the unit-metric constant is phi^3 / sqrt(5) for every segment."""
-    rep = convergence_constants(fib, fib_tt, unit_metric(2), depth=14)
-    expected = PHI**3 / math.sqrt(5.0)
+    rep = convergence_constants(fib, fib_tt, unit_metric(2))
     assert len(rep.constants) == 1
-    assert rep.constants[0] == pytest.approx(expected, abs=1e-6)
-    assert rep.spreads[0] < 1e-4
+    assert rep.constants[0] == pytest.approx(PHI**3 / math.sqrt(5.0), abs=1e-12)
 
 
 def test_convergence_constant_eigenmetric_is_one(fib, fib_tt):
-    rep = convergence_constants(fib, fib_tt, fib_tt.metric, depth=12)
+    rep = convergence_constants(fib, fib_tt, fib_tt.metric)
     assert rep.constants[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_convergence_constant_scales_linearly(fib, fib_tt):
-    base = convergence_constants(fib, fib_tt, unit_metric(2), depth=10)
-    scaled = convergence_constants(fib, fib_tt, unit_metric(2).scaled(3.5), depth=10)
+    base = convergence_constants(fib, fib_tt, unit_metric(2))
+    scaled = convergence_constants(fib, fib_tt, unit_metric(2).scaled(3.5))
     assert scaled.constants[0] == pytest.approx(3.5 * base.constants[0], rel=1e-9)
 
 
 def test_convergence_uniform_cross_check(fib, fib_tt):
-    rep = convergence_constants(
-        fib, fib_tt, unit_metric(2), depth=12, loop_words=["a", "b", "ab", "aB", "aab"]
-    )
+    rep = convergence_constants(fib, fib_tt, unit_metric(2), loop_words=["a", "b", "ab", "aB", "aab"])
     assert rep.uniform_checked == 5
     assert rep.uniform_max_rel_error < 1e-5
 
 
-def test_convergence_spread_guard(fib, fib_tt):
-    with pytest.raises(InternalConsistencyError):
-        convergence_constants(fib, fib_tt, unit_metric(2), depth=8, spread_tol=1e-14)
+def _positive_map(rank, moves):
+    """The rotation a -> b -> ... -> a followed by positive Nielsen moves
+    x_i -> x_i x_j: a positive, irreducible, expanding train track."""
+    images = [ALPHABET[(i + 1) % rank] for i in range(rank)]
+    for i, j in moves:
+        images[i] += images[j]
+    return Automorphism(images)
+
+
+def _count_vector_constants(tt, alt):
+    """Reference for the closed form without building words.
+
+    A positive map never cancels, so tau^m(x) has the count vector A^m x and
+    c_i = lim lam^-(m k) delta . A^(m k) x / nu . x for x supported on block
+    i.  Since nu . A = lam nu, dividing by nu . A^(m k) x instead of
+    lam^(m k) nu . x is the same ratio without powers of lam.
+    """
+    nu = tt.pf.nu
+    step = np.linalg.matrix_power(tt.matrix.astype(float), tt.pf.k)
+    out = []
+    for block in tt.pf.blocks:
+        v = np.zeros(len(nu))
+        v[[letter_index(e) for e in block]] = 1.0
+        prev = None
+        for _ in range(100_000):
+            v = step @ v
+            v /= nu @ v
+            ratio = float(alt.lengths @ v)
+            if prev is not None and abs(ratio - prev) <= 1e-15 * ratio:
+                break
+            prev = ratio
+        out.append(ratio)
+    return out
+
+
+def _check_closed_form(auto, lengths):
+    tt = analyze_train_track(rose_map(auto))
+    alt = Metric(lengths)
+    got = convergence_constants(auto, tt, alt).constants
+    assert got == pytest.approx(_count_vector_constants(tt, alt), rel=1e-9)
+
+
+@st.composite
+def positive_maps(draw):
+    rank = draw(st.integers(2, 6))
+    pairs = st.tuples(st.integers(0, rank - 1), st.integers(0, rank - 1)).filter(lambda p: p[0] != p[1])
+    moves = draw(st.lists(pairs, min_size=1, max_size=6))
+    lengths = draw(st.lists(st.integers(1, 5), min_size=rank, max_size=rank))
+    return _positive_map(rank, moves), lengths
+
+
+@settings(max_examples=40, deadline=None)
+@given(positive_maps())
+def test_convergence_closed_form_matches_count_vectors(case):
+    _check_closed_form(*case)
+
+
+def test_convergence_closed_form_on_slow_rank20_map():
+    """a -> ab, b -> c, ..., t -> a (lambda ~ 1.1187): iterating leaf
+    segments to depth 14 spread by 8 here; the closed form needs no depth."""
+    auto = Automorphism(["ab"] + [ALPHABET[(i + 1) % 20] for i in range(1, 20)])
+    _check_closed_form(auto, [1.0] * 20)
+    _check_closed_form(auto, [1.0 + i % 3 for i in range(20)])
 
 
 def test_convergence_needs_expansion(swap, swap_tt):

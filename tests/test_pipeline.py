@@ -22,7 +22,7 @@ from traintracks.cli import main
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
-FAST = AnalysisConfig(max_word_len=3, leaf_depth=8, leaf_budget=100_000, samples=50, convergence_depth=10)
+FAST = AnalysisConfig(max_word_len=3, leaf_depth=8, leaf_budget=100_000, samples=50)
 
 
 # ----------------------------------------------------------------- parsing
@@ -154,7 +154,7 @@ def test_analyze_report_sections(fib_report):
     assert fib_report["equivalence"]["discrepancies"] == 0
     assert fib_report["lengths"]["a"]["limit"] == pytest.approx(1 / PHI, abs=1e-6)
     assert fib_report["cancellation"]["legal_splits"]["max_measured"] <= 1e-12
-    assert fib_report["convergence"]["constants"][0] == pytest.approx(PHI**3 / math.sqrt(5), abs=1e-4)
+    assert fib_report["convergence"]["constants"][0] == pytest.approx(PHI**3 / math.sqrt(5), abs=1e-12)
 
 
 def test_analyze_skips_structured_stages_for_reducible():
@@ -223,16 +223,17 @@ def test_round_floats_shapes():
     assert out["s"] == "word"
 
 
-# SHA-256 of report_json(report) without "meta", at FAST, recorded before the
-# report sections were shared with the CLI; the report must not drift.
+# SHA-256 of report_json(report) without "meta", at FAST.  Re-recorded when
+# the convergence constants took their closed form and legal splits became
+# splits of legal paths (only those fields changed); the report must not drift.
 GOLDEN_FAST_DIGESTS = {
-    "fibonacci": "4d5c35b475814a77c8acde5cf3ee857c4ccf905f53910c2cdbcfde23aee6de87",
-    "fibonacci-conj-a": "c94022e298b1317c3d4b06bb759f20d8570415e8f707976e3c92d384adcb048c",
+    "fibonacci": "c5c4f52bff34ee90f8d8cfe8df2f5902ebecd1c905010dbaf9770583eaca63bf",
+    "fibonacci-conj-a": "eeda8ecc07292934be846e83ff078c23c801fb00d640676aa3e65d9c89a8ff11",
     "fibonacci-conj-b": "246a66f3350c9e8dd3dec2aeac3e3a7a2c095d4a28fd36ca12298b604a04fa02",
     "identity": "f633099568ee25752582ad95aaefcea41ca2d59078ea93041e9e4fe84958717c",
     "swap": "40e7ca3dd20d3e5f64d921ec6f19daec5f5088e070999830e7717bf77e96cc53",
-    "swap-fibonacci": "b17b6c279f755c24334665238147d9856499f3ddac5ef1540a4da93523cc4e77",
-    "unipotent": "a9fa063a1c874636dcd36318792b6d092ea4b4c48ab72a4df42183fecc83f50a",
+    "swap-fibonacci": "763e721ae967c02a642540cc8b971ba9f04bfb54ac02fd26705d11c14990cda9",
+    "unipotent": "060a43b83c7b7b7d7672d5e6370b4d65e9e11186448477dcc76f111f632ca4f1",
 }
 
 
@@ -322,11 +323,39 @@ def test_cli_cancellation_legal(capsys):
 
 
 def test_cli_convergence(capsys):
-    assert main(["convergence", "example:fibonacci", "--depth", "12", "--json", "-"]) == 0
+    assert main(["convergence", "example:fibonacci", "--json", "-"]) == 0
     out = capsys.readouterr().out
     c0 = float(re.search(r"c_0 = ([0-9.e+-]+)", out).group(1))
     assert c0 == pytest.approx(PHI**3 / math.sqrt(5), abs=1e-6)
-    assert _json_tail(out)["alt_metric"] == "unit"
+    payload = _json_tail(out)
+    assert payload["alt_metric"] == "unit"
+    # the closed form, at the nine significant digits of the JSON
+    assert payload["constants"] == [pytest.approx(round_floats(PHI**3 / math.sqrt(5)), abs=1e-12)]
+    assert set(payload) == {"alt_metric", "constants", "uniform_checked", "uniform_max_rel_error"}
+
+
+def test_cli_convergence_uniform_check(capsys):
+    assert main(["convergence", "example:swap-fibonacci", "--words", "a,ab"]) == 0
+    out = capsys.readouterr().out
+    assert "c_1 = " in out
+    assert "uniform check on 2 loops" in out
+
+
+def test_cli_lengths_tol_reaches_limit_length(capsys):
+    # a looser gap stops the iteration early, with lambda still at 1e-12
+    assert main(["lengths", "example:fibonacci", "--words", "aabAB", "--tol", "1e-3", "--json", "-"]) == 0
+    entry = _json_tail(capsys.readouterr().out)["aabAB"]
+    assert entry["m_stop"] < 20  # 30 at the default 1e-6
+    assert 1 / PHI < entry["limit"] < 1 / PHI + 1e-2
+
+
+# Every subcommand but growth and analyze, which take minutes at their
+# defaults, on every bundled example: an answer or a domain error (exit 2),
+# never an internal consistency failure (exit 3).
+@pytest.mark.parametrize("command", ["verify-tt", "spectral", "lengths", "leaf", "cancellation", "convergence"])
+@pytest.mark.parametrize("name", sorted(corpus.REGISTRY))
+def test_cli_subcommand_defaults_on_examples(command, name, capsys):
+    assert main([command, f"example:{name}"]) in (0, 2)
 
 
 def test_cli_analyze_json_file(tmp_path, capsys):
