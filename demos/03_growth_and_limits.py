@@ -9,6 +9,7 @@ the map acts on these limit lengths as multiplication by lambda.
 import math
 
 from traintracks import (
+    CyclicOrbit,
     analyze_train_track,
     classify_growth,
     corpus,
@@ -69,7 +70,8 @@ r4_auto = corpus.get("swap-fibonacci")
 r4 = analyze_train_track(rose_map(r4_auto))
 print("== per-block limit lengths, swap-fibonacci (blocks {a,b} and {c,d}) ==")
 for word in ("a", "c", "ac"):
-    rep = per_block_lengths(r4_auto, word, r4)
+    orbit = CyclicOrbit(r4_auto, word)
+    rep = per_block_lengths(r4, limit_length(r4_auto, word, r4, orbit=orbit), orbit)
     parts = " + ".join(f"{x:.9f}" for x in rep.limits)
     print(f"  ||{word}|| = {rep.total:.9f} = {parts}")
 print("  (the two block components are swapped by the map, so iterates")

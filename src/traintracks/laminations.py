@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BudgetExceededError,
     InternalConsistencyError,
     NotALeafSegmentError,
     PreconditionError,
@@ -23,8 +24,9 @@ from .graphs import Metric, path_length
 from .spectral import TrainTrackData
 from .words import DEFAULT_WORD_BUDGET, invert_word
 
-SEED_POWER_CAP = 24
-SEED_LENGTH_BUDGET = 10**6
+# Orbit horizon of the leaf probe; the equivalence sweep retries a lone
+# dissenting probe at 2x and 4x this horizon.
+PROBE_M = 12
 
 
 @dataclass(frozen=True)
@@ -68,20 +70,19 @@ class LeafPrefix:
         return self.word[lo : lo + size]
 
 
-def _block_of(tt: TrainTrackData, letter: str) -> int:
-    for i, block in enumerate(tt.pf.blocks):
-        if letter in block:
-            return i
-    raise InternalConsistencyError(f"letter {letter!r} missing from every block")
-
-
-def find_eigen_seed(tt: TrainTrackData, block: int | None = None, power_cap: int = SEED_POWER_CAP) -> LeafSeed:
+def find_eigen_seed(tt: TrainTrackData, block: int | None = None) -> LeafSeed:
     """Smallest power of the map under which some edge triples itself.
 
-    Scans powers in multiples of the cyclic index (other powers send a block
-    elsewhere) and, per power, edges in block order; returns the first edge
-    whose image crosses it at least three times with forward orientation.
-    The middle crossing anchors leaf expansion.
+    Edge images of a train track never cancel, so tau^p(e) crosses e forward
+    (B^p)_ee times and has (B^p)_e . 1 letters, where B counts the oriented
+    edges in each oriented edge's image.  Powers run over multiples of the
+    cyclic index (other powers send a block elsewhere) and, per power, edges
+    in block order; the seed is the first edge with (B^p)_ee >= 3.  No cap
+    is needed: A^k is block diagonal with primitive blocks on an expanding
+    train track, so some diagonal entry grows without bound.  The search
+    stops at the map's budget instead, before its integers outgrow the
+    words it stands for.  Only the seed's word is built; the middle
+    crossing anchors leaf expansion.
     """
     if not tt.verdict.is_train_track:
         raise PreconditionError("leaf generation needs a verified train track")
@@ -89,33 +90,40 @@ def find_eigen_seed(tt: TrainTrackData, block: int | None = None, power_cap: int
         raise PreconditionError("leaf generation needs an irreducible transition matrix")
     if not tt.expanding:
         raise PreconditionError("leaf generation needs an expanding stretch factor")
+    gmap = tt.gmap
     k = tt.pf.k
-    if block is None:
-        letters = [e for blk in tt.pf.blocks for e in blk]
-    else:
-        letters = list(tt.pf.blocks[block])
-    images = {e: e for e in letters}
+    candidates = [(e, b) for b in (range(k) if block is None else [block]) for e in tt.pf.blocks[b]]
+    dirs = gmap.graph.letters + gmap.graph.letters.upper()
+    step = np.zeros((len(dirs), len(dirs)), dtype=object)  # exact integers
+    for i, d in enumerate(dirs):
+        for ch in gmap.image_of_letter(d):
+            step[i, dirs.index(ch)] += 1
+    step = np.linalg.matrix_power(step, k)
+    rows = [dirs.index(e) for e, _ in candidates]
+    counts = np.identity(len(dirs), dtype=object)[rows]
     power = 0
-    while power + k <= power_cap:
-        for _ in range(k):
-            images = {e: tt.gmap.map_path(w) for e, w in images.items()}
+    while True:
+        counts = counts @ step
         power += k
-        if max(len(w) for w in images.values()) > SEED_LENGTH_BUDGET:
+        hits = [j for j, i in enumerate(rows) if counts[j, i] >= 3]
+        # Row sums are image lengths, which never shrink: once the shortest
+        # candidate image is over the budget, so is every later seed.
+        sums = counts.sum(axis=1)
+        j = hits[0] if hits else min(range(len(rows)), key=sums.__getitem__)
+        edge, b = candidates[j]
+        if sums[j] > gmap.budget:
+            raise BudgetExceededError(
+                f"image of {edge!r} under power {power} has {sums[j]} letters, over the budget {gmap.budget}",
+                m_reached=power,
+                partial=edge,
+            )
+        if hits:
             break
-        for e in letters:
-            w = images[e]
-            occs = tuple(i for i, ch in enumerate(w) if ch == e)
-            if len(occs) >= 3:
-                return LeafSeed(
-                    edge=e,
-                    power=power,
-                    anchor=occs[len(occs) // 2],
-                    block=_block_of(tt, e),
-                    occurrences=occs,
-                )
-    raise PreconditionError(
-        f"no edge recurs three times under powers up to {power_cap}"
-    )
+    word = edge
+    for _ in range(power):
+        word = gmap.substitute(word)
+    occs = tuple(i for i, ch in enumerate(word) if ch == edge)
+    return LeafSeed(edge=edge, power=power, anchor=occs[len(occs) // 2], block=b, occurrences=occs)
 
 
 def expand_leaf(
@@ -203,14 +211,13 @@ def build_leaf_corpus(
     tt: TrainTrackData,
     depth: int = 12,
     budget: int = DEFAULT_WORD_BUDGET,
-    power_cap: int = SEED_POWER_CAP,
 ) -> LeafCorpus:
     """One expanded leaf prefix for each cyclic block."""
     if tt.pf is None:
         raise PreconditionError("leaf generation needs an irreducible transition matrix")
     prefixes = []
     for block in range(tt.pf.k):
-        seed = find_eigen_seed(tt, block=block, power_cap=power_cap)
+        seed = find_eigen_seed(tt, block=block)
         prefixes.append(expand_leaf(tt, seed, depth=depth, budget=budget))
     return LeafCorpus(tt=tt, prefixes=tuple(prefixes), depth=depth)
 
@@ -415,7 +422,7 @@ def weak_limit_probe(
     word: str,
     corpus: LeafCorpus,
     metric: Metric,
-    M: int = 12,
+    M: int = PROBE_M,
     orbit=None,
     cap: int = 30_000,
 ) -> ProbeReport:

@@ -29,8 +29,10 @@ LOXODROMIC_THRESHOLD = 1e-6
 _POLY_DEGREE_CAP = 6
 
 # Word budget of the orbits in conjugacy sweeps, shared by the uniform
-# cross-check of the convergence constants.
+# cross-check of the convergence constants, and the growth classifier's
+# least horizon in those sweeps.
 SWEEP_BUDGET = 200_000
+SWEEP_M = 24
 
 # Allowed alt-metric limit of a class whose limit length vanishes.
 UNIFORM_TOL = 1e-5
@@ -123,7 +125,8 @@ def classify_growth(
     """Classify the conjugacy growth of a class from raw reduced lengths.
 
     The log-rate statistic is the mean of log(length at m)/m over the last
-    quartile of the computed range.  A statistic in (0.01, 0.05) escalates
+    quartile of the computed range; it reads exponential above log1p(eps).
+    A statistic in (eps/5, eps), (0.01, 0.05) at the default eps, escalates
     once from M to 2M for more data.  The finite-difference polynomial
     detector takes precedence when it certifies a settled d-th difference;
     exponential orbits have geometrically growing differences and are never
@@ -146,7 +149,7 @@ def classify_growth(
         ms = [m for m in range(1, m_eff + 1)]
         quart = ms[-max(1, len(ms) // 4):]
         statistic = float(np.mean([math.log(max(lengths[m], 1)) / m for m in quart]))
-        if 0.01 < statistic < 0.05 and not escalated and not orbit.truncated:
+        if eps / 5 < statistic < eps and not escalated and not orbit.truncated:
             escalated = True
             cap = 2 * M
             continue
@@ -374,62 +377,23 @@ class PerBlockReport:
     m_stop: int
 
 
-def per_block_lengths(
-    auto: Automorphism,
-    word: str,
-    tt: TrainTrackData,
-    M: int = 80,
-    tol: float = 1e-7,
-    budget: int | None = None,
-    orbit: CyclicOrbit | None = None,
-) -> PerBlockReport:
-    """Limit translation length split across the k cyclic blocks.
+def per_block_lengths(tt: TrainTrackData, rep: LimitLengthReport, orbit: CyclicOrbit) -> PerBlockReport:
+    """A limit length split across the k cyclic blocks.
 
-    Counts only the metric length carried by each block's edges, sampled at
-    stride k so every factor returns to itself.  The entries sum to the
-    plain limit length.
+    Splits the word at which ``rep`` stopped, read off the orbit it ran on:
+    each entry is the metric length carried by one block's edges, normalized
+    at the same m_stop, a multiple of k so every factor has returned to
+    itself.  The entries sum to the limit, and each is as precise as the
+    limit's stopping rule makes the total: no block has a stopping rule of
+    its own.
     """
     _require_spectral(tt)
     if not tt.expanding:
         raise PreconditionError("per-block lengths need an expanding stretch factor")
-    if orbit is None:
-        orbit = CyclicOrbit(auto, word, budget=budget)
-    k = tt.pf.k
-    lam = tt.pf.lam
-    blocks = [frozenset(b) for b in tt.pf.blocks]
-    prev = None
-    m_stop = 0
-    s = 0
-    converged = False
-    while True:
-        m = s * k
-        if m > M:
-            break
-        w = orbit.word_at(m)
-        if w is None:
-            break
-        scale = lam**m
-        cur = [block_path_length(w, tt.metric, b) / scale for b in blocks]
-        total = sum(cur)
-        if prev is not None:
-            gaps = max(abs(p - c) for p, c in zip(prev, cur))
-            ambiguous = LOXODROMIC_THRESHOLD / 10 <= total <= 1e-3
-            if gaps < tol and not ambiguous:
-                prev = cur
-                m_stop = m
-                converged = True
-                break
-        prev = cur
-        m_stop = m
-        s += 1
-    total = sum(prev)
-    report = PerBlockReport(word=word, limits=prev, total=total, converged=converged, m_stop=m_stop)
-    check = limit_length(auto, word, tt, M=M, tol=tol, orbit=orbit)
-    if abs(total - check.limit) > 1e-6:
-        raise InternalConsistencyError(
-            f"block lengths sum to {total!r} but the limit is {check.limit!r}"
-        )
-    return report
+    w = orbit.word_at(rep.m_stop)
+    scale = tt.pf.lam**rep.m_stop
+    limits = [block_path_length(w, tt.metric, frozenset(b)) / scale for b in tt.pf.blocks]
+    return PerBlockReport(word=rep.word, limits=limits, total=sum(limits), converged=rep.converged, m_stop=rep.m_stop)
 
 
 @dataclass
@@ -536,7 +500,8 @@ def convergence_constants(
         uniform_worst = 0.0
         for word in loop_words:
             orbit = CyclicOrbit(auto, word, budget=SWEEP_BUDGET)
-            blocks_rep = per_block_lengths(auto, word, tt, tol=1e-8, orbit=orbit)
+            rep = limit_length(auto, word, tt, M=80, tol=1e-8, orbit=orbit)
+            blocks_rep = per_block_lengths(tt, rep, orbit)
             rhs = sum(c * b for c, b in zip(constants, blocks_rep.limits))
             lhs = _alt_limit(orbit, alt_metric, lam, k, M=120, tol=1e-8)
             if rhs < LOXODROMIC_THRESHOLD:

@@ -19,12 +19,14 @@ from .cancellation import cancellation_bound, measure_cancellation
 from .errors import InputError, NotIrreducibleError, ParseError, PreconditionError
 from .graphs import Graph, Metric, unit_metric
 from .laminations import (
+    PROBE_M,
     build_leaf_corpus,
     quasiperiodicity_window,
     weak_limit_probe,
 )
 from .limits import (
     SWEEP_BUDGET,
+    SWEEP_M,
     CyclicOrbit,
     classify_growth,
     convergence_constants,
@@ -33,24 +35,21 @@ from .limits import (
 )
 from .maps import GraphMap, rose_map, to_automorphism
 from .spectral import TrainTrackData, analyze_train_track, is_simplicial
-from .words import ALPHABET, Automorphism, enumerate_cyclic_words, parse_word
+from .words import ALPHABET, DEFAULT_WORD_BUDGET, Automorphism, enumerate_cyclic_words, parse_word
 
 
 @dataclass
 class AnalysisConfig:
     """Knobs for the full pipeline.
 
-    Sweeps sample the growth classifier at a reduced depth and budget to
-    stay interactive; single-word queries use the full M and word budget.
+    Sweeps sample the growth classifier at a reduced depth and budget
+    (``limits.SWEEP_M``, ``limits.SWEEP_BUDGET``) to stay interactive;
+    single-word queries use the full M and ``DEFAULT_WORD_BUDGET``.
     """
 
     M: int = 40
     tol: float = 1e-9
-    word_budget: int = 10**7
     max_word_len: int = 5
-    sweep_M: int = 24
-    sweep_budget: int = SWEEP_BUDGET
-    probe_M: int = 12
     leaf_depth: int = 12
     leaf_budget: int = 500_000
     samples: int = 200
@@ -224,24 +223,29 @@ def equivalence_sweep(
     segments, and bounded orbits stay cheap to extend.
     """
     config = config or AnalysisConfig()
+    # Exponential classes grow like lam^m, so the growth statistic tends to
+    # log(lam): the threshold log1p(eps) is at most half of that, and the
+    # horizon's last quartile spans a growth factor of 3 or more.  For lam
+    # above 3^(1/6), about 1.2, these are SWEEP_M and the default eps.
+    lam = tt.pf.lam
+    growth_M = max(SWEEP_M, 4 * math.ceil(math.log(3) / math.log(lam)))
+    growth_eps = min(0.05, math.sqrt(lam) - 1)
     checked = 0
     n_exp = 0
     n_poly = 0
     discrepancies = []
     labels = {}
     for word in words:
-        orbit = CyclicOrbit(auto, word, budget=config.sweep_budget)
+        orbit = CyclicOrbit(auto, word, budget=SWEEP_BUDGET)
         rep = limit_length(auto, word, tt, M=config.M, tol=config.tol, orbit=orbit)
-        cls = classify_growth(auto, word, M=config.sweep_M, orbit=orbit)
-        probe = weak_limit_probe(auto, word, corpus, tt.metric, M=config.probe_M, orbit=orbit)
+        cls = classify_growth(auto, word, M=growth_M, eps=growth_eps, orbit=orbit)
+        probe = weak_limit_probe(auto, word, corpus, tt.metric, orbit=orbit)
         a = rep.classification.is_exponential
         b = cls.is_exponential
         c = probe.verdict
         if a and b and not c:
             for factor in (2, 4):
-                probe = weak_limit_probe(
-                    auto, word, corpus, tt.metric, M=factor * config.probe_M, orbit=orbit
-                )
+                probe = weak_limit_probe(auto, word, corpus, tt.metric, M=factor * PROBE_M, orbit=orbit)
                 if probe.verdict:
                     break
             c = probe.verdict
@@ -341,7 +345,7 @@ def growth_section(auto: Automorphism, tt: TrainTrackData, sweep, eq, config: An
         )
         return growth
     n_exp = sum(
-        classify_growth(auto, word, M=config.sweep_M, budget=config.sweep_budget).is_exponential
+        classify_growth(auto, word, M=SWEEP_M, budget=SWEEP_BUDGET).is_exponential
         for word in sweep
     )
     growth.update(exponential=n_exp, polynomial=len(sweep) - n_exp)
@@ -371,7 +375,7 @@ def lengths_section(
             "classification": rep.classification.label(),
         }
         if rep.classification.is_exponential:
-            entry["per_block"] = per_block_lengths(auto, word, tt, orbit=orbit).limits
+            entry["per_block"] = per_block_lengths(tt, rep, orbit).limits
         lengths[word] = entry
     return lengths
 
@@ -500,7 +504,7 @@ def analyze(source, config: AnalysisConfig | None = None, words=None) -> dict:
     if leafy and auto is not None:
         probe_words = list(words) if words else list(ALPHABET[: min(auto.rank, 4)])
         report["lengths"] = lengths_section(
-            auto, tt, probe_words, M=config.M, tol=config.tol, budget=config.word_budget
+            auto, tt, probe_words, M=config.M, tol=config.tol, budget=DEFAULT_WORD_BUDGET
         )
     else:
         skipped["lengths"] = "limit lengths need an expanding irreducible train track"

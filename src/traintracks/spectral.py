@@ -16,7 +16,7 @@ import numpy as np
 from .errors import NotIrreducibleError, PowerIterationError
 from .graphs import Metric, path_length
 from .maps import GraphMap, TrainTrackVerdict, invariant_subgraph
-from .words import ALPHABET
+from .words import ALPHABET, letter_index
 
 DEFAULT_TOL = 1e-12
 MAX_POWER_ITERATIONS = 10**6
@@ -86,7 +86,7 @@ def _first_return_primitive(mat: np.ndarray, k: int, blocks: tuple) -> tuple:
     full = np.linalg.matrix_power(mat, k) > 0
     flags = []
     for block in blocks:
-        idx = [ord(c) - 97 for c in block]
+        idx = [letter_index(c) for c in block]
         sub = full[np.ix_(idx, idx)]
         n = len(idx)
         # Wielandt bound: primitive iff some power up to (n-1)^2 + 1 is positive

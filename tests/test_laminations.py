@@ -12,11 +12,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from traintracks import (
+    AnalysisConfig,
     Automorphism,
+    BudgetExceededError,
     CyclicOrbit,
     InternalConsistencyError,
     NotALeafSegmentError,
     PreconditionError,
+    analyze,
     analyze_train_track,
     build_leaf_corpus,
     expand_leaf,
@@ -30,6 +33,7 @@ from traintracks import (
     weak_limit_probe,
 )
 from traintracks.laminations import _SuffixAutomaton
+from traintracks.words import ALPHABET, letter_index
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -74,6 +78,125 @@ def test_seed_preconditions(conj_b_tt, unipotent_tt, swap_tt):
         find_eigen_seed(unipotent_tt)  # reducible
     with pytest.raises(PreconditionError):
         find_eigen_seed(swap_tt)  # nothing recurs three times
+
+
+def word_loop_seed(tt, block=None, power_cap=64, length_budget=10**6):
+    """Reference seed search: build tau^p of every edge of the block for
+    p = k, 2k, ... and take the first edge crossing its own image forward
+    at least three times."""
+    k = tt.pf.k
+    letters = [e for blk in tt.pf.blocks for e in blk] if block is None else list(tt.pf.blocks[block])
+    images = {e: e for e in letters}
+    power = 0
+    while power + k <= power_cap:
+        for _ in range(k):
+            images = {e: tt.gmap.map_path(w) for e, w in images.items()}
+        power += k
+        if max(len(w) for w in images.values()) > length_budget:
+            break
+        for e in letters:
+            occs = tuple(i for i, ch in enumerate(images[e]) if ch == e)
+            if len(occs) >= 3:
+                return (e, power, occs[len(occs) // 2], occs)
+    raise PreconditionError(f"no edge recurs three times under powers up to {power_cap}")
+
+
+def _positive_map(rank, moves):
+    """The rotation a -> b -> ... -> a followed by positive Nielsen moves
+    x_i -> x_i x_j: a positive, irreducible, expanding train track."""
+    images = [ALPHABET[(i + 1) % rank] for i in range(rank)]
+    for i, j in moves:
+        images[i] += images[j]
+    return Automorphism(images)
+
+
+def _invert_generator(auto, g):
+    """The map relabelled by the inversion g -> G, a flip of one rose edge:
+    still a train track, now with inverse letters in its images."""
+    flip = str.maketrans(g + g.upper(), g.upper() + g)
+    images = [w.translate(flip) for w in auto.images]
+    images[letter_index(g)] = invert_word(images[letter_index(g)])
+    return Automorphism(images)
+
+
+def test_generator_inversion_relabels_fibonacci(fib):
+    assert _invert_generator(fib, "b").images == ("aB", "A")
+
+
+@st.composite
+def relabelled_positive_maps(draw):
+    rank = draw(st.integers(2, 6))
+    pairs = st.tuples(st.integers(0, rank - 1), st.integers(0, rank - 1)).filter(lambda p: p[0] != p[1])
+    auto = _positive_map(rank, draw(st.lists(pairs, min_size=1, max_size=6)))
+    return auto, _invert_generator(auto, ALPHABET[draw(st.integers(0, rank - 1))])
+
+
+@settings(max_examples=40, deadline=None)
+@given(relabelled_positive_maps())
+def test_matrix_seed_matches_word_loop(maps):
+    """The seed read off oriented matrix powers is the word loop's seed,
+    also when inverse letters make the orientation of a crossing matter."""
+    for auto in maps:
+        tt = analyze_train_track(rose_map(auto))
+        assert tt.verdict.is_train_track and tt.expanding
+        for block in range(tt.pf.k):
+            seed = find_eigen_seed(tt, block=block)
+            got = (seed.edge, seed.power, seed.anchor, seed.occurrences)
+            assert got == word_loop_seed(tt, block=block)
+
+
+R16_M1 = [ALPHABET[(i + 1) % 16] for i in range(16)]
+R16_M1[8] = "jc"  # the rank-16 rotation with i -> jc (lambda ~ 1.066)
+
+
+def test_slow_rank16_seed_needs_no_power_cap():
+    """The word loop stopped at power 24 and raised here; the seed is at 30."""
+    auto = Automorphism(R16_M1)
+    seed = find_eigen_seed(analyze_train_track(rose_map(auto)))
+    assert (seed.edge, seed.power) == ("c", 30)
+    report = analyze(auto, config=AnalysisConfig(max_word_len=1))
+    assert report["equivalence"]["discrepancies"] == 0
+    assert report["lamination"]["seeds"] == [{"edge": "c", "power": 30, "anchor": seed.anchor}]
+
+
+def test_seed_budget_is_checked_before_building(fib, monkeypatch):
+    """|tau^3(a)| = 5 exceeds a budget of 4: no word may be built."""
+    tt = analyze_train_track(rose_map(fib, budget=4))
+
+    def build(*args, **kwargs):
+        raise AssertionError("a seed word was built")
+
+    monkeypatch.setattr(tt.gmap, "substitute", build)
+    monkeypatch.setattr(tt.gmap, "map_path", build)
+    with pytest.raises(BudgetExceededError):
+        find_eigen_seed(tt)
+
+
+def test_seed_search_stops_once_every_image_is_over_budget():
+    """a -> b, b -> c, c -> ab seeds at ('b', 7), a 7-letter word, but from
+    power 5 on every image has at least 3 letters: a budget of 2 stops the
+    search there, before the hit."""
+    auto = Automorphism(["b", "c", "ab"])
+    seed = find_eigen_seed(analyze_train_track(rose_map(auto)))
+    assert (seed.edge, seed.power, len(seed.occurrences)) == ("b", 7, 3)
+    with pytest.raises(BudgetExceededError) as err:
+        find_eigen_seed(analyze_train_track(rose_map(auto, budget=2)))
+    assert err.value.m_reached == 5
+
+
+R26_M1 = [ALPHABET[(i + 1) % 26] for i in range(26)]
+R26_M1[23] = "yo"  # the rank-26 rotation with x -> yo (lambda ~ 1.042, k = 2)
+
+
+def test_slow_rank26_sweep_agrees():
+    """Exponential classes here grow like 1.042^m: at the sweep's fixed
+    horizon of 24 and threshold log1p(0.05), all 52 classes read as
+    polynomial while their limits are positive."""
+    auto = Automorphism(R26_M1)
+    report = analyze(auto, config=AnalysisConfig(max_word_len=1))
+    assert report["lamination"]["seeds"][0]["power"] == 46
+    assert report["equivalence"] == {"checked": 52, "discrepancies": 0, "details": []}
+    assert report["growth"]["exponential"] == 52
 
 
 # ------------------------------------------------------------- expansion

@@ -32,6 +32,8 @@ from traintracks import (
     rose_map,
     unit_metric,
 )
+from traintracks.graphs import block_path_length
+from traintracks.limits import LOXODROMIC_THRESHOLD
 from traintracks.words import ALPHABET, letter_index
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -203,6 +205,17 @@ def test_growth_escalates_in_ambiguous_band(rank4):
     assert cls.escalated
 
 
+def test_growth_escalation_band_follows_eps():
+    """The band that escalates to 2M is (eps/5, eps).  On a -> b, ...,
+    s -> t, t -> ab the statistic of a at 40 is about 0.03: inside the band
+    at the default eps, above it at eps = 0.02."""
+    auto = Automorphism([ALPHABET[i + 1] for i in range(19)] + ["ab"])
+    wide = classify_growth(auto, "a", M=40)
+    assert wide.escalated and wide.kind == "polynomial"
+    narrow = classify_growth(auto, "a", M=40, eps=0.02)
+    assert not narrow.escalated and narrow.kind == "exponential"
+
+
 def test_polynomial_degree_detector():
     assert polynomial_degree([3.0] * 15) == 0
     assert polynomial_degree(list(range(30))) == 1
@@ -217,8 +230,14 @@ def test_polynomial_degree_detector():
 # ------------------------------------------------------- block splitting
 
 
+def split(auto, word, tt, M=40, tol=1e-6):
+    """per_block_lengths of the limit length of word, on the orbit it ran on."""
+    orbit = CyclicOrbit(auto, word)
+    return per_block_lengths(tt, limit_length(auto, word, tt, M=M, tol=tol, orbit=orbit), orbit)
+
+
 def test_per_block_rank4_single_letter(rank4, rank4_tt):
-    rep = per_block_lengths(rank4, "a", rank4_tt)
+    rep = split(rank4, "a", rank4_tt)
     lam = math.sqrt(PHI)
     nu_a = 1.0 / (1.0 + 1.0 / PHI + lam + 1.0 / lam)
     assert rep.limits[0] == pytest.approx(nu_a, abs=1e-7)
@@ -228,21 +247,50 @@ def test_per_block_rank4_single_letter(rank4, rank4_tt):
 
 
 def test_per_block_mixed_word_sums_to_limit(rank4, rank4_tt):
-    rep = per_block_lengths(rank4, "ac", rank4_tt)
+    rep = split(rank4, "ac", rank4_tt)
     assert all(x > 0 for x in rep.limits)
     check = limit_length(rank4, "ac", rank4_tt, M=80, tol=1e-7)
     assert rep.total == pytest.approx(check.limit, abs=1e-6)
 
 
 def test_per_block_fibonacci_is_whole_limit(fib, fib_tt):
-    rep = per_block_lengths(fib, "ab", fib_tt)
+    rep = split(fib, "ab", fib_tt)
     assert len(rep.limits) == 1
     assert rep.total == pytest.approx(1.0, abs=1e-9)
 
 
+def iterated_per_block(auto, word, tt, M=80, tol=1e-7):
+    """Reference: per-block normalized lengths iterated at stride k until
+    no block moves by tol, outside the band where a decaying class has not
+    yet shown itself."""
+    orbit = CyclicOrbit(auto, word)
+    k, lam = tt.pf.k, tt.pf.lam
+    blocks = [frozenset(b) for b in tt.pf.blocks]
+    prev = None
+    for m in range(0, M + 1, k):
+        w = orbit.word_at(m)
+        cur = [block_path_length(w, tt.metric, b) / lam**m for b in blocks]
+        ambiguous = LOXODROMIC_THRESHOLD / 10 <= sum(cur) <= 1e-3
+        if prev is not None and max(abs(p - c) for p, c in zip(prev, cur)) < tol and not ambiguous:
+            return cur
+        prev = cur
+    return prev
+
+
+@pytest.mark.parametrize("word", ["aB", "ac", "bDDc", "adBB", "acAB", "aDDc"])
+def test_per_block_split_matches_iterated_blocks(rank4, rank4_tt, word):
+    """Words that cancel in one or two strides before the blocks settle,
+    and ac, which never cancels."""
+    rep = split(rank4, word, rank4_tt, M=80, tol=1e-9)
+    assert rep.limits == pytest.approx(iterated_per_block(rank4, word, rank4_tt), abs=1e-9)
+    limit = limit_length(rank4, word, rank4_tt, M=80, tol=1e-9)
+    assert rep.m_stop == limit.m_stop
+    assert rep.total == pytest.approx(limit.limit, abs=1e-12)
+
+
 def test_per_block_needs_expansion(swap, swap_tt):
     with pytest.raises(PreconditionError):
-        per_block_lengths(swap, "a", swap_tt)
+        split(swap, "a", swap_tt)
 
 
 # ---------------------------------------------------------- homothety

@@ -347,6 +347,7 @@ def test_cli_lengths_tol_reaches_limit_length(capsys):
     entry = _json_tail(capsys.readouterr().out)["aabAB"]
     assert entry["m_stop"] < 20  # 30 at the default 1e-6
     assert 1 / PHI < entry["limit"] < 1 / PHI + 1e-2
+    assert entry["per_block"] == [entry["limit"]]  # the split of the same run
 
 
 # Every subcommand but growth and analyze, which take minutes at their
