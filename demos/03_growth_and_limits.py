@@ -39,7 +39,7 @@ print("== limit lengths ==")
 for word in ("a", "b", "aB", "abAB"):
     rep = limit_length(fib_auto, word, fib)
     print(
-        f"  ||{word}|| = {rep.limit:.9f}   converged={rep.converged} "
+        f"  ||{word}|| = {rep.limit:.9f}   certificate={rep.certificate} "
         f"m_stop={rep.m_stop}  class={rep.classification.label()}"
     )
 print(f"  closed forms: ||a|| = 1/phi = {1 / PHI:.9f},  ||aB|| = 1/phi^3 = {1 / PHI**3:.9f},")

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .graphs import Metric, unit_metric
 from .laminations import build_leaf_corpus, quasiperiodicity_window
-from .limits import classify_growth
+from .limits import classify_growth, limit_length
 from .pipeline import (
     AnalysisConfig,
     analyze,
@@ -113,10 +113,15 @@ def _cmd_growth(args) -> int:
     if parsed.auto is None:
         raise PreconditionError("growth classification needs a rose map")
     auto = parsed.auto
+    tt = analyze_train_track(parsed.gmap)
+    certified = tt.verdict.is_train_track and tt.expanding
     words = _word_list(args, auto.rank, args.sweep_len)
     out = {}
     for word in words:
-        cls = classify_growth(auto, word, M=args.max_m)
+        if certified:
+            cls = limit_length(auto, word, tt, M=args.max_m).classification
+        else:
+            cls = classify_growth(auto, word, M=args.max_m)
         flag = " (low confidence)" if cls.low_confidence else ""
         print(f"{word}: {cls.label()}{flag}")
         out[word] = {
@@ -140,7 +145,8 @@ def _cmd_lengths(args) -> int:
     lengths = lengths_section(auto, tt, words, M=args.max_m, tol=args.tol)
     for word in words:
         entry = lengths[word]
-        line = f"{word}: limit {_g(entry['limit'])} at m={entry['m_stop']} [{entry['classification']}]"
+        how = entry["certificate"] or "uncertified, in [" + ", ".join(_g(x) for x in entry["interval"]) + "]"
+        line = f"{word}: limit {_g(entry['limit'])} at m={entry['m_stop']} [{entry['classification']}] {how}"
         if "per_block" in entry and k > 1:
             line += "  blocks (" + ", ".join(_g(x) for x in entry["per_block"]) + ")"
         print(line)

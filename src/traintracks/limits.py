@@ -11,7 +11,7 @@ cyclically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,11 +22,8 @@ from .words import Automorphism, check_word, cyclic_reduce, letter_index, reduce
 
 MONOTONE_SLACK = 1e-9
 
-# A normalized limit below this is treated as zero (the class is not
-# loxodromic in the limit forest).
-LOXODROMIC_THRESHOLD = 1e-6
-
-_POLY_DEGREE_CAP = 6
+# Certificates of limit_length that give the limit in closed form.
+EXACT_CERTIFICATES = ("legal", "periodic", "splitting")
 
 # Word budget of the orbits in conjugacy sweeps, shared by the uniform
 # cross-check of the convergence constants, and the growth classifier's
@@ -94,17 +91,10 @@ class GrowthClass:
 
 def _tail_is_flat(values, window: int = 10, rel: float = 0.05) -> bool:
     tail = values[-window:]
-    if len(tail) < 3:
-        return False
-    hi = max(tail)
-    lo = min(tail)
-    scale = max(abs(hi), abs(lo))
-    if scale == 0:
-        return True
-    return (hi - lo) <= rel * scale
+    return len(tail) >= 3 and max(tail) - min(tail) <= rel * max(abs(v) for v in tail)
 
 
-def polynomial_degree(lengths, cap: int = _POLY_DEGREE_CAP):
+def polynomial_degree(lengths, cap: int = 6):
     """Least d whose d-th finite differences settle (last 10 values within 5%)."""
     vals = [float(v) for v in lengths]
     for d in range(cap + 1):
@@ -134,8 +124,7 @@ def classify_growth(
     """
     if orbit is None:
         orbit = CyclicOrbit(auto, word, budget=budget)
-    escalated = False
-    cap = M
+    escalated, cap = False, M
     while True:
         lengths = []
         for m in range(cap + 1):
@@ -146,8 +135,7 @@ def classify_growth(
         m_eff = len(lengths) - 1
         if m_eff < 1 or max(lengths) == 0:
             return GrowthClass(kind="polynomial", degree=0, statistic=0.0, low_confidence=m_eff < 1)
-        ms = [m for m in range(1, m_eff + 1)]
-        quart = ms[-max(1, len(ms) // 4):]
+        quart = range(m_eff - max(1, m_eff // 4) + 1, m_eff + 1)
         statistic = float(np.mean([math.log(max(lengths[m], 1)) / m for m in quart]))
         if eps / 5 < statistic < eps and not escalated and not orbit.truncated:
             escalated = True
@@ -155,28 +143,14 @@ def classify_growth(
             continue
         degree = polynomial_degree(lengths)
         low_confidence = orbit.truncated and m_eff < M
-        if degree is not None:
+        if degree is None and statistic > math.log1p(eps):
             return GrowthClass(
-                kind="polynomial",
-                degree=degree,
-                statistic=statistic,
-                escalated=escalated,
-                low_confidence=low_confidence,
-            )
-        if statistic > math.log1p(eps):
-            return GrowthClass(
-                kind="exponential",
-                rate=float(math.exp(statistic)),
-                statistic=statistic,
-                escalated=escalated,
+                kind="exponential", rate=math.exp(statistic), statistic=statistic, escalated=escalated,
                 low_confidence=low_confidence,
             )
         return GrowthClass(
-            kind="polynomial",
-            degree=None,
-            statistic=statistic,
-            escalated=escalated,
-            low_confidence=True,
+            kind="polynomial", degree=degree, statistic=statistic, escalated=escalated,
+            low_confidence=low_confidence or degree is None,
         )
 
 
@@ -212,9 +186,7 @@ def normalized_sequence(
             break
         raw.append(path_length(w, metric))
     normalized = [r / lam**m for m, r in enumerate(raw)]
-    return LengthSequence(
-        word=word, lam=lam, raw=raw, normalized=normalized, truncated=len(raw) < M + 1
-    )
+    return LengthSequence(word=word, lam=lam, raw=raw, normalized=normalized, truncated=len(raw) < M + 1)
 
 
 def _require_spectral(tt: TrainTrackData):
@@ -226,50 +198,49 @@ def _require_spectral(tt: TrainTrackData):
 
 @dataclass
 class LimitLengthReport:
+    """Limit length of a class, in [``lower``, ``upper``].  ``certificate``
+    is ``legal``, ``periodic`` or ``splitting`` for an exact closed form,
+    ``interval`` for one within tol, and None if M or the budget ran out."""
+
     word: str
     lam: float
     stride: int
     limit: float
     converged: bool
-    gap: float
+    certificate: str | None
+    lower: float
     m_stop: int
     strided: list
     classification: GrowthClass
     truncated: bool
+    anchor: int | None = None  # splitting: the earlier stride whose turn clusters recur at m_stop
     skipped_reason: str | None = None
 
+    @property
+    def upper(self) -> float:
+        """The limit if exact, else the last normalized length."""
+        return self.limit if self.certificate in EXACT_CERTIFICATES or not self.strided else self.strided[-1][1]
 
-def _strided_values(orbit, metric, lam, k, M, tol):
-    """Strided normalized translation lengths with the early-stop rule.
 
-    Stops once consecutive strided terms differ by less than tol, unless the
-    current value sits in the ambiguous band where a decaying class has not
-    yet revealed itself; then it keeps going (cheap: such orbits shrink).
+def _turn_clusters(w: str, turns: list, metric: Metric, radius: float):
+    """Sorted clusters of the illegal turns of a cyclic word, or None if no
+    legal segment between two turns has length >= 2 radius.  ``turns`` are
+    the indices i, ascending, of the turns between letters i and i+1 mod
+    len(w).  A cluster runs from the shortest end of length >= radius of one
+    such long segment to the shortest start of length >= radius of the next.
     """
-    vals = []
-    s = 0
-    truncated = False
-    while True:
-        m = s * k
-        if m > M:
-            break
-        w = orbit.word_at(m)
-        if w is None:
-            truncated = True
-            break
-        t = path_length(w, metric) / lam**m
-        if vals and t > vals[-1][1] + MONOTONE_SLACK:
-            raise InternalConsistencyError(
-                f"normalized lengths increased at m={m}: {vals[-1][1]!r} -> {t!r}"
-            )
-        vals.append((m, t))
-        if len(vals) >= 2:
-            gap = vals[-2][1] - vals[-1][1]
-            ambiguous = LOXODROMIC_THRESHOLD / 10 <= t <= 1e-3
-            if gap < tol and not ambiguous:
-                break
-        s += 1
-    return vals, truncated
+    n, t = len(w), len(turns)
+    twice = 2 * (w[turns[0] + 1 :] + w[: turns[0] + 1])  # starts right after a turn
+    ends = np.array([i - turns[0] for i in turns[1:]] + [n])
+    starts = np.concatenate(([0], ends[:-1]))
+    cum = np.concatenate(([0.0], np.cumsum(metric.table[np.frombuffer(twice.encode("ascii"), dtype=np.uint8)])))
+    long = np.flatnonzero(cum[ends] - cum[starts] >= 2 * radius)
+    if not long.size:
+        return None
+    nexts = np.concatenate((starts, starts + n))[np.append(long[1:], long[0] + t)]
+    lefts = np.searchsorted(cum, cum[ends[long]] - radius, side="right") - 1
+    rights = np.searchsorted(cum, cum[nexts] + radius, side="left")
+    return tuple(sorted(twice[a:b] for a, b in zip(lefts, rights)))
 
 
 def limit_length(
@@ -283,88 +254,94 @@ def limit_length(
 ) -> LimitLengthReport:
     """Translation length of a class in the limit forest of the map.
 
-    The limit is the infimum of the non-increasing strided subsequence;
-    convergence means the last two strided terms differ by less than tol.
-    A converged positive limit (above the loxodromic threshold) is
-    Exponential with rate exactly lam; a converged vanishing limit is
-    polynomial with the degree read off finite differences of the raw
-    lengths.  An unconverged run escalates once to 2M (bounded orbits are
-    cheap to extend); if still unconverged the threshold would be
-    meaningless, so the verdict defers to the growth classifier and is
-    flagged low-confidence.
+    Walks the orbit at stride k, with w = psi^m(x), x_m = |w| / lam^m and t
+    the number of illegal turns of w read cyclically, and stops at the first
+    certificate (Bestvina-Handel 1992, Bestvina-Feighn-Handel 1997):
+
+    * legal: t = 0 one stride back, so nothing cancels; the limit is x_m.
+    * periodic: w is a rotation of an earlier strided word; the limit is 0.
+    * splitting: some legal segment between illegal turns has length
+      >= 2R, R = C / (lam - 1) with C the cancellation bound, and the turn
+      clusters between such long segments (see :func:`_turn_clusters`)
+      equal those of an earlier stride m0.  Long segments outgrow
+      cancellation (lam l - 2C >= l), and a cluster's next clusters and
+      loss depend on the cluster alone (lam R - C = R), so the loss over
+      p = m - m0 steps repeats and the limit is (x_m - s x_m0) / (1 - s)
+      with s = lam^-p.  With every segment long, a cluster is one turn
+      with its germ pair; a short segment between turns that stays short
+      is part of an indivisible Nielsen path.
+    * interval: x_m - lo < tol for the lower bound lo = max(0, x_m - 2R t /
+      lam^m): a step loses at most 2C per illegal turn, and t never
+      increases, so the steps from m on lose at most 2C t / (lam - 1) in all.
+
+    Legal and splitting read Exponential(lam), periodic Polynomial(0).
+    Otherwise a positive lower bound reads Exponential(lam); without one the
+    verdict defers to the growth classifier, flagged low-confidence.
     """
     _require_spectral(tt)
     if orbit is None:
         orbit = CyclicOrbit(auto, word, budget=budget)
+    lam, k = tt.pf.lam, tt.pf.k
     if not tt.expanding:
+        # lam = 1 makes the irreducible transition matrix a permutation: the
+        # map permutes the edges, so every orbit is periodic.
         return LimitLengthReport(
-            word=word,
-            lam=tt.pf.lam,
-            stride=tt.pf.k,
-            limit=0.0,
-            converged=True,
-            gap=0.0,
-            m_stop=0,
-            strided=[],
-            classification=classify_growth(auto, word, M=M, orbit=orbit),
-            truncated=False,
+            word=word, lam=lam, stride=k, limit=0.0, converged=True, certificate="periodic", lower=0.0,
+            m_stop=0, strided=[], classification=GrowthClass(kind="polynomial", degree=0), truncated=False,
             skipped_reason="not expanding (lambda = 1)",
         )
-    k = tt.pf.k
-    lam = tt.pf.lam
-    escalated = False
-    cap = M
-    while True:
-        vals, truncated = _strided_values(orbit, tt.metric, lam, k, cap, tol)
-        gap = vals[-2][1] - vals[-1][1] if len(vals) >= 2 else float("inf")
-        converged = gap < tol
-        if converged or truncated or escalated:
+    illegal = tt.gmap.illegal_pairs()
+    strided, clusters_seen = [], {}
+    legal_before = truncated = False
+    certificate, anchor, lower = None, None, 0.0
+    for m in range(0, M + 1, k):
+        w = orbit.word_at(m)
+        if w is None:
+            truncated = True
             break
-        escalated = True
-        cap = 2 * M
-    limit = vals[-1][1]
-    if converged and limit > LOXODROMIC_THRESHOLD:
-        cls = GrowthClass(kind="exponential", rate=lam, escalated=escalated)
-    elif limit <= LOXODROMIC_THRESHOLD:
-        limit = 0.0
-        lengths = []
-        for m in range(min(cap, 3 * len(vals) * k) + 1):
-            w = orbit.word_at(m)
-            if w is None:
+        x = path_length(w, tt.metric) / lam**m
+        prev = strided[-1][1] if strided else x
+        if x > prev + MONOTONE_SLACK or (legal_before and x < prev - MONOTONE_SLACK):
+            raise InternalConsistencyError(f"normalized lengths moved at m={m}: {prev!r} -> {x!r}")
+        strided.append((m, x))
+        if legal_before:
+            certificate, limit, lower = "legal", x, x
+            break
+        if w and not illegal.search(w + w[0]):
+            legal_before = True
+        elif any(len(v) == len(w) and w in v + v for v in orbit.words[0:m:k]):
+            certificate, limit, lower = "periodic", 0.0, 0.0
+            break
+        elif w:
+            turns = [hit.start() for hit in illegal.finditer(w + w[0])]
+            # R = C / (lam - 1), with a margin for rounding in lam, nu and the sums
+            radius = (1 + 1e-9) * tt.cancellation_constant / (lam - 1)
+            # a word shorter than 2R has no long segment
+            clusters = _turn_clusters(w, turns, tt.metric, radius) if x * lam**m >= 2 * radius else None
+            if clusters in clusters_seen:
+                anchor = clusters_seen[clusters]
+                s = lam ** (anchor - m)
+                certificate, limit = "splitting", (x - s * strided[anchor // k][1]) / (1 - s)
+                lower = limit
                 break
-            lengths.append(len(w))
-        degree = polynomial_degree(lengths)
-        cls = GrowthClass(
-            kind="polynomial",
-            degree=degree,
-            escalated=escalated,
-            low_confidence=degree is None or not converged,
-        )
+            if clusters is not None:
+                clusters_seen[clusters] = m
+            lower = max(x - 2 * radius * len(turns) / lam**m, 0.0)
+            if x - lower < tol:
+                certificate = "interval"
+                break
+    if certificate in ("legal", "splitting") or lower > 0:
+        cls = GrowthClass(kind="exponential", rate=lam)
+    elif certificate == "periodic":
+        cls = GrowthClass(kind="polynomial", degree=0)
     else:
-        # Unconverged with the value still above threshold: let the raw
-        # combinatorial lengths decide instead of the stale threshold.
-        cls = classify_growth(auto, word, M=cap, orbit=orbit)
-        cls = GrowthClass(
-            kind=cls.kind,
-            rate=lam if cls.is_exponential else None,
-            degree=cls.degree,
-            statistic=cls.statistic,
-            escalated=True,
-            low_confidence=True,
-        )
-        if not cls.is_exponential:
-            limit = 0.0
+        cls = classify_growth(auto, word, M=M, orbit=orbit)
+        cls = replace(cls, rate=lam if cls.is_exponential else None, low_confidence=True)
+    if certificate not in EXACT_CERTIFICATES:
+        limit = strided[-1][1] if cls.is_exponential else 0.0
     return LimitLengthReport(
-        word=word,
-        lam=lam,
-        stride=k,
-        limit=limit,
-        converged=converged,
-        gap=gap,
-        m_stop=vals[-1][0],
-        strided=vals,
-        classification=cls,
-        truncated=truncated,
+        word=word, lam=lam, stride=k, limit=limit, converged=certificate is not None, certificate=certificate,
+        lower=lower, m_stop=strided[-1][0], strided=strided, classification=cls, truncated=truncated, anchor=anchor,
     )
 
 
@@ -383,16 +360,24 @@ def per_block_lengths(tt: TrainTrackData, rep: LimitLengthReport, orbit: CyclicO
     Splits the word at which ``rep`` stopped, read off the orbit it ran on:
     each entry is the metric length carried by one block's edges, normalized
     at the same m_stop, a multiple of k so every factor has returned to
-    itself.  The entries sum to the limit, and each is as precise as the
-    limit's stopping rule makes the total: no block has a stopping rule of
-    its own.
+    itself.  Under a splitting certificate each block takes the same closed
+    form as the total: legal block lengths scale by exactly lam^p over the
+    period p, a multiple of k, and the losses per period repeat.  The
+    entries sum to the limit.
     """
     _require_spectral(tt)
     if not tt.expanding:
         raise PreconditionError("per-block lengths need an expanding stretch factor")
-    w = orbit.word_at(rep.m_stop)
-    scale = tt.pf.lam**rep.m_stop
-    limits = [block_path_length(w, tt.metric, frozenset(b)) / scale for b in tt.pf.blocks]
+    blocks = [frozenset(b) for b in tt.pf.blocks]
+
+    def split(m):
+        w = orbit.word_at(m)
+        return [block_path_length(w, tt.metric, b) / tt.pf.lam**m for b in blocks]
+
+    limits = split(rep.m_stop)
+    if rep.certificate == "splitting":
+        shrink = tt.pf.lam ** (rep.anchor - rep.m_stop)
+        limits = [(x - shrink * x0) / (1 - shrink) for x0, x in zip(split(rep.anchor), limits)]
     return PerBlockReport(word=rep.word, limits=limits, total=sum(limits), converged=rep.converged, m_stop=rep.m_stop)
 
 
@@ -417,9 +402,7 @@ def homothety_check(
     must match exactly.
     """
     _require_spectral(tt)
-    checked = []
-    skipped = []
-    worst = 0.0
+    checked, skipped, worst = [], [], 0.0
     for word in words:
         orbit = CyclicOrbit(auto, word)
         if not tt.expanding:
@@ -452,17 +435,15 @@ class ConvergenceReport:
 def _alt_limit(orbit, alt_metric, lam, k, M, tol):
     """Cauchy estimate of lim lam^-m |psi^m(x)|_delta along the stride."""
     prev = None
-    s = 0
-    while True:
-        m = s * k
+    for m in range(0, M + 1, k):
         w = orbit.word_at(m)
-        if m > M or w is None:
-            return prev
+        if w is None:
+            break
         t = path_length(w, alt_metric) / lam**m
         if prev is not None and abs(prev - t) < tol and not (1e-7 <= t <= 1e-3):
             return t
         prev = t
-        s += 1
+    return prev
 
 
 def convergence_constants(
@@ -487,34 +468,25 @@ def convergence_constants(
         raise PreconditionError("convergence constants need an expanding stretch factor")
     if len(alt_metric) != tt.gmap.graph.edge_pairs:
         raise PreconditionError("alternative metric does not match the graph")
-    k = tt.pf.k
-    lam = tt.pf.lam
+    k, lam = tt.pf.k, tt.pf.lam
     right = pf_eigen(tt.matrix.T).nu
     constants = []
     for block in tt.pf.blocks:
         idx = [letter_index(e) for e in block]
         constants.append(float(alt_metric.lengths[idx] @ right[idx] / (tt.pf.nu[idx] @ right[idx])))
-    uniform_checked = 0
-    uniform_worst = None
+    uniform_checked, uniform_worst = 0, None
     if loop_words:
         uniform_worst = 0.0
         for word in loop_words:
             orbit = CyclicOrbit(auto, word, budget=SWEEP_BUDGET)
             rep = limit_length(auto, word, tt, M=80, tol=1e-8, orbit=orbit)
-            blocks_rep = per_block_lengths(tt, rep, orbit)
-            rhs = sum(c * b for c, b in zip(constants, blocks_rep.limits))
             lhs = _alt_limit(orbit, alt_metric, lam, k, M=120, tol=1e-8)
-            if rhs < LOXODROMIC_THRESHOLD:
-                if lhs is not None and abs(lhs - rhs) > UNIFORM_TOL:
-                    raise InternalConsistencyError(
-                        f"bounded class {word!r} has alt-metric limit {lhs!r}"
-                    )
+            if not rep.classification.is_exponential:
+                if lhs is not None and lhs > UNIFORM_TOL:
+                    raise InternalConsistencyError(f"bounded class {word!r} has alt-metric limit {lhs!r}")
                 continue
+            rhs = sum(c * b for c, b in zip(constants, per_block_lengths(tt, rep, orbit).limits))
             err = abs(lhs - rhs) / rhs
             uniform_worst = max(uniform_worst, err)
             uniform_checked += 1
-    return ConvergenceReport(
-        constants=constants,
-        uniform_checked=uniform_checked,
-        uniform_max_rel_error=uniform_worst,
-    )
+    return ConvergenceReport(constants=constants, uniform_checked=uniform_checked, uniform_max_rel_error=uniform_worst)

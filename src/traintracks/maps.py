@@ -8,6 +8,7 @@ orbit of taken turns under the derivative, never by brute-force iteration.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,7 @@ class GraphMap:
         self.edge_images = tuple(tight)
         self.budget = budget
         self._letter_images, self._subst = signed_substitution(self.edge_images)
+        self._legal_turns = self._illegal_pairs = None
         if vertex_images is None:
             vertex_images = self._infer_vertex_images()
         self.vertex_images = tuple(vertex_images)
@@ -188,10 +190,25 @@ class GraphMap:
         return not is_degenerate(self.turn_orbit(turn)[-1])
 
     def legal_turns(self) -> frozenset:
-        """Every legal turn between two distinct directions of the graph."""
-        dirs = self.graph.letters + self.graph.letters.upper()
-        turns = {_turn(x, y) for i, x in enumerate(dirs) for y in dirs[i + 1 :]}
-        return frozenset(t for t in turns if self.is_legal_turn(t))
+        """Every legal turn between two distinct directions (computed once)."""
+        if self._legal_turns is None:
+            dirs = self.graph.letters + self.graph.letters.upper()
+            turns = {_turn(x, y) for i, x in enumerate(dirs) for y in dirs[i + 1 :]}
+            self._legal_turns = frozenset(t for t in turns if self.is_legal_turn(t))
+        return self._legal_turns
+
+    def illegal_pairs(self) -> re.Pattern:
+        """Pattern matching the first letter of each letter pair xy whose
+        turn {x^-1, y} is illegal, so overlapping pairs all match (compiled
+        once); search ``w + w[0]`` to read the turns of a cyclic word w."""
+        if self._illegal_pairs is None:
+            legal = self.legal_turns()
+            dirs = self.graph.letters + self.graph.letters.upper()
+            followers = {x: "".join(y for y in dirs if y != x.swapcase() and _turn(x.swapcase(), y) not in legal)
+                         for x in dirs}
+            branches = "|".join(f"{x}(?=[{ys}])" for x, ys in followers.items() if ys)
+            self._illegal_pairs = re.compile(branches or "(?!)")
+        return self._illegal_pairs
 
     def is_train_track(self) -> TrainTrackVerdict:
         """Decide whether every iterated edge image stays tight.

@@ -257,15 +257,9 @@ def equivalence_sweep(
             n_poly += 1
         if not (a == b == c):
             discrepancies.append(
-                {"word": word, "limit_length": a, "growth": b, "leaf_probe": c}
+                {"word": word, "limit_length": a, "certificate": rep.certificate, "growth": b, "leaf_probe": c}
             )
-    return EquivalenceReport(
-        checked=checked,
-        exponential=n_exp,
-        polynomial=n_poly,
-        discrepancies=discrepancies,
-        labels=labels,
-    )
+    return EquivalenceReport(checked, n_exp, n_poly, discrepancies, labels)
 
 
 def _coerce(source):
@@ -363,7 +357,8 @@ def equivalence_section(eq: EquivalenceReport) -> dict:
 def lengths_section(
     auto: Automorphism, tt: TrainTrackData, words, M: int = 40, tol: float = 1e-6, budget: int | None = None
 ) -> dict:
-    """Limit length of each class, split by block for exponential classes."""
+    """Limit length of each class with the certificate that gave it and the
+    interval it lies in, split by block for exponential classes."""
     lengths: dict = {}
     for word in words:
         orbit = CyclicOrbit(auto, word, budget=budget)
@@ -371,6 +366,8 @@ def lengths_section(
         entry = {
             "limit": rep.limit,
             "converged": rep.converged,
+            "certificate": rep.certificate,
+            "interval": [rep.lower, rep.upper],
             "m_stop": rep.m_stop,
             "classification": rep.classification.label(),
         }

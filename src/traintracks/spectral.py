@@ -9,10 +9,12 @@ every edge by exactly the dominant eigenvalue.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 import numpy as np
 
+from .cancellation import cancellation_bound
 from .errors import NotIrreducibleError, PowerIterationError
 from .graphs import Metric, path_length
 from .maps import GraphMap, TrainTrackVerdict, invariant_subgraph
@@ -181,6 +183,11 @@ class TrainTrackData:
     @property
     def expanding(self) -> bool:
         return self.pf is not None and self.pf.expanding
+
+    @cached_property
+    def cancellation_constant(self) -> float:
+        """Cancellation bound C = Lip * vol in the eigenmetric, computed once."""
+        return cancellation_bound(self.gmap, self.metric).bound
 
     def homothety_defect(self) -> float:
         """Max relative error of |image of e| = lam * |e| in the eigenmetric."""

@@ -4,8 +4,11 @@ Everything here is deterministic and cheap, so fixtures are session-scoped
 and shared across test modules.
 """
 
+import functools
 import math
+import re
 
+import numpy as np
 import pytest
 
 from traintracks import analyze_train_track, rose_map
@@ -110,3 +113,83 @@ def rank4_corpus(rank4_tt):
     from traintracks import build_leaf_corpus
 
     return build_leaf_corpus(rank4_tt, depth=10, budget=500_000)
+
+
+# ------------------------------------------------ delta-extrapolated limits
+
+_LETTERS = "abcdefghijklmnopqrstuvwxyz"
+
+
+@functools.lru_cache(maxsize=None)
+def _pf_data(images):
+    """Stretch factor, cyclic index and eigenmetric (left PF vector, sum 1)
+    from numpy's eigendecomposition of the unsigned transition matrix."""
+    n = len(images)
+    mat = np.zeros((n, n))
+    for j, w in enumerate(images):
+        for ch in w.lower():
+            mat[_LETTERS.index(ch), j] += 1
+    vals, vecs = np.linalg.eig(mat.T)
+    i = int(np.argmax(vals.real))
+    lam = float(vals[i].real)
+    k = int(np.sum(np.abs(np.abs(vals) - lam) < 1e-9 * lam))
+    nu = np.abs(vecs[:, i].real)
+    return lam, k, nu / nu.sum()
+
+
+def delta_limit(images, word, max_m=400, max_letters=2_000_000):
+    """Limit length of a class by delta-extrapolation, without the package.
+
+    With L_m the eigenmetric length of the cyclically reduced psi^m(x), the
+    per-stride loss delta_m = lam^k L_m - L_{m+k} is constant once the
+    illegal turns of the orbit have stabilised, and the limit is then
+    L_m / lam^m - delta / (lam^m (lam^k - 1)).  The scan starts at m = 10 k,
+    since short orbits can stall at a constant length for a few strides,
+    and waits until delta repeats over three strides.  Returns None if the
+    orbit outgrows ``max_letters`` first.  A longer stall fools it: on the
+    rank-26 family map r26-m8, lhWb keeps an illegal turn and its length
+    from m = 2 to 15 and loses 1% at m = 16, after this scan has stopped.
+    """
+    images = tuple(images)
+    rank = len(images)
+    lam, k, nu = _pf_data(images)
+    table = {}
+    for g, w in zip(_LETTERS, images):
+        table[ord(g)] = w
+        table[ord(g.upper())] = w[::-1].swapcase()
+    pairs = re.compile("|".join(g + g.upper() + "|" + g.upper() + g for g in _LETTERS[:rank]))
+
+    def cyclic_reduce(w):
+        while True:
+            shorter = pairs.sub("", w)
+            lo = 0
+            while lo < len(shorter) - 1 - lo and shorter[lo] == shorter[-1 - lo].swapcase():
+                lo += 1
+            shorter = shorter[lo : len(shorter) - lo]
+            if shorter == w:
+                return w
+            w = shorter
+
+    w = cyclic_reduce(word)
+    lamk = lam**k
+    lengths = []
+    for m in range(max_m + 1):
+        counts = [w.count(g) + w.count(g.upper()) for g in _LETTERS[:rank]]
+        lengths.append(float(np.dot(counts, nu)))
+        start = m - 3 * k
+        if start >= 10 * k:
+            deltas = [lamk * lengths[j] - lengths[j + k] for j in (start, start + k, start + 2 * k)]
+            if max(deltas) - min(deltas) <= 1e-13 * lengths[m] + 1e-12:
+                return lengths[start] / lam**start - deltas[0] / (lam**start * (lamk - 1.0))
+        if lengths[m] / lam**m < 1e-13:
+            return 0.0
+        w = cyclic_reduce(w.translate(table))
+        if len(w) > max_letters:
+            return None
+    return None
+
+
+@pytest.fixture(scope="session")
+def reference_limit():
+    """:func:`delta_limit`, for tests that need an independent limit."""
+    return delta_limit

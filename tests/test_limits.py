@@ -32,8 +32,8 @@ from traintracks import (
     rose_map,
     unit_metric,
 )
+from traintracks import corpus
 from traintracks.graphs import block_path_length
-from traintracks.limits import LOXODROMIC_THRESHOLD
 from traintracks.words import ALPHABET, letter_index
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -129,20 +129,72 @@ def test_commutator_is_bounded(fib, fib_tt):
     assert rep.classification.label() == "Polynomial(0)"
 
 
-def test_rank4_commutator_needs_escalation(rank4, rank4_tt):
-    # at tol 1e-9 the strided tail decays only by 1/phi per step, so the
-    # verdict comes from the growth classifier and is flagged
-    rep = limit_length(rank4, "abAB", rank4_tt, M=40, tol=1e-9)
-    assert rep.limit == 0.0
-    assert rep.classification.kind == "polynomial"
-    assert rep.classification.degree == 0
-    assert rep.classification.low_confidence
-    assert rep.m_stop == 80  # escalated once
+def test_rank4_commutator_is_periodic(rank4, rank4_tt):
+    # the strided tail decays only by 1/phi per step, but the orbit word
+    # repeats up to rotation: the limit is exactly 0 at any tolerance
+    for tol in (1e-9, 1e-6):
+        rep = limit_length(rank4, "abAB", rank4_tt, M=40, tol=tol)
+        assert rep.certificate == "periodic"
+        assert rep.converged
+        assert rep.limit == 0.0 and rep.lower == 0.0
+        assert rep.classification.label() == "Polynomial(0)"
+        assert not rep.classification.low_confidence
+        assert rep.m_stop == 4
 
-    # at the default tolerance the strided gap converges on its own
-    rep = limit_length(rank4, "abAB", rank4_tt, M=40, tol=1e-6)
-    assert rep.converged
-    assert rep.limit == 0.0
+
+def test_fibonacci_aabAB_is_exact_at_default_tol(fib, fib_tt):
+    """The gap between strided terms fell below tol at m = 30 while the
+    value was still 1.07e-6 above 1/phi; the splitting certificate gives
+    the limit in closed form."""
+    rep = limit_length(fib, "aabAB", fib_tt)
+    assert rep.certificate == "splitting"
+    assert rep.limit == pytest.approx(1 / PHI, abs=1e-9)
+    assert rep.classification.label() == f"Exponential({PHI:.9g})"
+
+
+def test_swap_fibonacci_aabAB_splits_exactly(rank4, rank4_tt, reference_limit):
+    orbit = CyclicOrbit(rank4, "aabAB")
+    rep = limit_length(rank4, "aabAB", rank4_tt, M=80, tol=1e-9, orbit=orbit)
+    assert rep.certificate == "splitting"
+    assert rep.limit == pytest.approx(0.2720196495, abs=1e-9)
+    assert rep.limit == pytest.approx(reference_limit(rank4.images, "aabAB"), abs=1e-9)
+    blocks = per_block_lengths(rank4_tt, rep, orbit)
+    assert sum(blocks.limits) == pytest.approx(rep.limit, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "swap-fibonacci"])
+def test_splitting_across_a_periodic_piece(name, reference_limit):
+    """abAB is periodic, so in abABaabAB a legal segment between two
+    illegal turns stays short forever: the two turns form one cluster."""
+    auto = corpus.get(name)
+    tt = analyze_train_track(rose_map(auto))
+    rep = limit_length(auto, "abABaabAB", tt, M=40 * tt.pf.k)
+    assert rep.certificate == "splitting"
+    assert rep.limit == pytest.approx(reference_limit(auto.images, "abABaabAB"), abs=1e-9)
+
+
+R26_M8 = ["b", "c", "dj", "e", "f", "gp", "h", "i", "j", "k", "l", "m", "nx"]
+R26_M8 += ["oc", "p", "q", "r", "s", "toc", "u", "v", "wt", "xc", "y", "zwt", "a"]
+
+
+@pytest.mark.parametrize(
+    "images,word,limit,m_stop",
+    [
+        (["bcf", "c", "d", "eb", "f", "ac"], "aD", 0.336811442, 3),  # family map r6-m4
+        (R26_M8, "lhWb", 0.126498787, 17),  # family map r26-m8
+    ],
+)
+def test_illegal_turn_that_cancels_late(images, word, limit, m_stop):
+    """The class keeps its length for a stride before its illegal turn
+    cancels, at m = 2 (r6-m4) or, after a second plateau from m = 2 to 15,
+    at m = 16 (r26-m8), so a gap test stopped at m = 1 with 0.424280775
+    or 0.156822737."""
+    auto = Automorphism(images)
+    tt = analyze_train_track(rose_map(auto))
+    for tol in (1e-6, 1e-9):
+        rep = limit_length(auto, word, tt, tol=tol)
+        assert rep.limit == pytest.approx(limit, abs=1e-9)
+        assert rep.certificate == "legal" and rep.m_stop == m_stop
 
 
 def test_limit_length_monotone_guard(fib, fib_tt):
@@ -270,7 +322,7 @@ def iterated_per_block(auto, word, tt, M=80, tol=1e-7):
     for m in range(0, M + 1, k):
         w = orbit.word_at(m)
         cur = [block_path_length(w, tt.metric, b) / lam**m for b in blocks]
-        ambiguous = LOXODROMIC_THRESHOLD / 10 <= sum(cur) <= 1e-3
+        ambiguous = 1e-7 <= sum(cur) <= 1e-3
         if prev is not None and max(abs(p - c) for p, c in zip(prev, cur)) < tol and not ambiguous:
             return cur
         prev = cur
@@ -391,6 +443,42 @@ def positive_maps(draw):
 @given(positive_maps())
 def test_convergence_closed_form_matches_count_vectors(case):
     _check_closed_form(*case)
+
+
+def _illegal_turns(word, legal):
+    """Illegal turns of a cyclic word, counted from the legal turn set."""
+    return sum(frozenset((x.swapcase(), y)) not in legal for x, y in zip(word, word[1:] + word[:1]))
+
+
+@st.composite
+def classes_of_positive_maps(draw):
+    rank = draw(st.integers(2, 4))
+    pairs = st.tuples(st.integers(0, rank - 1), st.integers(0, rank - 1)).filter(lambda p: p[0] != p[1])
+    moves = draw(st.lists(pairs, min_size=1, max_size=3))
+    letters = ALPHABET[:rank] + ALPHABET[:rank].upper()
+    return _positive_map(rank, moves), draw(st.text(letters, min_size=1, max_size=6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(classes_of_positive_maps())
+def test_certified_limit_matches_delta_reference(reference_limit, case):
+    """Certified limits equal the delta-extrapolated reference, lie in the
+    reported interval, and each step along the orbit loses at most 2C per
+    illegal turn: |psi(w)| >= lam |w| - 2 C t(w)."""
+    auto, word = case
+    tt = analyze_train_track(rose_map(auto))
+    orbit = CyclicOrbit(auto, word)
+    rep = limit_length(auto, word, tt, M=40 * tt.pf.k, orbit=orbit)
+    assert rep.converged and rep.certificate in ("legal", "periodic", "splitting")
+    assert rep.lower <= rep.limit <= rep.strided[-1][1] + 1e-12
+    ref = reference_limit(auto.images, word, max_letters=200_000)
+    if ref is not None:
+        assert rep.limit == pytest.approx(ref, rel=1e-9, abs=1e-9)
+    legal = tt.gmap.legal_turns()
+    lam, C = tt.pf.lam, tt.cancellation_constant
+    for w, image in zip(orbit.words, orbit.words[1:]):
+        loss = lam * path_length(w, tt.metric) - path_length(image, tt.metric)
+        assert -1e-9 <= loss <= 2 * C * _illegal_turns(w, legal) + 1e-9
 
 
 def test_convergence_closed_form_on_slow_rank20_map():

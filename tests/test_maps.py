@@ -122,6 +122,14 @@ def test_fibonacci_legal_turns(fib_tt):
         assert gmap.is_legal_turn(t) == (t != frozenset("ab"))
 
 
+def test_fibonacci_illegal_pairs(fib_tt):
+    """The only illegal turn is {a, b}: the letter pairs Ab and Ba."""
+    pattern = fib_tt.gmap.illegal_pairs()
+    pairs = [x + y for x in "abAB" for y in "abAB" if y != x.swapcase()]
+    assert [p for p in pairs if pattern.match(p)] == ["Ab", "Ba"]
+    assert [hit.start() for hit in pattern.finditer("aBab" + "a")] == [1]
+
+
 def test_turn_orbit_shapes(fib_tt):
     gmap = fib_tt.gmap
     orbit = gmap.turn_orbit(frozenset("ab"))

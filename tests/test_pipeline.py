@@ -19,6 +19,7 @@ from traintracks import (
 )
 from traintracks import corpus
 from traintracks.cli import main
+from traintracks.words import ALPHABET
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -120,6 +121,19 @@ def test_equivalence_sweep_no_discrepancies(fib, fib_tt):
     assert rep.exponential + rep.polynomial == rep.checked
     assert rep.labels["a"].startswith("Exponential")
     assert rep.labels["abAB"] == "Polynomial(0)"
+
+
+def test_discrepancy_records_the_limit_certificate(fib, fib_tt, monkeypatch):
+    """A dissenting detector is recorded next to what the limit rested on."""
+    import types
+
+    import traintracks.pipeline as pipeline
+
+    monkeypatch.setattr(pipeline, "weak_limit_probe", lambda *args, **kwargs: types.SimpleNamespace(verdict=False))
+    rep = equivalence_sweep(fib, fib_tt, None, ["aabAB", "abAB"])
+    assert rep.discrepancies == [
+        {"word": "aabAB", "limit_length": True, "certificate": "splitting", "growth": True, "leaf_probe": False}
+    ]
 
 
 # ----------------------------------------------------------------- analyze
@@ -225,14 +239,15 @@ def test_round_floats_shapes():
 
 # SHA-256 of report_json(report) without "meta", at FAST.  Re-recorded when
 # the convergence constants took their closed form and legal splits became
-# splits of legal paths (only those fields changed); the report must not drift.
+# splits of legal paths, and when each lengths entry gained "certificate"
+# and "interval" (only those fields changed); the report must not drift.
 GOLDEN_FAST_DIGESTS = {
-    "fibonacci": "c5c4f52bff34ee90f8d8cfe8df2f5902ebecd1c905010dbaf9770583eaca63bf",
-    "fibonacci-conj-a": "eeda8ecc07292934be846e83ff078c23c801fb00d640676aa3e65d9c89a8ff11",
+    "fibonacci": "6eda63415bc8356f768204c15b263411e879fce8e4556ac633bc7430c170a072",
+    "fibonacci-conj-a": "87fc424bf1b3357e496dc1b84712ab78556ff189d221c38d960a2eadaf17847f",
     "fibonacci-conj-b": "246a66f3350c9e8dd3dec2aeac3e3a7a2c095d4a28fd36ca12298b604a04fa02",
     "identity": "f633099568ee25752582ad95aaefcea41ca2d59078ea93041e9e4fe84958717c",
     "swap": "40e7ca3dd20d3e5f64d921ec6f19daec5f5088e070999830e7717bf77e96cc53",
-    "swap-fibonacci": "763e721ae967c02a642540cc8b971ba9f04bfb54ac02fd26705d11c14990cda9",
+    "swap-fibonacci": "d8432072fbb84cf13cae68b8db554903f52e298220ad915aaa72434b52bc3335",
     "unipotent": "060a43b83c7b7b7d7672d5e6370b4d65e9e11186448477dcc76f111f632ca4f1",
 }
 
@@ -342,14 +357,36 @@ def test_cli_convergence_uniform_check(capsys):
 
 
 def test_cli_lengths_tol_reaches_limit_length(capsys):
-    # a looser gap stops the iteration early, with lambda still at 1e-12
-    assert main(["lengths", "example:fibonacci", "--words", "aabAB", "--tol", "1e-3", "--json", "-"]) == 0
-    entry = _json_tail(capsys.readouterr().out)["aabAB"]
-    assert entry["m_stop"] < 20  # 30 at the default 1e-6
-    assert 1 / PHI < entry["limit"] < 1 / PHI + 1e-2
+    # tol reaches only the interval stop: at 0.5 the illegal-turn interval
+    # of aabAB is narrow enough one stride before its splitting certificate
+    assert main(["lengths", "example:fibonacci", "--words", "aabAB", "--tol", "0.5", "--json", "-"]) == 0
+    out = capsys.readouterr().out
+    assert "aabAB: limit 0.798373876 at m=5 [Exponential(1.61803399)] interval" in out
+    entry = _json_tail(out)["aabAB"]
+    assert entry["certificate"] == "interval" and entry["converged"]
+    lower, upper = entry["interval"]
+    assert 0 < lower < 1 / PHI < upper == entry["limit"] < lower + 0.5
     assert entry["per_block"] == [entry["limit"]]  # the split of the same run
 
+    assert main(["lengths", "example:fibonacci", "--words", "aabAB", "--json", "-"]) == 0
+    entry = _json_tail(capsys.readouterr().out)["aabAB"]
+    assert entry["certificate"] == "splitting" and entry["m_stop"] == 6
+    assert entry["limit"] == pytest.approx(1 / PHI, abs=1e-9)
+    assert entry["interval"] == [entry["limit"], entry["limit"]]
 
+
+def test_cli_growth_reads_certificates_on_slow_train_track(capsys, tmp_path):
+    """On the rank-26 rotation with x -> yo (lambda ~ 1.042) the growth
+    classifier's fixed threshold log1p(0.05) read a and c as Polynomial(?);
+    on an expanding train track the verdict is the limit's certificate."""
+    images = [ALPHABET[(i + 1) % 26] for i in range(26)]
+    images[23] = "yo"
+    source = tmp_path / "r26-m1.txt"
+    source.write_text("rank: 26\n" + "".join(f"{g} -> {w}\n" for g, w in zip(ALPHABET, images)))
+    assert main(["growth", str(source), "--words", "a,c", "--json", "-"]) == 0
+    out = capsys.readouterr().out
+    assert "a: Exponential(1.04239177)\nc: Exponential(1.04239177)\n" in out
+    assert _json_tail(out)["c"]["kind"] == "exponential"
 # Every subcommand but growth and analyze, which take minutes at their
 # defaults, on every bundled example: an answer or a domain error (exit 2),
 # never an internal consistency failure (exit 3).
