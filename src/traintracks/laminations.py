@@ -22,7 +22,7 @@ from .errors import (
 )
 from .graphs import Metric, path_length
 from .spectral import TrainTrackData
-from .words import DEFAULT_WORD_BUDGET, invert_word
+from .words import DEFAULT_WORD_BUDGET, canonical_rotation, invert_word
 
 # Orbit horizon of the leaf probe; the equivalence sweep retries a lone
 # dissenting probe at 2x and 4x this horizon.
@@ -183,6 +183,7 @@ class LeafCorpus:
 
     def __post_init__(self):
         self._automata = {}
+        self._matches = {}
 
     @property
     def k(self) -> int:
@@ -198,6 +199,19 @@ class LeafCorpus:
             text = self.prefixes[block].centered_slice(cap)
             self._automata[key] = _SuffixAutomaton(text)
         return self._automata[key]
+
+    def match_length(self, word: str, cap: int = 30_000) -> float:
+        """Eigenmetric length of the heaviest leaf segment of a cyclically
+        reduced word, matched once per class in the lesser canonical rotation
+        of the word and its inverse and stored under both."""
+        key = (canonical_rotation(word), cap)
+        if key not in self._matches:
+            inverse = (canonical_rotation(invert_word(word)), cap)
+            if inverse not in self._matches:
+                match = longest_leaf_segment(min(key[0], inverse[0]), self, self.tt.metric, cap=cap)
+                self._matches[inverse] = match.length
+            self._matches[key] = self._matches[inverse]
+        return self._matches[key]
 
     def contains(self, segment: str) -> int | None:
         """Block index of a prefix containing the segment, or None."""
@@ -435,7 +449,8 @@ def weak_limit_probe(
     lengths blow up; bounded or polynomial classes stall.  The series ends
     before the first orbit word longer than ``cap``: the matcher only
     searches a ``cap``-letter slice of each leaf, so longer words would
-    stall for want of leaf, not of growth.
+    stall for want of leaf, not of growth.  In the corpus's own eigenmetric
+    the lengths come from :meth:`LeafCorpus.match_length`, once per class.
     """
     from .limits import CyclicOrbit
 
@@ -447,8 +462,10 @@ def weak_limit_probe(
         w = orbit.word_at(m)
         if w is None or len(w) > cap:
             break
-        match = longest_leaf_segment(w, corpus, metric, cap=cap)
-        values.append(match.length)
+        if metric is corpus.tt.metric:
+            values.append(corpus.match_length(w, cap))
+        else:
+            values.append(longest_leaf_segment(w, corpus, metric, cap=cap).length)
     strided = values[::k]
     q = max(2, len(strided) // 4)
     head, tail = strided[:q], strided[-q:]

@@ -40,27 +40,56 @@ class CyclicOrbit:
 
     Stores cyclically reduced representatives of psi^m(x); stops extending
     once the next representative would exceed the length budget and records
-    that fact instead of raising.
+    that fact instead of raising.  Given the map's train track ``tt``,
+    lengths past the first legal word step letter counts by the transition
+    matrix: legal circuits map to legal circuits without cancellation.
     """
 
-    def __init__(self, auto: Automorphism, word: str, budget: int | None = None):
+    def __init__(self, auto: Automorphism, word: str, budget: int | None = None, tt: TrainTrackData | None = None):
         core, _ = cyclic_reduce(reduce_word(check_word(word, auto.rank), auto.rank))
         self.auto = auto
         self.words = [core]
         self.budget = auto.budget if budget is None else budget
-        self.truncated = False
+        self.cut = None  # the first m over the budget, once a word or a length met it
+        self.tt = tt if tt is not None and tt.verdict.is_train_track else None
+        self.lengths, self.counts = [], None
+
+    @property
+    def truncated(self) -> bool:
+        return self.cut is not None
 
     def word_at(self, m: int):
         """The representative at time m, or None if the budget cut us off."""
+        if self.cut is not None and m >= self.cut:
+            return None
         while len(self.words) <= m:
-            if self.truncated:
-                return None
             nxt = self.auto.apply_cyclic(self.words[-1])
             if len(nxt) > self.budget:
-                self.truncated = True
+                self.cut = len(self.words)
                 return None
             self.words.append(nxt)
         return self.words[m]
+
+    def length_at(self, m: int):
+        """|psi^m(x)|, or None if the budget cut us off."""
+        if self.cut is not None and m >= self.cut:
+            return None
+        while len(self.lengths) <= m:
+            if self.counts is None:
+                w = self.word_at(len(self.lengths))
+                if w is None:
+                    return None
+                n = len(w)
+                if self.tt is not None and w and not self.tt.gmap.illegal_pairs().search(w + w[0]):
+                    self.counts = np.bincount([letter_index(ch) for ch in w], minlength=self.auto.rank)
+            else:
+                self.counts = self.tt.matrix @ self.counts
+                n = int(self.counts.sum())
+                if n > self.budget:
+                    self.cut = len(self.lengths)
+                    return None
+            self.lengths.append(n)
+        return self.lengths[m]
 
     @property
     def computed(self) -> int:
@@ -128,10 +157,10 @@ def classify_growth(
     while True:
         lengths = []
         for m in range(cap + 1):
-            w = orbit.word_at(m)
-            if w is None:
+            n = orbit.length_at(m)
+            if n is None:
                 break
-            lengths.append(len(w))
+            lengths.append(n)
         m_eff = len(lengths) - 1
         if m_eff < 1 or max(lengths) == 0:
             return GrowthClass(kind="polynomial", degree=0, statistic=0.0, low_confidence=m_eff < 1)

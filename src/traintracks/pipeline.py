@@ -215,12 +215,14 @@ def equivalence_sweep(
 ) -> EquivalenceReport:
     """Run limit-length, growth, and leaf-probe verdicts on every word.
 
-    All three operations share one cached orbit per word.  A word counts as
-    a discrepancy when the verdicts do not agree; the limit-length verdict
-    decides the reported label.  When only the probe dissents it is retried
-    with a longer window before the disagreement is recorded: orbits that
-    dip through short words need a few extra strides to reveal their leaf
-    segments, and bounded orbits stay cheap to extend.
+    All three operations share one cached orbit per word, whose growth
+    lengths come from count vectors once it is legal; leaf matches are
+    shared per class, up to rotation and inversion, through the corpus.  A
+    word counts as a discrepancy when the verdicts do not agree; the
+    limit-length verdict decides the reported label.  When only the probe
+    dissents it is retried with a longer window before the disagreement is
+    recorded: orbits that dip through short words need a few extra strides
+    to reveal their leaf segments, and bounded orbits stay cheap to extend.
     """
     config = config or AnalysisConfig()
     # Exponential classes grow like lam^m, so the growth statistic tends to
@@ -236,7 +238,7 @@ def equivalence_sweep(
     discrepancies = []
     labels = {}
     for word in words:
-        orbit = CyclicOrbit(auto, word, budget=SWEEP_BUDGET)
+        orbit = CyclicOrbit(auto, word, budget=SWEEP_BUDGET, tt=tt)
         rep = limit_length(auto, word, tt, M=config.M, tol=config.tol, orbit=orbit)
         cls = classify_growth(auto, word, M=growth_M, eps=growth_eps, orbit=orbit)
         probe = weak_limit_probe(auto, word, corpus, tt.metric, orbit=orbit)

@@ -121,14 +121,14 @@ def is_cyclically_reduced(word: str) -> bool:
 def canonical_rotation(word: str) -> str:
     """Lexicographically least rotation under the index-then-orientation order.
 
-    The input must be cyclically reduced; rotation preserves that.
+    The input must be cyclically reduced; rotation preserves that.  Only
+    rotations that start with the least letter can be least.
     """
     if len(word) < 2:
         return word
     t = word.translate(_CANON_TABLE)
-    doubled = t + t
-    best = min(doubled[i : i + len(t)] for i in range(len(t)))
-    return best.translate(_CANON_BACK)
+    doubled, n, least = t + t, len(t), min(t)
+    return min(doubled[i : i + n] for i, ch in enumerate(t) if ch == least).translate(_CANON_BACK)
 
 
 class CyclicWord:

@@ -17,6 +17,7 @@ from traintracks import (
     BudgetExceededError,
     CyclicOrbit,
     InternalConsistencyError,
+    LeafCorpus,
     NotALeafSegmentError,
     PreconditionError,
     analyze,
@@ -459,6 +460,19 @@ def test_probe_rank4(rank4, rank4_tt, rank4_corpus):
     assert rep.strided == rep.values[::2]
     rep = weak_limit_probe(rank4, "abAB", rank4_corpus, rank4_tt.metric, M=16)
     assert not rep.verdict
+
+
+@pytest.mark.parametrize("name, word", [("fib", "abaab"), ("fib", "aabAB"), ("rank4", "cdc"), ("rank4", "abAB")])
+def test_probe_values_are_class_invariant(request, name, word):
+    """Every rotation of a class and its inverse read bit-equal match
+    lengths, each from a fresh cache: matching a rotation of the doubled
+    word on its own sums the weights in another order."""
+    auto, tt, leaves = (request.getfixturevalue(f"{name}{x}") for x in ("", "_tt", "_corpus"))
+    values = set()
+    for w in [word[i:] + word[:i] for i in range(len(word))] + [invert_word(word)]:
+        fresh = LeafCorpus(tt=tt, prefixes=leaves.prefixes, depth=leaves.depth)
+        values.add(tuple(weak_limit_probe(auto, w, fresh, tt.metric, M=12).values))
+    assert len(values) == 1
 
 
 def test_probe_stops_at_matcher_cap():

@@ -34,6 +34,7 @@ from traintracks import (
 )
 from traintracks import corpus
 from traintracks.graphs import block_path_length
+from traintracks.limits import SWEEP_M
 from traintracks.words import ALPHABET, letter_index
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -479,6 +480,56 @@ def test_certified_limit_matches_delta_reference(reference_limit, case):
     for w, image in zip(orbit.words, orbit.words[1:]):
         loss = lam * path_length(w, tt.metric) - path_length(image, tt.metric)
         assert -1e-9 <= loss <= 2 * C * _illegal_turns(w, legal) + 1e-9
+
+
+@st.composite
+def orbits_of_positive_maps(draw):
+    """A positive map, conjugated by a generator half of the time (x -> G x g,
+    often no longer a train track), a class and a word budget."""
+    rank = draw(st.integers(2, 4))
+    pairs = st.tuples(st.integers(0, rank - 1), st.integers(0, rank - 1)).filter(lambda p: p[0] != p[1])
+    auto = _positive_map(rank, draw(st.lists(pairs, min_size=1, max_size=4)))
+    if draw(st.booleans()):
+        g = ALPHABET[draw(st.integers(0, rank - 1))]
+        auto = Automorphism([g.upper() + w + g for w in auto.images])
+    letters = ALPHABET[:rank] + ALPHABET[:rank].upper()
+    return auto, draw(st.text(letters, min_size=1, max_size=6)), draw(st.integers(20, 5_000))
+
+
+@settings(max_examples=60, deadline=None)
+@given(orbits_of_positive_maps())
+def test_count_lengths_match_built_words(case):
+    """Lengths stepped by the transition matrix past the first legal word
+    are the lengths of the words, cut at the same m; growth reads the same
+    class from either."""
+    auto, word, budget = case
+    tt = analyze_train_track(rose_map(auto))
+
+    def check(budget):
+        orbit = CyclicOrbit(auto, word, budget=budget, tt=tt)
+        lengths = []
+        while len(lengths) < 200 and orbit.length_at(len(lengths)) is not None:
+            lengths.append(orbit.length_at(len(lengths)))
+        built = CyclicOrbit(auto, word, budget=budget)
+        words = [built.word_at(m) for m in range(len(lengths) + 1)]
+        assert lengths == [len(w) for w in words[:-1]]
+        assert (words[-1] is None) == (len(lengths) < 200)
+        assert [orbit.word_at(m) for m in range(len(lengths))] == words[:-1]
+        return lengths
+
+    check(max(check(budget)))  # a length equal to the budget is in it
+    for M in (SWEEP_M, 40):
+        with_tt = classify_growth(auto, word, M=M, orbit=CyclicOrbit(auto, word, budget=budget, tt=tt))
+        assert with_tt == classify_growth(auto, word, M=M, orbit=CyclicOrbit(auto, word, budget=budget))
+
+
+def test_count_lengths_build_no_word_past_legality(fib, fib_tt):
+    """a is legal: its lengths are Fibonacci numbers, read without a word,
+    and the words below the cut they find can still be built."""
+    orbit = CyclicOrbit(fib, "a", budget=100, tt=fib_tt)
+    assert [orbit.length_at(m) for m in range(10)] == [1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
+    assert orbit.length_at(10) is None and orbit.words == ["a"] and orbit.truncated
+    assert len(orbit.word_at(9)) == 89 and orbit.word_at(10) is None
 
 
 def test_convergence_closed_form_on_slow_rank20_map():

@@ -9,14 +9,25 @@ import pytest
 
 from traintracks import (
     AnalysisConfig,
+    Automorphism,
+    CyclicOrbit,
+    EquivalenceReport,
     ParseError,
     analyze,
+    analyze_train_track,
     build_leaf_corpus,
+    classify_growth,
+    enumerate_cyclic_words,
     equivalence_sweep,
+    limit_length,
+    longest_leaf_segment,
     parse_input,
     report_json,
+    rose_map,
     round_floats,
 )
+from traintracks.laminations import PROBE_M
+from traintracks.limits import SWEEP_BUDGET, SWEEP_M
 from traintracks import corpus
 from traintracks.cli import main
 from traintracks.words import ALPHABET
@@ -134,6 +145,66 @@ def test_discrepancy_records_the_limit_certificate(fib, fib_tt, monkeypatch):
     assert rep.discrepancies == [
         {"word": "aabAB", "limit_length": True, "certificate": "splitting", "growth": True, "leaf_probe": False}
     ]
+
+
+def reference_probe(auto, word, corpus, metric, M, orbit):
+    """The leaf probe matching every orbit word itself, with no cache."""
+    values = []
+    for m in range(M + 1):
+        w = orbit.word_at(m)
+        if w is None or len(w) > 30_000:
+            break
+        values.append(longest_leaf_segment(w, corpus, metric).length)
+    strided = values[:: corpus.k]
+    q = max(2, len(strided) // 4)
+    head, tail = strided[:q], strided[-q:]
+    increasing = all(b > a for a, b in zip(tail, tail[1:]))
+    return len(strided) >= 2 * q and increasing and min(tail) > 3 * max(head) and min(tail) > 0
+
+
+def reference_sweep(auto, tt, corpus, words, config):
+    """The sweep word by word: growth reads lengths off built words, and
+    the probe matches each orbit word on its own."""
+    lam = tt.pf.lam
+    growth_M = max(SWEEP_M, 4 * math.ceil(math.log(3) / math.log(lam)))
+    growth_eps = min(0.05, math.sqrt(lam) - 1)
+    n_exp, discrepancies, labels = 0, [], {}
+    for word in words:
+        orbit = CyclicOrbit(auto, word, budget=SWEEP_BUDGET)
+        rep = limit_length(auto, word, tt, M=config.M, tol=config.tol, orbit=orbit)
+        b = classify_growth(auto, word, M=growth_M, eps=growth_eps, orbit=orbit).is_exponential
+        a = rep.classification.is_exponential
+        c = reference_probe(auto, word, corpus, tt.metric, PROBE_M, orbit)
+        for factor in (2, 4) if a and b and not c else ():
+            c = reference_probe(auto, word, corpus, tt.metric, factor * PROBE_M, orbit)
+            if c:
+                break
+        labels[word] = rep.classification.label()
+        n_exp += a
+        if not (a == b == c):
+            discrepancies.append(
+                {"word": word, "limit_length": a, "certificate": rep.certificate, "growth": b, "leaf_probe": c}
+            )
+    return EquivalenceReport(len(words), n_exp, len(words) - n_exp, discrepancies, labels)
+
+
+R6_M4 = ["bcf", "c", "d", "eb", "f", "ac"]
+R26_M1 = [ALPHABET[(i + 1) % 26] for i in range(26)]
+R26_M1[23] = "yo"
+
+
+@pytest.mark.parametrize(
+    "auto, max_len",
+    [(corpus.fibonacci(), 5), (corpus.swap_fibonacci_rank4(), 3), (Automorphism(R6_M4), 2), (Automorphism(R26_M1), 1)],
+    ids=["fibonacci", "swap-fibonacci", "r6-m4", "r26-m1"],
+)
+def test_sweep_matches_word_by_word_reference(auto, max_len):
+    """Count lengths and the per-class match cache change no verdict."""
+    tt = analyze_train_track(rose_map(auto))
+    config = AnalysisConfig()
+    words = enumerate_cyclic_words(auto.rank, max_len)
+    leaves = build_leaf_corpus(tt, depth=config.leaf_depth, budget=config.leaf_budget)
+    assert equivalence_sweep(auto, tt, leaves, words, config) == reference_sweep(auto, tt, leaves, words, config)
 
 
 # ----------------------------------------------------------------- analyze
