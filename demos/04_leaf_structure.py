@@ -66,7 +66,7 @@ print()
 # -- the probe: leaf segments grow inside exponential classes ---------------
 print("weak-limit probe (does the heaviest leaf segment in psi^m(w) grow?)")
 for w in ("ab", "abAB"):
-    probe = weak_limit_probe(corpus.get("fibonacci"), w, leaves, fib.metric)
+    probe = weak_limit_probe(corpus.get("fibonacci"), w, leaves)
     head = ", ".join(f"{v:.3f}" for v in probe.values[:6])
     print(f"  {w:5s} values [{head}, ...]  verdict: {'grows' if probe.verdict else 'bounded'}")
 print()

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .graphs import Metric, unit_metric
 from .laminations import build_leaf_corpus, quasiperiodicity_window
-from .limits import classify_growth, limit_length
+from .limits import CyclicOrbit, classify_growth, limit_length
 from .pipeline import (
     AnalysisConfig,
     analyze,
@@ -121,7 +121,7 @@ def _cmd_growth(args) -> int:
         if certified:
             cls = limit_length(auto, word, tt, M=args.max_m).classification
         else:
-            cls = classify_growth(auto, word, M=args.max_m)
+            cls = classify_growth(auto, word, M=args.max_m, orbit=CyclicOrbit(auto, word, tt=tt))
         flag = " (low confidence)" if cls.low_confidence else ""
         print(f"{word}: {cls.label()}{flag}")
         out[word] = {

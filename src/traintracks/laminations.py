@@ -435,22 +435,22 @@ def weak_limit_probe(
     auto,
     word: str,
     corpus: LeafCorpus,
-    metric: Metric,
     M: int = PROBE_M,
     orbit=None,
     cap: int = 30_000,
 ) -> ProbeReport:
     """Does the orbit of the word sweep out ever-longer leaf segments?
 
-    Tracks the metric-heaviest leaf segment of psi^m(word) for m = 0..M and
-    judges the stride-k subsequence: verdict True iff its last quartile is
-    strictly increasing and exceeds three times the first quartile's
-    maximum.  Exponentially growing classes shadow leaves, so their segment
-    lengths blow up; bounded or polynomial classes stall.  The series ends
+    Tracks the heaviest leaf segment of psi^m(word), in the corpus's own
+    eigenmetric, for m = 0..M and judges the stride-k subsequence: verdict
+    True iff its last quartile is strictly increasing and exceeds three
+    times the first quartile's maximum.  Exponentially growing classes
+    shadow leaves, so their segment lengths blow up; bounded or polynomial
+    classes stall.  The series ends
     before the first orbit word longer than ``cap``: the matcher only
     searches a ``cap``-letter slice of each leaf, so longer words would
-    stall for want of leaf, not of growth.  In the corpus's own eigenmetric
-    the lengths come from :meth:`LeafCorpus.match_length`, once per class.
+    stall for want of leaf, not of growth.  The lengths come from
+    :meth:`LeafCorpus.match_length`, once per class.
     """
     from .limits import CyclicOrbit
 
@@ -462,10 +462,7 @@ def weak_limit_probe(
         w = orbit.word_at(m)
         if w is None or len(w) > cap:
             break
-        if metric is corpus.tt.metric:
-            values.append(corpus.match_length(w, cap))
-        else:
-            values.append(longest_leaf_segment(w, corpus, metric, cap=cap).length)
+        values.append(corpus.match_length(w, cap))
     strided = values[::k]
     q = max(2, len(strided) // 4)
     head, tail = strided[:q], strided[-q:]

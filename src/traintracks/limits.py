@@ -80,7 +80,7 @@ class CyclicOrbit:
                 if w is None:
                     return None
                 n = len(w)
-                if self.tt is not None and w and not self.tt.gmap.illegal_pairs().search(w + w[0]):
+                if self.tt is not None and self.tt.gmap.is_legal_cyclic(w):
                     self.counts = np.bincount([letter_index(ch) for ch in w], minlength=self.auto.rank)
             else:
                 self.counts = self.tt.matrix @ self.counts
@@ -309,7 +309,7 @@ def limit_length(
     """
     _require_spectral(tt)
     if orbit is None:
-        orbit = CyclicOrbit(auto, word, budget=budget)
+        orbit = CyclicOrbit(auto, word, budget=budget, tt=tt)
     lam, k = tt.pf.lam, tt.pf.k
     if not tt.expanding:
         # lam = 1 makes the irreducible transition matrix a permutation: the
@@ -336,7 +336,7 @@ def limit_length(
         if legal_before:
             certificate, limit, lower = "legal", x, x
             break
-        if w and not illegal.search(w + w[0]):
+        if tt.gmap.is_legal_cyclic(w):
             legal_before = True
         elif any(len(v) == len(w) and w in v + v for v in orbit.words[0:m:k]):
             certificate, limit, lower = "periodic", 0.0, 0.0
@@ -433,7 +433,7 @@ def homothety_check(
     _require_spectral(tt)
     checked, skipped, worst = [], [], 0.0
     for word in words:
-        orbit = CyclicOrbit(auto, word)
+        orbit = CyclicOrbit(auto, word, tt=tt)
         if not tt.expanding:
             a = path_length(orbit.word_at(0), tt.metric)
             b = path_length(orbit.word_at(1), tt.metric)
@@ -507,7 +507,7 @@ def convergence_constants(
     if loop_words:
         uniform_worst = 0.0
         for word in loop_words:
-            orbit = CyclicOrbit(auto, word, budget=SWEEP_BUDGET)
+            orbit = CyclicOrbit(auto, word, budget=SWEEP_BUDGET, tt=tt)
             rep = limit_length(auto, word, tt, M=80, tol=1e-8, orbit=orbit)
             lhs = _alt_limit(orbit, alt_metric, lam, k, M=120, tol=1e-8)
             if not rep.classification.is_exponential:

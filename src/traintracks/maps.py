@@ -210,6 +210,11 @@ class GraphMap:
             self._illegal_pairs = re.compile(branches or "(?!)")
         return self._illegal_pairs
 
+    def is_legal_cyclic(self, word: str) -> bool:
+        """Whether a nonempty cyclic word has no illegal turn, the turn
+        from its last letter back to its first included."""
+        return bool(word) and not self.illegal_pairs().search(word + word[0])
+
     def is_train_track(self) -> TrainTrackVerdict:
         """Decide whether every iterated edge image stays tight.
 

@@ -241,13 +241,13 @@ def equivalence_sweep(
         orbit = CyclicOrbit(auto, word, budget=SWEEP_BUDGET, tt=tt)
         rep = limit_length(auto, word, tt, M=config.M, tol=config.tol, orbit=orbit)
         cls = classify_growth(auto, word, M=growth_M, eps=growth_eps, orbit=orbit)
-        probe = weak_limit_probe(auto, word, corpus, tt.metric, orbit=orbit)
+        probe = weak_limit_probe(auto, word, corpus, orbit=orbit)
         a = rep.classification.is_exponential
         b = cls.is_exponential
         c = probe.verdict
         if a and b and not c:
             for factor in (2, 4):
-                probe = weak_limit_probe(auto, word, corpus, tt.metric, M=factor * PROBE_M, orbit=orbit)
+                probe = weak_limit_probe(auto, word, corpus, M=factor * PROBE_M, orbit=orbit)
                 if probe.verdict:
                     break
             c = probe.verdict
@@ -341,7 +341,7 @@ def growth_section(auto: Automorphism, tt: TrainTrackData, sweep, eq, config: An
         )
         return growth
     n_exp = sum(
-        classify_growth(auto, word, M=SWEEP_M, budget=SWEEP_BUDGET).is_exponential
+        classify_growth(auto, word, M=SWEEP_M, orbit=CyclicOrbit(auto, word, budget=SWEEP_BUDGET, tt=tt)).is_exponential
         for word in sweep
     )
     growth.update(exponential=n_exp, polynomial=len(sweep) - n_exp)
@@ -363,7 +363,7 @@ def lengths_section(
     interval it lies in, split by block for exponential classes."""
     lengths: dict = {}
     for word in words:
-        orbit = CyclicOrbit(auto, word, budget=budget)
+        orbit = CyclicOrbit(auto, word, budget=budget, tt=tt)
         rep = limit_length(auto, word, tt, M=M, tol=tol, orbit=orbit)
         entry = {
             "limit": rep.limit,

@@ -446,19 +446,19 @@ _SESSION_CORPUS = {}
 
 
 def test_probe_verdicts(fib, fib_tt, fib_corpus):
-    grows = weak_limit_probe(fib, "ab", fib_corpus, fib_tt.metric, M=12)
+    grows = weak_limit_probe(fib, "ab", fib_corpus, M=12)
     assert grows.verdict
     assert grows.k == 1
     assert len(grows.values) == 13
-    flat = weak_limit_probe(fib, "abAB", fib_corpus, fib_tt.metric, M=12)
+    flat = weak_limit_probe(fib, "abAB", fib_corpus, M=12)
     assert not flat.verdict
 
 
 def test_probe_rank4(rank4, rank4_tt, rank4_corpus):
-    rep = weak_limit_probe(rank4, "a", rank4_corpus, rank4_tt.metric, M=16)
+    rep = weak_limit_probe(rank4, "a", rank4_corpus, M=16)
     assert rep.verdict
     assert rep.strided == rep.values[::2]
-    rep = weak_limit_probe(rank4, "abAB", rank4_corpus, rank4_tt.metric, M=16)
+    rep = weak_limit_probe(rank4, "abAB", rank4_corpus, M=16)
     assert not rep.verdict
 
 
@@ -471,7 +471,7 @@ def test_probe_values_are_class_invariant(request, name, word):
     values = set()
     for w in [word[i:] + word[:i] for i in range(len(word))] + [invert_word(word)]:
         fresh = LeafCorpus(tt=tt, prefixes=leaves.prefixes, depth=leaves.depth)
-        values.add(tuple(weak_limit_probe(auto, w, fresh, tt.metric, M=12).values))
+        values.add(tuple(weak_limit_probe(auto, w, fresh, M=12).values))
     assert len(values) == 1
 
 
@@ -485,7 +485,7 @@ def test_probe_stops_at_matcher_cap():
     leaves = build_leaf_corpus(tt, depth=12, budget=500_000)
     for word in ("b", "B"):
         orbit = CyclicOrbit(auto, word, budget=200_000)
-        probe = weak_limit_probe(auto, word, leaves, tt.metric, M=12, orbit=orbit)
+        probe = weak_limit_probe(auto, word, leaves, M=12, orbit=orbit)
         assert probe.verdict, probe.strided
         assert len(probe.values) == 10
         assert len(orbit.word_at(10)) > 30_000

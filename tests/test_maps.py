@@ -130,6 +130,15 @@ def test_fibonacci_illegal_pairs(fib_tt):
     assert [hit.start() for hit in pattern.finditer("aBab" + "a")] == [1]
 
 
+def test_fibonacci_legal_cyclic_words(fib_tt):
+    """A cyclic word is legal when no turn is, the one from its last letter
+    back to its first included; the empty word is not."""
+    legal = fib_tt.gmap.is_legal_cyclic
+    assert legal("a") and legal("aab") and legal("ba")
+    assert not legal("Ab") and not legal("")
+    assert not legal("aB")  # only its wrap-around pair Ba is illegal
+
+
 def test_turn_orbit_shapes(fib_tt):
     gmap = fib_tt.gmap
     orbit = gmap.turn_orbit(frozenset("ab"))
