@@ -87,6 +87,7 @@ from .spectral import (
     is_irreducible_matrix,
     is_simplicial,
     pf_eigen,
+    train_track_twist,
 )
 from .words import (
     Automorphism,

@@ -39,7 +39,7 @@ from .pipeline import (
     train_track_section,
     transition_section,
 )
-from .spectral import analyze_train_track
+from .spectral import analyze_train_track, train_track_twist
 from .words import enumerate_cyclic_words, parse_word
 
 
@@ -115,13 +115,14 @@ def _cmd_growth(args) -> int:
     auto = parsed.auto
     tt = analyze_train_track(parsed.gmap)
     certified = tt.verdict.is_train_track and tt.expanding
+    twist, twist_tt = train_track_twist(auto, tt)
     words = _word_list(args, auto.rank, args.sweep_len)
     out = {}
     for word in words:
         if certified:
             cls = limit_length(auto, word, tt, M=args.max_m).classification
         else:
-            cls = classify_growth(auto, word, M=args.max_m, orbit=CyclicOrbit(auto, word, tt=tt))
+            cls = classify_growth(twist, word, M=args.max_m, orbit=CyclicOrbit(twist, word, tt=twist_tt))
         flag = " (low confidence)" if cls.low_confidence else ""
         print(f"{word}: {cls.label()}{flag}")
         out[word] = {

@@ -176,25 +176,28 @@ class GraphMap:
     def turn_orbit(self, turn: frozenset):
         """Derivative orbit of a turn up to its first repeat or degeneracy."""
         orbit = [turn]
-        seen = {turn}
         while not is_degenerate(orbit[-1]):
-            d1, d2 = tuple(orbit[-1])
-            nxt = _turn(self.derivative(d1), self.derivative(d2))
-            orbit.append(nxt)
-            if nxt in seen:
+            orbit.append(_turn(*map(self.derivative, orbit[-1])))
+            if orbit[-1] in orbit[:-1]:
                 break
-            seen.add(nxt)
         return orbit
 
     def is_legal_turn(self, turn: frozenset) -> bool:
         return not is_degenerate(self.turn_orbit(turn)[-1])
 
     def legal_turns(self) -> frozenset:
-        """Every legal turn between two distinct directions (computed once)."""
+        """Every legal turn between two distinct directions (computed once); a walk under
+        the derivative decides every turn it passes when it ends (a repeat is legal)."""
         if self._legal_turns is None:
             dirs = self.graph.letters + self.graph.letters.upper()
-            turns = {_turn(x, y) for i, x in enumerate(dirs) for y in dirs[i + 1 :]}
-            self._legal_turns = frozenset(t for t in turns if self.is_legal_turn(t))
+            legal = {}
+            for t in [_turn(x, y) for i, x in enumerate(dirs) for y in dirs[i + 1 :]]:
+                path = {}
+                while not (t in legal or t in path or is_degenerate(t)):
+                    path[t] = None
+                    t = _turn(*map(self.derivative, t))
+                legal.update(dict.fromkeys(path, legal.get(t, not is_degenerate(t))))
+            self._legal_turns = frozenset(t for t, ok in legal.items() if ok)
         return self._legal_turns
 
     def illegal_pairs(self) -> re.Pattern:

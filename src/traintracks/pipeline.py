@@ -34,7 +34,7 @@ from .limits import (
     per_block_lengths,
 )
 from .maps import GraphMap, rose_map, to_automorphism
-from .spectral import TrainTrackData, analyze_train_track, is_simplicial
+from .spectral import TrainTrackData, analyze_train_track, is_simplicial, train_track_twist
 from .words import ALPHABET, DEFAULT_WORD_BUDGET, Automorphism, enumerate_cyclic_words, parse_word
 
 
@@ -330,19 +330,16 @@ def homothety_section(tt: TrainTrackData) -> dict:
 
 
 def growth_section(auto: Automorphism, tt: TrainTrackData, sweep, eq, config: AnalysisConfig) -> dict:
-    """Exponential and polynomial counts over the sweep: the equivalence
-    sweep's verdicts when there is one, else the growth classifier's."""
+    """Exponential and polynomial counts over the sweep: the equivalence sweep's
+    verdicts if any, else the classifier's, on a train-track twist if one exists."""
     growth: dict = {"sweep_len": config.max_word_len, "classes": len(sweep)}
     if eq is not None:
-        growth.update(
-            exponential=eq.exponential,
-            polynomial=eq.polynomial,
-            rate=tt.pf.lam,
-        )
+        growth.update(exponential=eq.exponential, polynomial=eq.polynomial, rate=tt.pf.lam)
         return growth
+    twist, twist_tt = train_track_twist(auto, tt)
     n_exp = sum(
-        classify_growth(auto, word, M=SWEEP_M, orbit=CyclicOrbit(auto, word, budget=SWEEP_BUDGET, tt=tt)).is_exponential
-        for word in sweep
+        classify_growth(twist, w, M=SWEEP_M, orbit=CyclicOrbit(twist, w, budget=SWEEP_BUDGET, tt=twist_tt)).is_exponential
+        for w in sweep
     )
     growth.update(exponential=n_exp, polynomial=len(sweep) - n_exp)
     return growth

@@ -17,8 +17,8 @@ import numpy as np
 from .cancellation import cancellation_bound
 from .errors import NotIrreducibleError, PowerIterationError
 from .graphs import Metric, path_length
-from .maps import GraphMap, TrainTrackVerdict, invariant_subgraph
-from .words import ALPHABET, letter_index
+from .maps import GraphMap, TrainTrackVerdict, invariant_subgraph, rose_map
+from .words import ALPHABET, Automorphism, letter_index
 
 DEFAULT_TOL = 1e-12
 MAX_POWER_ITERATIONS = 10**6
@@ -213,3 +213,17 @@ def analyze_train_track(gmap: GraphMap, tol: float = DEFAULT_TOL) -> TrainTrackD
     return TrainTrackData(
         gmap=gmap, verdict=verdict, matrix=mat, irreducible=irreducible, pf=pf, metric=metric
     )
+
+
+def train_track_twist(auto: Automorphism, tt: TrainTrackData) -> tuple[Automorphism, TrainTrackData]:
+    """The first train track among ``auto`` and its twists x -> g auto(x) g^-1
+    by a letter g that starts some image inverted and ends some image, with
+    its data, else ``(auto, tt)``.  Conjugacy classes do not see the inner
+    twist: their orbits under both maps have the same cyclic lengths."""
+    if not tt.verdict.is_train_track:
+        for g in ALPHABET[: auto.rank] + ALPHABET[: auto.rank].upper():
+            if any(w[0] == g.swapcase() for w in auto.images) and any(w[-1] == g for w in auto.images):
+                twist = Automorphism([g + w + g.swapcase() for w in auto.images], rank=auto.rank, budget=auto.budget)
+                if (gmap := rose_map(twist)).is_train_track():
+                    return twist, analyze_train_track(gmap)
+    return auto, tt

@@ -232,6 +232,20 @@ def _image_tuple(images):
     return tuple(images)
 
 
+def integer_det(matrix) -> int:
+    """Exact determinant of an integer matrix: Bareiss elimination divides exactly."""
+    a, sign, prev = [[int(x) for x in row] for row in matrix], 1, 1
+    for k in range(len(a) - 1):
+        pivot = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if pivot is None:
+            return 0
+        a[k], a[pivot], sign = a[pivot], a[k], sign if pivot == k else -sign
+        for i in range(k + 1, len(a)):
+            a[i] = [(x * a[k][k] - a[i][k] * y) // prev for x, y in zip(a[i], a[k])]
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
 @dataclass
 class ValidationReport:
     ok: bool
@@ -329,7 +343,7 @@ class Automorphism:
     def validate(self) -> ValidationReport:
         problems = []
         warnings = []
-        det = int(round(float(np.linalg.det(self.abelianization().astype(float)))))
+        det = integer_det(self.abelianization())
         if abs(det) != 1:
             problems.append(f"abelianization determinant is {det}, not +-1")
         inverse_checked = False

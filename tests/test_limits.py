@@ -30,6 +30,7 @@ from traintracks import (
     per_block_lengths,
     polynomial_degree,
     rose_map,
+    train_track_twist,
     unit_metric,
 )
 from traintracks import corpus
@@ -530,6 +531,59 @@ def test_count_lengths_build_no_word_past_legality(fib, fib_tt):
     assert [orbit.length_at(m) for m in range(10)] == [1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
     assert orbit.length_at(10) is None and orbit.words == ["a"] and orbit.truncated
     assert len(orbit.word_at(9)) == 89 and orbit.word_at(10) is None
+
+
+@st.composite
+def twisted_positive_maps(draw):
+    """A positive map conjugated by a letter h of either orientation,
+    x -> h x h^-1 (the family's conjugated maps take h an inverse
+    generator), a class and a word budget."""
+    rank = draw(st.integers(2, 6))
+    pairs = st.tuples(st.integers(0, rank - 1), st.integers(0, rank - 1)).filter(lambda p: p[0] != p[1])
+    auto = _positive_map(rank, draw(st.lists(pairs, min_size=1, max_size=6)))
+    letters = ALPHABET[:rank] + ALPHABET[:rank].upper()
+    h = draw(st.sampled_from(letters))
+    twisted = Automorphism([h + w + h.swapcase() for w in auto.images])
+    return twisted, draw(st.text(letters, min_size=1, max_size=6)), draw(st.integers(20, 5_000))
+
+
+@settings(max_examples=60, deadline=None)
+@given(twisted_positive_maps())
+def test_train_track_twist_keeps_class_lengths(case):
+    """The twist found is a train track, and its count lengths are the
+    lengths of the input map's own words, cut at the same m, at every
+    budget; growth reads the same class from either."""
+    auto, word, budget = case
+    tt = analyze_train_track(rose_map(auto))
+    twist, twist_tt = train_track_twist(auto, tt)
+    assert twist_tt.verdict.is_train_track and twist_tt.gmap.edge_images == twist.images
+    assert twist.budget == auto.budget and twist.inverse_images is None
+
+    def check(budget):
+        orbit = CyclicOrbit(twist, word, budget=budget, tt=twist_tt)
+        lengths = []
+        while len(lengths) < 200 and orbit.length_at(len(lengths)) is not None:
+            lengths.append(orbit.length_at(len(lengths)))
+        built = CyclicOrbit(auto, word, budget=budget)
+        assert lengths == [len(built.word_at(m)) for m in range(len(lengths))]
+        assert (built.word_at(len(lengths)) is None) == (len(lengths) < 200)
+        assert orbit.cut == built.cut
+        return lengths
+
+    for cap in (20, budget):
+        check(max(check(cap)))  # a length equal to the budget is in it
+    for M in (SWEEP_M, 40):
+        on_twist = classify_growth(twist, word, M=M, orbit=CyclicOrbit(twist, word, budget=budget, tt=twist_tt))
+        assert on_twist == classify_growth(auto, word, M=M, orbit=CyclicOrbit(auto, word, budget=budget))
+
+
+def test_train_track_twist_of_bundled_maps(fib, fib_tt, conj_b, conj_b_tt):
+    """fibonacci-conj-b twisted by b is fibonacci; a train track is its own
+    twist."""
+    twist, twist_tt = train_track_twist(conj_b, conj_b_tt)
+    assert twist.images == fib.images and twist_tt.verdict.is_train_track
+    same, same_tt = train_track_twist(fib, fib_tt)
+    assert same is fib and same_tt is fib_tt
 
 
 def test_convergence_closed_form_on_slow_rank20_map():

@@ -7,7 +7,7 @@ letter substitution on each edge and watch for the first free cancellation.
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from traintracks import (
     BudgetExceededError,
@@ -137,6 +137,29 @@ def test_fibonacci_legal_cyclic_words(fib_tt):
     assert legal("a") and legal("aab") and legal("ba")
     assert not legal("Ab") and not legal("")
     assert not legal("aB")  # only its wrap-around pair Ba is illegal
+
+
+@st.composite
+def rose_maps(draw):
+    """Rose maps of rank 2-6 with short random edge images, most of them not
+    train tracks, and positive maps conjugated by a letter, none of which are."""
+    rank = draw(st.integers(2, 6))
+    letters = "abcdef"[:rank] + "ABCDEF"[:rank]
+    word = st.text(letters, min_size=1, max_size=5).map(lambda w: reduce_word(w, rank)).filter(bool)
+    images = draw(st.lists(word, min_size=rank, max_size=rank))
+    if draw(st.booleans()):
+        h = draw(st.sampled_from(letters))
+        images = [h + reduce_word(w.lower(), rank) + h.swapcase() for w in images]
+    return GraphMap(rose(rank), images)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rose_maps())
+def test_legal_turns_match_turn_orbits(gmap):
+    """The shared walks decide every turn as its own derivative orbit does."""
+    dirs = gmap.graph.letters + gmap.graph.letters.upper()
+    turns = {frozenset((x, y)) for x in dirs for y in dirs if x != y}
+    assert gmap.legal_turns() == {t for t in turns if gmap.is_legal_turn(t)}
 
 
 def test_turn_orbit_shapes(fib_tt):

@@ -25,11 +25,14 @@ from traintracks import (
     report_json,
     rose_map,
     round_floats,
+    train_track_twist,
 )
 from traintracks.laminations import PROBE_M
 from traintracks.limits import SWEEP_BUDGET, SWEEP_M
 from traintracks import corpus
+from traintracks import cli
 from traintracks.cli import main
+from traintracks.pipeline import growth_section
 from traintracks.words import ALPHABET
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -364,6 +367,33 @@ def test_cli_spectral_json(capsys):
 def test_cli_growth(capsys):
     assert main(["growth", "example:unipotent", "--words", "b"]) == 0
     assert "b: Polynomial(1)" in capsys.readouterr().out
+
+
+def test_cli_growth_on_twist_matches_word_built_path(capsys, monkeypatch):
+    """fibonacci-conj-b is one letter twist from a train track, so growth
+    reads count lengths on the twist; text and JSON are byte-identical to
+    the classes' own words under the input map."""
+    args = ["growth", "example:fibonacci-conj-b", "--max-m", "12", "--json", "-"]
+    assert main(args) == 0
+    on_twist = capsys.readouterr().out
+    monkeypatch.setattr(cli, "train_track_twist", lambda auto, tt: (auto, tt))
+    assert main(args) == 0
+    assert capsys.readouterr().out == on_twist
+
+
+def test_growth_section_without_train_track_twist():
+    """Fibonacci conjugated by ba is not a train track, nor is any of its
+    one-letter twists: the map comes back unchanged, and the growth section
+    counts the classifier's verdicts on its own words."""
+    auto = Automorphism(["baabAB", "baB"])
+    tt = analyze_train_track(rose_map(auto))
+    same, same_tt = train_track_twist(auto, tt)
+    assert not tt.verdict.is_train_track and same is auto and same_tt is tt
+    sweep = enumerate_cyclic_words(2, 2)
+    n_exp = sum(classify_growth(auto, w, M=SWEEP_M, budget=SWEEP_BUDGET).is_exponential for w in sweep)
+    assert growth_section(auto, tt, sweep, None, AnalysisConfig(max_word_len=2)) == {
+        "sweep_len": 2, "classes": len(sweep), "exponential": n_exp, "polynomial": len(sweep) - n_exp,
+    }
 
 
 def test_cli_lengths(capsys):

@@ -6,6 +6,11 @@ cyclic reduction, and an explicit min-over-rotations for the canonical
 form.
 """
 
+import importlib.util
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -26,6 +31,7 @@ from traintracks import (
     reduce_word,
 )
 from traintracks import corpus
+from traintracks.words import integer_det
 
 
 # ---------------------------------------------------------------- oracles
@@ -284,6 +290,59 @@ def test_validate_reports():
 
     not_auto = Automorphism(("ab", "ba")).validate()  # det 0 endomorphism
     assert not not_auto.ok
+
+
+def _fraction_det(rows):
+    """Gaussian elimination over the rationals: an exact oracle."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for k in range(len(a)):
+        pivot = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return int(det)
+
+
+def test_integer_det_is_exact_where_floats_round():
+    """det [[10^9+1, 10^9], [10^9, 10^9-1]] = -1; rounding the float
+    determinant reads something else."""
+    mat = [[10**9 + 1, 10**9], [10**9, 10**9 - 1]]
+    assert integer_det(mat) == -1
+    assert round(float(np.linalg.det(np.array(mat, dtype=float)))) != -1
+    assert integer_det(np.array(mat, dtype=np.int64)) == -1
+
+
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+))
+def test_integer_det_matches_rational_elimination(rows):
+    assert integer_det(rows) == _fraction_det(rows)
+
+
+def test_abelianization_det_of_bundled_and_family_maps(monkeypatch):
+    """The exact determinant agrees with the rounded float one on every
+    bundled map and every map of the benchmark family."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_family", Path(__file__).resolve().parents[1] / "perfbench" / "family.py"
+    )
+    family = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, family)  # its dataclass looks itself up there
+    spec.loader.exec_module(family)
+    import traintracks
+
+    autos = [corpus.get(name) for name in corpus.REGISTRY]
+    autos += [Automorphism(fm.images) for fm in family.generate(traintracks, family.DESIGN_SEED)]
+    for auto in autos:
+        mat = auto.abelianization()
+        assert auto.validate().abelianization_det == integer_det(mat) == round(np.linalg.det(mat.astype(float)))
+        assert abs(integer_det(mat)) == 1
 
 
 def test_identity_automorphism():
