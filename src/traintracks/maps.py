@@ -186,13 +186,13 @@ class GraphMap:
         return not is_degenerate(self.turn_orbit(turn)[-1])
 
     def legal_turns(self) -> frozenset:
-        """Every legal turn between two distinct directions (computed once); a walk under
-        the derivative decides every turn it passes when it ends (a repeat is legal)."""
+        """Every legal turn between two distinct directions (computed once): each derivative
+        walk stops at a degenerate (illegal), decided or repeated (legal) turn, deciding its path."""
         if self._legal_turns is None:
             dirs = self.graph.letters + self.graph.letters.upper()
             legal = {}
-            for t in [_turn(x, y) for i, x in enumerate(dirs) for y in dirs[i + 1 :]]:
-                path = {}
+            for start in [_turn(x, y) for i, x in enumerate(dirs) for y in dirs[i + 1 :]]:
+                path, t = {}, start
                 while not (t in legal or t in path or is_degenerate(t)):
                     path[t] = None
                     t = _turn(*map(self.derivative, t))

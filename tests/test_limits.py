@@ -547,7 +547,7 @@ def twisted_positive_maps(draw):
     return twisted, draw(st.text(letters, min_size=1, max_size=6)), draw(st.integers(20, 5_000))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(twisted_positive_maps())
 def test_train_track_twist_keeps_class_lengths(case):
     """The twist found is a train track, and its count lengths are the

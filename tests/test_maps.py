@@ -153,7 +153,7 @@ def rose_maps(draw):
     return GraphMap(rose(rank), images)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(rose_maps())
 def test_legal_turns_match_turn_orbits(gmap):
     """The shared walks decide every turn as its own derivative orbit does."""

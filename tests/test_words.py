@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from traintracks import (
     Automorphism,
@@ -319,6 +319,7 @@ def test_integer_det_is_exact_where_floats_round():
     assert integer_det(np.array(mat, dtype=np.int64)) == -1
 
 
+@settings(max_examples=50)
 @given(st.integers(1, 6).flatmap(
     lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
 ))
