@@ -115,14 +115,14 @@ def _cmd_growth(args) -> int:
     auto = parsed.auto
     tt = analyze_train_track(parsed.gmap)
     certified = tt.verdict.is_train_track and tt.expanding
-    twist, twist_tt = train_track_twist(auto, tt)
+    phi, phi_tt = train_track_twist(auto, tt)
     words = _word_list(args, auto.rank, args.sweep_len)
     out = {}
     for word in words:
         if certified:
             cls = limit_length(auto, word, tt, M=args.max_m).classification
         else:
-            cls = classify_growth(twist, word, M=args.max_m, orbit=CyclicOrbit(twist, word, tt=twist_tt))
+            cls = classify_growth(phi, word, M=args.max_m, orbit=CyclicOrbit(phi, word, tt=phi_tt))
         flag = " (low confidence)" if cls.low_confidence else ""
         print(f"{word}: {cls.label()}{flag}")
         out[word] = {

@@ -336,9 +336,9 @@ def growth_section(auto: Automorphism, tt: TrainTrackData, sweep, eq, config: An
     if eq is not None:
         growth.update(exponential=eq.exponential, polynomial=eq.polynomial, rate=tt.pf.lam)
         return growth
-    twist, twist_tt = train_track_twist(auto, tt)
+    phi, phi_tt = train_track_twist(auto, tt)
     n_exp = sum(
-        classify_growth(twist, w, M=SWEEP_M, orbit=CyclicOrbit(twist, w, budget=SWEEP_BUDGET, tt=twist_tt)).is_exponential
+        classify_growth(phi, w, M=SWEEP_M, orbit=CyclicOrbit(phi, w, budget=SWEEP_BUDGET, tt=phi_tt)).is_exponential
         for w in sweep
     )
     growth.update(exponential=n_exp, polynomial=len(sweep) - n_exp)
