@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
 
 from . import corpus
-from .cancellation import cancellation_bound, measure_cancellation
+from .cancellation import CancellationBound
 from .errors import (
     BudgetExceededError,
     InputError,
@@ -24,13 +23,15 @@ from .errors import (
     PowerIterationError,
     PreconditionError,
 )
-from .graphs import Metric, unit_metric
-from .laminations import build_leaf_corpus, quasiperiodicity_window
-from .limits import CyclicOrbit, classify_growth, limit_length
+from .graphs import Metric
+from .laminations import build_leaf_corpus
 from .pipeline import (
     AnalysisConfig,
     analyze,
+    cancellation_section,
     convergence_section,
+    growth_classes,
+    lamination_section,
     lengths_section,
     parse_input,
     report_json,
@@ -39,7 +40,7 @@ from .pipeline import (
     train_track_section,
     transition_section,
 )
-from .spectral import analyze_train_track, train_track_twist
+from .spectral import analyze_train_track
 from .words import enumerate_cyclic_words, parse_word
 
 
@@ -112,26 +113,12 @@ def _cmd_growth(args) -> int:
     parsed = _load(args)
     if parsed.auto is None:
         raise PreconditionError("growth classification needs a rose map")
-    auto = parsed.auto
-    tt = analyze_train_track(parsed.gmap)
-    certified = tt.verdict.is_train_track and tt.expanding
-    phi, phi_tt = train_track_twist(auto, tt)
-    words = _word_list(args, auto.rank, args.sweep_len)
-    out = {}
-    for word in words:
-        if certified:
-            cls = limit_length(auto, word, tt, M=args.max_m).classification
-        else:
-            cls = classify_growth(phi, word, M=args.max_m, orbit=CyclicOrbit(phi, word, tt=phi_tt))
-        flag = " (low confidence)" if cls.low_confidence else ""
-        print(f"{word}: {cls.label()}{flag}")
-        out[word] = {
-            "kind": cls.kind,
-            "rate": cls.rate,
-            "degree": cls.degree,
-            "statistic": cls.statistic,
-        }
-    _emit_json(args, out)
+    words = _word_list(args, parsed.auto.rank, args.sweep_len)
+    classes = growth_classes(parsed.auto, analyze_train_track(parsed.gmap), words, args.max_m)
+    for word, cls in classes.items():
+        print(f"{word}: {cls.label()}{' (low confidence)' if cls.low_confidence else ''}")
+    keys = ("kind", "rate", "degree", "statistic")
+    _emit_json(args, {word: {key: getattr(cls, key) for key in keys} for word, cls in classes.items()})
     return 0
 
 
@@ -158,68 +145,34 @@ def _cmd_lengths(args) -> int:
 def _cmd_leaf(args) -> int:
     parsed = _load(args)
     tt = analyze_train_track(parsed.gmap)
-    lam_corpus = build_leaf_corpus(tt, depth=args.depth, budget=args.budget)
-    out = []
-    for prefix in lam_corpus.prefixes:
-        seed = prefix.seed
+    lam = lamination_section(build_leaf_corpus(tt, depth=args.depth, budget=args.budget), segment=args.segment)
+    rows = zip(lam["seeds"], lam["prefix_lengths"], lam["truncated"], lam["previews"], lam["windows"])
+    for block, (seed, length, truncated, preview, window) in enumerate(rows):
         print(
-            f"block {seed.block}: seed {seed.edge} (power {seed.power}, anchor {seed.anchor}), "
-            f"prefix {len(prefix.word)} edges" + (" [truncated]" if prefix.truncated else "")
+            f"block {block}: seed {seed['edge']} (power {seed['power']}, anchor {seed['anchor']}), "
+            f"prefix {length} edges" + (" [truncated]" if truncated else "")
         )
-        print(f"  ...{prefix.spelled(radius=args.radius)}...")
-        segment = args.segment or prefix.centered_slice(3)
-        cert = quasiperiodicity_window(prefix, segment)
-        print(
-            f"  window({segment!r}) = {cert.window} [{cert.status}, {cert.occurrences} occurrences]"
-        )
-        out.append(
-            {
-                "block": seed.block,
-                "edge": seed.edge,
-                "power": seed.power,
-                "anchor": seed.anchor,
-                "prefix_length": len(prefix.word),
-                "truncated": prefix.truncated,
-                "segment": segment,
-                "window": cert.window,
-                "status": cert.status,
-            }
-        )
-    _emit_json(args, out)
+        print(f"  ...{preview}...")
+        print(f"  window({window['segment']!r}) = {window['window']} [{window['status']}]")
+    _emit_json(args, lam)
     return 0
 
 
 def _cmd_cancellation(args) -> int:
     parsed = _load(args)
-    tt = analyze_train_track(parsed.gmap)
-    metric = tt.metric if tt.metric is not None else unit_metric(parsed.gmap.graph)
-    lam = tt.pf.lam if tt.expanding else None
-    bound = cancellation_bound(parsed.gmap, metric, lam=lam)
-    print(str(bound))
-    sample = measure_cancellation(
-        parsed.gmap,
-        metric,
-        samples=args.samples,
-        seed=args.seed,
-        lam=lam,
-        legal_only=args.legal_only,
-    )
-    kind = "legal splits" if args.legal_only else "random splits"
+    c = cancellation_section(analyze_train_track(parsed.gmap), args.samples, args.seed)
+    print(CancellationBound(c["lipschitz"], c["volume"], c["bound"], c["projection_bound"]))
+    r = c["random_splits"]
     print(
-        f"measured over {sample.count} {kind}: max {_g(sample.max_measured)}, "
-        f"mean {_g(sample.mean_measured)} (bound {'holds' if sample.within_bound else 'FAILS'})"
+        f"measured over {r['count']} random splits: max {_g(r['max_measured'])}, "
+        f"mean {_g(r['mean_measured'])} (bound {'holds' if r['within_bound'] else 'FAILS'})"
     )
-    _emit_json(
-        args,
-        {
-            **asdict(bound),
-            "count": sample.count,
-            "max_measured": sample.max_measured,
-            "mean_measured": sample.mean_measured,
-            "within_bound": sample.within_bound,
-            "legal_only": sample.legal_only,
-        },
-    )
+    legal = c.get("legal_splits", {})
+    if "skipped" in legal:
+        print(f"legal splits skipped: {legal['skipped']}")
+    elif legal:
+        print(f"measured over {legal['count']} legal splits: max {_g(legal['max_measured'])}")
+    _emit_json(args, c)
     return 0
 
 
@@ -334,7 +287,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--depth", type=int, default=12)
     p.add_argument("--budget", type=int, default=500_000)
-    p.add_argument("--radius", type=int, default=20)
     p.add_argument("--segment", help="certify this segment instead of the center")
     p.set_defaults(func=_cmd_leaf)
 
@@ -342,7 +294,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--legal-only", action="store_true")
     p.set_defaults(func=_cmd_cancellation)
 
     p = subs.add_parser("convergence", help="per-block metric comparison constants")

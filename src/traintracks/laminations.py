@@ -27,6 +27,8 @@ from .words import DEFAULT_WORD_BUDGET, canonical_rotation, invert_word
 # Orbit horizon of the leaf probe; the equivalence sweep retries a lone
 # dissenting probe at 2x and 4x this horizon.
 PROBE_M = 12
+# Letters of each leaf prefix, around its center, that leaf matching searches.
+MATCH_CAP = 30_000
 
 
 @dataclass(frozen=True)
@@ -193,23 +195,20 @@ class LeafCorpus:
         """Index of the block the map sends this block's leaves into."""
         return (block + 1) % self.k
 
-    def automaton(self, block: int, cap: int = 30_000):
-        key = (block, cap)
-        if key not in self._automata:
-            text = self.prefixes[block].centered_slice(cap)
-            self._automata[key] = _SuffixAutomaton(text)
-        return self._automata[key]
+    def automaton(self, block: int):
+        if block not in self._automata:
+            self._automata[block] = _SuffixAutomaton(self.prefixes[block].centered_slice(MATCH_CAP))
+        return self._automata[block]
 
-    def match_length(self, word: str, cap: int = 30_000) -> float:
+    def match_length(self, word: str) -> float:
         """Eigenmetric length of the heaviest leaf segment of a cyclically
         reduced word, matched once per class in the lesser canonical rotation
         of the word and its inverse and stored under both."""
-        key = (canonical_rotation(word), cap)
+        key = canonical_rotation(word)
         if key not in self._matches:
-            inverse = (canonical_rotation(invert_word(word)), cap)
+            inverse = canonical_rotation(invert_word(word))
             if inverse not in self._matches:
-                match = longest_leaf_segment(min(key[0], inverse[0]), self, self.tt.metric, cap=cap)
-                self._matches[inverse] = match.length
+                self._matches[inverse] = longest_leaf_segment(min(key, inverse), self, self.tt.metric).length
             self._matches[key] = self._matches[inverse]
         return self._matches[key]
 
@@ -385,7 +384,7 @@ class LeafMatch:
     segment: str
 
 
-def longest_leaf_segment(word: str, corpus: LeafCorpus, metric: Metric, cap: int = 30_000) -> LeafMatch:
+def longest_leaf_segment(word: str, corpus: LeafCorpus, metric: Metric) -> LeafMatch:
     """Metric-heaviest subword of the doubled cyclic word that is a leaf
     segment of some block, in either orientation.
 
@@ -404,7 +403,7 @@ def longest_leaf_segment(word: str, corpus: LeafCorpus, metric: Metric, cap: int
         weights = metric.table[codes]
         pre = np.concatenate(([0.0], np.cumsum(weights)))
         for block in range(corpus.k):
-            ms = corpus.automaton(block, cap=cap).matching_statistics(doubled)
+            ms = corpus.automaton(block).matching_statistics(doubled)
             ms = np.minimum(ms, period)
             ends = np.arange(1, len(doubled) + 1)
             vals = pre[ends] - pre[ends - ms]
@@ -437,7 +436,6 @@ def weak_limit_probe(
     corpus: LeafCorpus,
     M: int = PROBE_M,
     orbit=None,
-    cap: int = 30_000,
 ) -> ProbeReport:
     """Does the orbit of the word sweep out ever-longer leaf segments?
 
@@ -447,9 +445,9 @@ def weak_limit_probe(
     times the first quartile's maximum.  Exponentially growing classes
     shadow leaves, so their segment lengths blow up; bounded or polynomial
     classes stall.  The series ends
-    before the first orbit word longer than ``cap``: the matcher only
-    searches a ``cap``-letter slice of each leaf, so longer words would
-    stall for want of leaf, not of growth.  The lengths come from
+    before the first orbit word longer than ``MATCH_CAP``: the matcher only
+    searches a ``MATCH_CAP``-letter slice of each leaf, so longer words
+    would stall for want of leaf, not of growth.  The lengths come from
     :meth:`LeafCorpus.match_length`, once per class.
     """
     from .limits import CyclicOrbit
@@ -460,9 +458,9 @@ def weak_limit_probe(
     values = []
     for m in range(M + 1):
         w = orbit.word_at(m)
-        if w is None or len(w) > cap:
+        if w is None or len(w) > MATCH_CAP:
             break
-        values.append(corpus.match_length(w, cap))
+        values.append(corpus.match_length(w))
     strided = values[::k]
     q = max(2, len(strided) // 4)
     head, tail = strided[:q], strided[-q:]

@@ -16,11 +16,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .cancellation import cancellation_bound, measure_cancellation
-from .errors import InputError, NotIrreducibleError, ParseError, PreconditionError
+from .errors import InputError, NotALeafSegmentError, NotIrreducibleError, ParseError, PreconditionError
 from .graphs import Graph, Metric, unit_metric
 from .laminations import (
     PROBE_M,
     build_leaf_corpus,
+    leaf_contains,
     quasiperiodicity_window,
     weak_limit_probe,
 )
@@ -329,18 +330,23 @@ def homothety_section(tt: TrainTrackData) -> dict:
     return {"max_rel_defect": tt.homothety_defect()}
 
 
+def growth_classes(auto: Automorphism, tt: TrainTrackData, words, M: int, budget: int | None = None) -> dict:
+    """Growth verdict per class: the limit length's certificate on an expanding
+    train track, else the classifier's, on a train-track twist if one exists."""
+    if tt.verdict.is_train_track and tt.expanding:
+        return {w: limit_length(auto, w, tt, M=M, budget=budget).classification for w in words}
+    phi, phi_tt = train_track_twist(auto, tt)
+    return {w: classify_growth(phi, w, M=M, orbit=CyclicOrbit(phi, w, budget=budget, tt=phi_tt)) for w in words}
+
+
 def growth_section(auto: Automorphism, tt: TrainTrackData, sweep, eq, config: AnalysisConfig) -> dict:
     """Exponential and polynomial counts over the sweep: the equivalence sweep's
-    verdicts if any, else the classifier's, on a train-track twist if one exists."""
+    verdicts if any, else those of :func:`growth_classes` at the sweep's depth."""
     growth: dict = {"sweep_len": config.max_word_len, "classes": len(sweep)}
     if eq is not None:
         growth.update(exponential=eq.exponential, polynomial=eq.polynomial, rate=tt.pf.lam)
         return growth
-    phi, phi_tt = train_track_twist(auto, tt)
-    n_exp = sum(
-        classify_growth(phi, w, M=SWEEP_M, orbit=CyclicOrbit(phi, w, budget=SWEEP_BUDGET, tt=phi_tt)).is_exponential
-        for w in sweep
-    )
+    n_exp = sum(cls.is_exponential for cls in growth_classes(auto, tt, sweep, SWEEP_M, SWEEP_BUDGET).values())
     growth.update(exponential=n_exp, polynomial=len(sweep) - n_exp)
     return growth
 
@@ -376,12 +382,17 @@ def lengths_section(
     return lengths
 
 
-def lamination_section(corpus) -> dict:
+def lamination_section(corpus, segment: str | None = None) -> dict:
+    """Leaf prefixes with a window per block for ``segment`` (each prefix's
+    center by default), which reads ``absent`` in a prefix that lacks it."""
+    if segment and corpus.contains(segment) is None:
+        raise NotALeafSegmentError(f"segment {segment!r} does not occur in any depth-{corpus.depth} leaf prefix")
     windows = []
     for p in corpus.prefixes:
-        seg = p.centered_slice(3)
-        cert = quasiperiodicity_window(p, seg)
-        windows.append({"segment": seg, "window": cert.window, "status": cert.status})
+        seg = segment or p.centered_slice(3)
+        cert = quasiperiodicity_window(p, seg) if leaf_contains(p, seg) else None
+        window, status = (cert.window, cert.status) if cert else (None, "absent")
+        windows.append({"segment": seg, "window": window, "status": status})
     return {
         "k": corpus.k,
         "depth": corpus.depth,

@@ -30,7 +30,7 @@ from traintracks import (
 from traintracks.laminations import PROBE_M
 from traintracks.limits import SWEEP_BUDGET, SWEEP_M
 from traintracks import corpus
-from traintracks import cli
+from traintracks import pipeline
 from traintracks.cli import main
 from traintracks.pipeline import growth_section
 from traintracks.words import ALPHABET
@@ -376,7 +376,7 @@ def test_cli_growth_on_twist_matches_word_built_path(capsys, monkeypatch):
     args = ["growth", "example:fibonacci-conj-b", "--max-m", "12", "--json", "-"]
     assert main(args) == 0
     on_twist = capsys.readouterr().out
-    monkeypatch.setattr(cli, "train_track_twist", lambda auto, tt: (auto, tt))
+    monkeypatch.setattr(pipeline, "train_track_twist", lambda auto, tt: (auto, tt))
     assert main(args) == 0
     assert capsys.readouterr().out == on_twist
 
@@ -423,6 +423,23 @@ def test_cli_leaf(capsys):
     assert "window(" in out
 
 
+def test_cli_leaf_json_is_lamination_section(capsys, fib_report):
+    assert main(["leaf", "example:fibonacci", "--depth", "8", "--budget", "100000", "--json", "-"]) == 0
+    assert _json_tail(capsys.readouterr().out) == fib_report["lamination"]
+
+
+def test_cli_leaf_segment_in_one_block_of_two(capsys):
+    """A leaf of block i crosses only block-i edges, so on swap-fibonacci
+    (blocks {a,b} and {c,d}) the segment ab is certified in block 0 and
+    absent from block 1."""
+    assert main(["leaf", "example:swap-fibonacci", "--depth", "6", "--segment", "ab", "--json", "-"]) == 0
+    out = capsys.readouterr().out
+    assert "window('ab') = None [absent]" in out
+    windows = _json_tail(out)["windows"]
+    assert [w["status"] for w in windows] == ["certified", "absent"]
+    assert windows[1] == {"segment": "ab", "window": None, "status": "absent"}
+
+
 def test_cli_cancellation(capsys):
     assert main(["cancellation", "example:fibonacci", "--samples", "50"]) == 0
     out = capsys.readouterr().out
@@ -431,11 +448,22 @@ def test_cli_cancellation(capsys):
 
 
 def test_cli_cancellation_legal(capsys):
-    assert main(["cancellation", "example:fibonacci", "--legal-only"]) == 0
+    assert main(["cancellation", "example:fibonacci"]) == 0
     out = capsys.readouterr().out
-    assert "legal splits" in out and "bound holds" in out
-    measured = float(re.search(r"max ([0-9.e+-]+)", out).group(1))
+    assert "bound holds" in out
+    measured = float(re.search(r"legal splits: max ([0-9.e+-]+)", out).group(1))
     assert measured <= 1e-12
+
+
+def test_cli_cancellation_off_train_track_has_no_legal_line(capsys):
+    assert main(["cancellation", "example:fibonacci-conj-b"]) == 0
+    out = capsys.readouterr().out
+    assert "random splits" in out and "legal" not in out
+
+
+def test_cli_cancellation_json_is_cancellation_section(capsys, fib_report):
+    assert main(["cancellation", "example:fibonacci", "--samples", "50", "--json", "-"]) == 0
+    assert _json_tail(capsys.readouterr().out) == json.loads(report_json(fib_report["cancellation"]))
 
 
 def test_cli_convergence(capsys):
