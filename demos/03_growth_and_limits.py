@@ -16,7 +16,7 @@ from traintracks import (
     enumerate_cyclic_words,
     homothety_check,
     limit_length,
-    normalized_sequence,
+    path_length,
     per_block_lengths,
     rose_map,
 )
@@ -28,9 +28,10 @@ fib = analyze_train_track(rose_map(fib_auto))
 
 # -- watch the sequence converge -------------------------------------------
 print("== normalized lengths of psi^m(a), Fibonacci map, eigenmetric ==")
-seq = normalized_sequence(fib_auto, "a", fib.metric, fib.pf.lam, M=12)
+orbit = CyclicOrbit(fib_auto, "a")
 for m in (0, 1, 2, 3, 6, 9, 12):
-    print(f"  m={m:2d}  raw |psi^m(a)| = {seq.raw[m]:10.6f}   normalized = {seq.normalized[m]:.12f}")
+    raw = path_length(orbit.word_at(m), fib.metric)
+    print(f"  m={m:2d}  raw |psi^m(a)| = {raw:10.6f}   normalized = {raw / fib.pf.lam**m:.12f}")
 print(f"  (raw lengths are Fibonacci numbers scaled by nu; limit is 1/phi = {1 / PHI:.12f})")
 print()
 

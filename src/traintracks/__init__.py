@@ -51,14 +51,12 @@ from .limits import (
     CyclicOrbit,
     GrowthClass,
     HomothetyReport,
-    LengthSequence,
     LimitLengthReport,
     PerBlockReport,
     classify_growth,
     convergence_constants,
     homothety_check,
     limit_length,
-    normalized_sequence,
     per_block_lengths,
     polynomial_degree,
 )

@@ -235,17 +235,14 @@ def build_leaf_corpus(
     return LeafCorpus(tt=tt, prefixes=tuple(prefixes), depth=depth)
 
 
-def _occurrence_positions(text: str, pattern: str) -> np.ndarray:
-    """All (possibly overlapping) start positions of pattern in text."""
-    if not pattern or len(pattern) > len(text):
-        return np.empty(0, dtype=np.int64)
-    t = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    p = np.frombuffer(pattern.encode("ascii"), dtype=np.uint8)
-    n = len(t) - len(p) + 1
-    mask = np.ones(n, dtype=bool)
-    for j, pc in enumerate(p):
-        mask &= t[j : j + n] == pc
-    return np.flatnonzero(mask).astype(np.int64)
+def _occurrence_mask(codes: np.ndarray, pattern: str) -> np.ndarray:
+    """Where the pattern starts in the text's ASCII codes, overlaps included,
+    one numpy pass per pattern letter.  A non-ASCII letter reads as '?',
+    which no leaf edge is."""
+    mask = np.ones(max(len(codes) - len(pattern) + 1, 0), dtype=bool)
+    for j, pc in enumerate(pattern.encode("ascii", "replace")):
+        mask &= codes[j : j + len(mask)] == pc
+    return mask
 
 
 @dataclass
@@ -269,47 +266,29 @@ def quasiperiodicity_window(prefix: LeafPrefix, segment: str) -> WindowCertifica
 
     With occurrence starts p_0 < ... < p_r of width w in a prefix of length
     n, a window length L works iff p_0 + w <= L, consecutive gaps satisfy
-    p_{j+1} + w <= p_j + 1 + L, and p_r >= n - L.  Validity is monotone in
-    L, so the least L is found by bisection; L = n (the whole prefix) is
-    reported as degenerate rather than a certificate.
+    p_{j+1} + w <= p_j + 1 + L, and p_r >= n - L.  These are three lower
+    bounds on L, so the least L is their maximum; L = n (the whole prefix)
+    is reported as degenerate rather than a certificate.  The starts of both
+    orientations come from one mask, sorted and each counted once, also for
+    a self-inverse segment.
     """
     if not segment:
         raise NotALeafSegmentError("empty segment")
     word = prefix.word
     n = len(word)
     w = len(segment)
-    fwd = _occurrence_positions(word, segment)
-    bwd = _occurrence_positions(word, invert_word(segment))
-    occs = np.union1d(fwd, bwd)
-    if occs.size == 0:
+    codes = np.frombuffer(word.encode("ascii"), dtype=np.uint8)
+    starts = np.flatnonzero(_occurrence_mask(codes, segment) | _occurrence_mask(codes, invert_word(segment)))
+    if starts.size == 0:
         raise NotALeafSegmentError(
             f"segment of length {w} does not occur in the depth-{prefix.depth} prefix"
         )
-    starts = occs
-    first = int(starts[0])
-    last = int(starts[-1])
-    gaps = np.diff(starts) if starts.size > 1 else np.empty(0, dtype=np.int64)
-    max_gap = int(gaps.max()) if gaps.size else 0
-
-    def valid(L: int) -> bool:
-        if first + w > L:
-            return False
-        if max_gap and max_gap - 1 + w > L:
-            return False
-        return last >= n - L
-
-    lo, hi = w, n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if valid(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    status = "certified" if lo < n else "degenerate"
+    gap = int(np.diff(starts).max(initial=1))  # a lone start bounds nothing here
+    window = min(n, max(int(starts[0]) + w, gap - 1 + w, n - int(starts[-1])))
     return WindowCertificate(
         segment=segment,
-        window=lo,
-        status=status,
+        window=window,
+        status="certified" if window < n else "degenerate",
         occurrences=int(starts.size),
         prefix_length=n,
     )

@@ -183,41 +183,6 @@ def classify_growth(
         )
 
 
-@dataclass
-class LengthSequence:
-    word: str
-    lam: float
-    raw: list
-    normalized: list
-    truncated: bool
-
-
-def normalized_sequence(
-    auto: Automorphism,
-    word: str,
-    metric: Metric,
-    lam: float,
-    M: int = 40,
-    budget: int | None = None,
-    orbit: CyclicOrbit | None = None,
-) -> LengthSequence:
-    """Raw and lam-normalized translation lengths for m = 0..M.
-
-    The orbit is iterated on conjugacy representatives, reusing the previous
-    step; a budget cut truncates the sequence and flags it.
-    """
-    if orbit is None:
-        orbit = CyclicOrbit(auto, word, budget=budget)
-    raw = []
-    for m in range(M + 1):
-        w = orbit.word_at(m)
-        if w is None:
-            break
-        raw.append(path_length(w, metric))
-    normalized = [r / lam**m for m, r in enumerate(raw)]
-    return LengthSequence(word=word, lam=lam, raw=raw, normalized=normalized, truncated=len(raw) < M + 1)
-
-
 def _require_spectral(tt: TrainTrackData):
     if not tt.verdict.is_train_track:
         raise PreconditionError("limit lengths need a verified train track")

@@ -21,7 +21,6 @@ from .graphs import Graph, Metric, unit_metric
 from .laminations import (
     PROBE_M,
     build_leaf_corpus,
-    leaf_contains,
     quasiperiodicity_window,
     weak_limit_probe,
 )
@@ -385,14 +384,16 @@ def lengths_section(
 def lamination_section(corpus, segment: str | None = None) -> dict:
     """Leaf prefixes with a window per block for ``segment`` (each prefix's
     center by default), which reads ``absent`` in a prefix that lacks it."""
-    if segment and corpus.contains(segment) is None:
-        raise NotALeafSegmentError(f"segment {segment!r} does not occur in any depth-{corpus.depth} leaf prefix")
     windows = []
     for p in corpus.prefixes:
         seg = segment or p.centered_slice(3)
-        cert = quasiperiodicity_window(p, seg) if leaf_contains(p, seg) else None
-        window, status = (cert.window, cert.status) if cert else (None, "absent")
-        windows.append({"segment": seg, "window": window, "status": status})
+        try:
+            cert = quasiperiodicity_window(p, seg)
+            windows.append({"segment": seg, "window": cert.window, "status": cert.status})
+        except NotALeafSegmentError:
+            windows.append({"segment": seg, "window": None, "status": "absent"})
+    if all(w["status"] == "absent" for w in windows):
+        raise NotALeafSegmentError(f"segment {segment!r} does not occur in any depth-{corpus.depth} leaf prefix")
     return {
         "k": corpus.k,
         "depth": corpus.depth,

@@ -6,6 +6,7 @@ substitution code); every factor of a leaf must be a factor of it.  Window
 constants are cross-checked by literally scanning all windows of a prefix.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -360,6 +361,65 @@ def test_window_degenerate_on_whole_prefix(fib_tt):
     assert cert.status == "degenerate"
     assert not cert.certified
     assert cert.window == len(p.word)
+
+
+def _block_swap(auto):
+    """The rank-2r map x_i -> (image of x_i on the second r letters), y_i -> x_i:
+    the map's square acts on each half, so its cyclic index is at least 2."""
+    r = auto.rank
+    shift = str.maketrans(ALPHABET[:r], ALPHABET[r : 2 * r])
+    return Automorphism([w.translate(shift) for w in auto.images] + list(ALPHABET[:r]))
+
+
+def _starts(word, segment):
+    """Start positions of the segment in the word, overlaps included."""
+    found, i = set(), word.find(segment)
+    while i != -1:
+        found.add(i)
+        i = word.find(segment, i + 1)
+    return found
+
+
+# Products of signed Nielsen moves that are expanding train tracks whose
+# leaves cross edges in both orientations, so a segment and its inverse
+# both occur.
+MIXED_ORIENTATION = (("aC", "bcA", "cB"), ("Ca", "bCa", "bc"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(relabelled_positive_maps(), st.sampled_from(MIXED_ORIENTATION), st.integers(1, 3), st.data())
+def test_window_matches_brute_scan_on_generated_maps(maps, mixed, depth, data):
+    """On shallow leaf prefixes of generated train tracks, k > 1 included,
+    the closed-form window is the brute scan's, and each start of the
+    segment in either orientation counts once."""
+    mixed = Automorphism(list(mixed))
+    for auto in maps + (_block_swap(maps[0]), mixed, _block_swap(mixed)):
+        tt = analyze_train_track(rose_map(auto))
+        assert tt.verdict.is_train_track and tt.expanding
+        for block in range(tt.pf.k):
+            prefix = expand_leaf(tt, find_eigen_seed(tt, block=block), depth=depth, budget=300)
+            word = prefix.word
+            i = data.draw(st.integers(0, len(word) - 1))
+            segment = word[i : i + data.draw(st.integers(1, 6))]
+            if data.draw(st.booleans()):
+                segment = invert_word(segment)
+            fwd, bwd = _starts(word, segment), _starts(word, invert_word(segment))
+            assert not fwd & bwd  # a reduced segment is not its own inverse
+            cert = quasiperiodicity_window(prefix, segment)
+            assert cert.window == brute_window(word, segment)
+            assert cert.certified == (cert.window < len(word))
+            assert cert.occurrences == len(fwd | bwd)
+
+
+def test_self_inverse_segment_counts_once(fib_corpus):
+    """aA is its own inverse and no leaf segment; in a word that holds it,
+    each start counts once, not once per orientation."""
+    with pytest.raises(NotALeafSegmentError):
+        quasiperiodicity_window(fib_corpus.prefixes[0], "aA")
+    holder = dataclasses.replace(fib_corpus.prefixes[0], word="baAbaAb", center=0)
+    cert = quasiperiodicity_window(holder, "aA")
+    assert cert.occurrences == 2
+    assert cert.window == brute_window(holder.word, "aA") == 4
 
 
 # -------------------------------------------------- matching statistics

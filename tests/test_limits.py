@@ -25,7 +25,6 @@ from traintracks import (
     convergence_constants,
     homothety_check,
     limit_length,
-    normalized_sequence,
     path_length,
     per_block_lengths,
     polynomial_degree,
@@ -71,29 +70,41 @@ def test_cyclic_orbit_budget(fib):
 # ------------------------------------------------- normalized sequences
 
 
+def normalized_lengths(orbit, metric, lam, M):
+    """lam^-m |psi^m(x)| in the metric for m = 0..M, up to a budget cut."""
+    values = []
+    for m in range(M + 1):
+        w = orbit.word_at(m)
+        if w is None:
+            break
+        values.append(path_length(w, metric) / lam**m)
+    return values
+
+
 def test_fibonacci_positive_words_are_constant(fib, fib_tt):
     """No cancellation on positive words: the normalized sequence is flat."""
     lam, metric = fib_tt.pf.lam, fib_tt.metric
     for word in ("a", "b", "ab", "aab"):
-        seq = normalized_sequence(fib, word, metric, lam, M=25)
-        first = seq.normalized[0]
+        orbit = CyclicOrbit(fib, word)
+        normalized = normalized_lengths(orbit, metric, lam, M=25)
+        first = normalized[0]
         assert first == pytest.approx(path_length(word, metric), abs=1e-12)
-        for t in seq.normalized:
+        for t in normalized:
             assert t == pytest.approx(first, abs=1e-10)
-        assert not seq.truncated
+        assert len(normalized) == 26 and not orbit.truncated
 
 
-def test_sequence_truncates_on_budget(fib, fib_tt):
-    seq = normalized_sequence(fib, "a", fib_tt.metric, fib_tt.pf.lam, M=40, budget=50)
-    assert seq.truncated
-    assert len(seq.raw) < 41
+def test_sequence_truncates_on_budget(fib):
+    orbit = CyclicOrbit(fib, "a", budget=50)
+    raw = [orbit.length_at(m) for m in range(41)]
+    assert orbit.truncated
+    assert len([n for n in raw if n is not None]) < 41
 
 
 def test_normalized_sequences_non_increasing(rank4, rank4_tt):
     lam, metric, k = rank4_tt.pf.lam, rank4_tt.metric, rank4_tt.pf.k
     for word in ("a", "ac", "aB", "abc", "aBcD"):
-        seq = normalized_sequence(rank4, word, metric, lam, M=30)
-        strided = seq.normalized[::k]
+        strided = normalized_lengths(CyclicOrbit(rank4, word), metric, lam, M=30)[::k]
         for x, y in zip(strided, strided[1:]):
             assert y <= x + 1e-9
 
