@@ -38,7 +38,8 @@ for depth in range(1, 6):
     prev = leaf
 print("  (each word extends the previous one on both sides: the leaf is their union)\n")
 
-deep = expand_leaf(fib, seed, depth=12)
+leaves = build_leaf_corpus(fib, depth=12)
+deep = leaves.prefixes[0]  # the seed above, grown 12 times
 print(f"depth-12 prefix: {len(deep.word)} edges, 'bb' occurs: {'bb' in deep.word}")
 print()
 
@@ -53,7 +54,6 @@ for segment in ("a", "b", "ab", "aba", "abaab"):
 print()
 
 # -- membership and the heaviest leaf segment in a loop ----------------------
-leaves = build_leaf_corpus(fib, depth=12)
 for w in ("abaab", "abAB"):
     match = longest_leaf_segment(w, leaves, fib.metric)
     inside = leaf_contains(deep, w)

@@ -283,7 +283,7 @@ def quasiperiodicity_window(prefix: LeafPrefix, segment: str) -> WindowCertifica
         raise NotALeafSegmentError(
             f"segment of length {w} does not occur in the depth-{prefix.depth} prefix"
         )
-    gap = int(np.diff(starts).max(initial=1))  # a lone start bounds nothing here
+    gap = int(np.diff(starts).max(initial=1))  # a lone start: gap bound w, under p_0 + w
     window = min(n, max(int(starts[0]) + w, gap - 1 + w, n - int(starts[-1])))
     return WindowCertificate(
         segment=segment,

@@ -353,6 +353,8 @@ def test_window_rejects_non_segments(fib_corpus):
         quasiperiodicity_window(p, "abb")
     with pytest.raises(NotALeafSegmentError):
         quasiperiodicity_window(p, "")
+    with pytest.raises(NotALeafSegmentError):
+        quasiperiodicity_window(p, "a\u00e9")  # not ASCII, so no leaf edge
 
 
 def test_window_degenerate_on_whole_prefix(fib_tt):

@@ -477,7 +477,9 @@ def classes_of_positive_maps(draw):
 def test_certified_limit_matches_delta_reference(reference_limit, case):
     """Certified limits equal the delta-extrapolated reference, lie in the
     reported interval, and each step along the orbit loses at most 2C per
-    illegal turn: |psi(w)| >= lam |w| - 2 C t(w)."""
+    illegal turn: |psi(w)| >= lam |w| - 2 C t(w).  Both bounds hold for the
+    exact eigenvector; the float one misses nu A = lam nu by up to its
+    residual per letter, which the slack carries."""
     auto, word = case
     tt = analyze_train_track(rose_map(auto))
     orbit = CyclicOrbit(auto, word)
@@ -491,7 +493,8 @@ def test_certified_limit_matches_delta_reference(reference_limit, case):
     lam, C = tt.pf.lam, tt.cancellation_constant
     for w, image in zip(orbit.words, orbit.words[1:]):
         loss = lam * path_length(w, tt.metric) - path_length(image, tt.metric)
-        assert -1e-9 <= loss <= 2 * C * _illegal_turns(w, legal) + 1e-9
+        slack = 1e-9 + tt.pf.residual * len(w)
+        assert -slack <= loss <= 2 * C * _illegal_turns(w, legal) + slack
 
 
 @st.composite
