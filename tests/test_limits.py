@@ -477,9 +477,7 @@ def classes_of_positive_maps(draw):
 def test_certified_limit_matches_delta_reference(reference_limit, case):
     """Certified limits equal the delta-extrapolated reference, lie in the
     reported interval, and each step along the orbit loses at most 2C per
-    illegal turn: |psi(w)| >= lam |w| - 2 C t(w).  Both bounds hold for the
-    exact eigenvector; the float one misses nu A = lam nu by up to its
-    residual per letter, which the slack carries."""
+    illegal turn: |psi(w)| >= lam |w| - 2 C t(w)."""
     auto, word = case
     tt = analyze_train_track(rose_map(auto))
     orbit = CyclicOrbit(auto, word)
@@ -493,8 +491,24 @@ def test_certified_limit_matches_delta_reference(reference_limit, case):
     lam, C = tt.pf.lam, tt.cancellation_constant
     for w, image in zip(orbit.words, orbit.words[1:]):
         loss = lam * path_length(w, tt.metric) - path_length(image, tt.metric)
-        slack = 1e-9 + tt.pf.residual * len(w)
-        assert -slack <= loss <= 2 * C * _illegal_turns(w, legal) + slack
+        assert -1e-9 <= loss <= 2 * C * _illegal_turns(w, legal) + 1e-9
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="pf_eigen stops at tol 1e-12, so nu A misses lam nu by 3.4e-13 per letter "
+    "and a 22,058-letter step loses -3.0e-9",
+)
+def test_step_loss_bound_on_long_orbit_words():
+    """A class drawn by the property test above on which the float
+    eigenvector breaks the lower step bound loss >= -1e-9.  The loss stays
+    -3.0e-9 with exact rational sums, so the eigenvector is at fault."""
+    auto = Automorphism(["ba", "c", "dcba", "a"])
+    tt = analyze_train_track(rose_map(auto))
+    orbit = CyclicOrbit(auto, "DCb")
+    limit_length(auto, "DCb", tt, M=40 * tt.pf.k, orbit=orbit)
+    for w, image in zip(orbit.words, orbit.words[1:]):
+        assert tt.pf.lam * path_length(w, tt.metric) - path_length(image, tt.metric) >= -1e-9
 
 
 @st.composite
