@@ -42,8 +42,8 @@ print()
 # -- a reducible map has no such data --------------------------------------
 uni = analyze_train_track(rose_map(corpus.get("unipotent")))
 print("unipotent (a->a, b->ba):")
-print(f"  irreducible: {uni.gmap.is_irreducible()}")
-print(f"  invariant subgraph: {uni.gmap.find_invariant_subgraph()}")
+print(f"  irreducible: {uni.irreducible}")
+print(f"  invariant subgraph: {uni.invariant}")
 print(f"  spectral data: {uni.pf}")
 print()
 

@@ -81,7 +81,6 @@ from .spectral import (
     TrainTrackData,
     analyze_train_track,
     cyclic_index,
-    eigenmetric,
     is_irreducible_matrix,
     is_simplicial,
     pf_eigen,
@@ -89,15 +88,12 @@ from .spectral import (
 )
 from .words import (
     Automorphism,
-    CyclicWord,
     ValidationReport,
     canonical_rotation,
     cyclic_reduce,
     enumerate_cyclic_words,
     format_word,
     invert_word,
-    is_cyclically_reduced,
-    is_reduced,
     parse_word,
     reduce_word,
 )

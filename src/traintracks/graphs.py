@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError
-from .words import ALPHABET, MAX_RANK
+from .words import ALPHABET, MAX_RANK, letter_counts, letter_index
 
 
 class Graph:
@@ -68,14 +68,6 @@ class Graph:
 
     def betti(self) -> int:
         return self.edge_pairs - self.vertex_count + 1
-
-    def is_path(self, word: str) -> bool:
-        """True when every letter is an edge and consecutive ones compose."""
-        try:
-            self.check_path(word)
-        except InputError:
-            return False
-        return True
 
     def check_path(self, word: str) -> str:
         """Return ``word`` if it is an edge path, else raise :class:`InputError`.
@@ -162,13 +154,8 @@ def path_length(word: str, metric: Metric) -> float:
     return float(metric._table[codes].sum())
 
 
-def block_path_length(word: str, metric: Metric, block_letters: frozenset) -> float:
-    """Metric length of the part of a path lying on a given set of edge pairs."""
-    if not word:
-        return 0.0
-    total = 0.0
-    table = metric._table
-    for letter in set(word):
-        if letter.lower() in block_letters:
-            total += word.count(letter) * table[ord(letter)]
-    return float(total)
+def block_path_length(word: str, metric: Metric, block_letters) -> float:
+    """Metric length of the part of a path lying on a given set of edge pairs,
+    summed in letter order, so it does not depend on string hashing."""
+    idx = [letter_index(g) for g in sorted(block_letters)]
+    return float(letter_counts(word, len(metric)).sum(axis=0)[idx] @ metric.lengths[idx])

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .graphs import Metric, path_length
 from .spectral import TrainTrackData
-from .words import DEFAULT_WORD_BUDGET, canonical_rotation, invert_word
+from .words import DEFAULT_WORD_BUDGET, canonical_rotation, invert_word, letter_counts
 
 # Orbit horizon of the leaf probe; the equivalence sweep retries a lone
 # dissenting probe at 2x and 4x this horizon.
@@ -96,11 +96,9 @@ def find_eigen_seed(tt: TrainTrackData, block: int | None = None) -> LeafSeed:
     k = tt.pf.k
     candidates = [(e, b) for b in (range(k) if block is None else [block]) for e in tt.pf.blocks[b]]
     dirs = gmap.graph.letters + gmap.graph.letters.upper()
-    step = np.zeros((len(dirs), len(dirs)), dtype=object)  # exact integers
-    for i, d in enumerate(dirs):
-        for ch in gmap.image_of_letter(d):
-            step[i, dirs.index(ch)] += 1
-    step = np.linalg.matrix_power(step, k)
+    # row i counts the directions crossed by the image of dirs[i], as exact Python integers
+    oriented = [letter_counts(gmap.image_of_letter(d), gmap.graph.edge_pairs).ravel().tolist() for d in dirs]
+    step = np.linalg.matrix_power(np.array(oriented, dtype=object), k)
     rows = [dirs.index(e) for e, _ in candidates]
     counts = np.identity(len(dirs), dtype=object)[rows]
     power = 0

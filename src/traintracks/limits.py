@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InternalConsistencyError, PreconditionError
 from .graphs import Metric, block_path_length, path_length
 from .spectral import TrainTrackData, pf_eigen
-from .words import Automorphism, check_word, cyclic_reduce, letter_index, reduce_word
+from .words import Automorphism, check_word, cyclic_reduce, letter_counts, letter_index, reduce_word
 
 MONOTONE_SLACK = 1e-9
 
@@ -81,7 +81,7 @@ class CyclicOrbit:
                     return None
                 n = len(w)
                 if self.tt is not None and self.tt.gmap.is_legal_cyclic(w):
-                    self.counts = np.bincount([letter_index(ch) for ch in w], minlength=self.auto.rank)
+                    self.counts = letter_counts(w, self.auto.rank).sum(axis=0)
             else:
                 self.counts = self.tt.matrix @ self.counts
                 n = int(self.counts.sum())
@@ -90,10 +90,6 @@ class CyclicOrbit:
                     return None
             self.lengths.append(n)
         return self.lengths[m]
-
-    @property
-    def computed(self) -> int:
-        return len(self.words) - 1
 
 
 @dataclass
@@ -118,15 +114,15 @@ class GrowthClass:
         return f"Polynomial({deg})"
 
 
-def _tail_is_flat(values, window: int = 10, rel: float = 0.05) -> bool:
-    tail = values[-window:]
-    return len(tail) >= 3 and max(tail) - min(tail) <= rel * max(abs(v) for v in tail)
+def _tail_is_flat(values) -> bool:
+    tail = values[-10:]
+    return len(tail) >= 3 and max(tail) - min(tail) <= 0.05 * max(abs(v) for v in tail)
 
 
-def polynomial_degree(lengths, cap: int = 6):
-    """Least d whose d-th finite differences settle (last 10 values within 5%)."""
+def polynomial_degree(lengths):
+    """Least d <= 6 whose d-th finite differences settle (last 10 values within 5%)."""
     vals = [float(v) for v in lengths]
-    for d in range(cap + 1):
+    for d in range(7):
         if _tail_is_flat(vals):
             return d
         vals = list(np.diff(vals))
@@ -138,7 +134,6 @@ def classify_growth(
     word: str,
     M: int = 40,
     eps: float = 0.05,
-    budget: int | None = None,
     orbit: CyclicOrbit | None = None,
 ) -> GrowthClass:
     """Classify the conjugacy growth of a class from raw reduced lengths.
@@ -152,7 +147,7 @@ def classify_growth(
     captured by it.
     """
     if orbit is None:
-        orbit = CyclicOrbit(auto, word, budget=budget)
+        orbit = CyclicOrbit(auto, word)
     escalated, cap = False, M
     while True:
         lengths = []
@@ -362,11 +357,10 @@ def per_block_lengths(tt: TrainTrackData, rep: LimitLengthReport, orbit: CyclicO
     _require_spectral(tt)
     if not tt.expanding:
         raise PreconditionError("per-block lengths need an expanding stretch factor")
-    blocks = [frozenset(b) for b in tt.pf.blocks]
 
     def split(m):
         w = orbit.word_at(m)
-        return [block_path_length(w, tt.metric, b) / tt.pf.lam**m for b in blocks]
+        return [block_path_length(w, tt.metric, b) / tt.pf.lam**m for b in tt.pf.blocks]
 
     limits = split(rep.m_stop)
     if rep.certificate == "splitting":
@@ -382,14 +376,9 @@ class HomothetyReport:
     skipped: list
 
 
-def homothety_check(
-    auto: Automorphism,
-    tt: TrainTrackData,
-    words,
-    M: int = 80,
-    tol: float = 1e-7,
-) -> HomothetyReport:
-    """Verify |psi(x)| = lam * |x| on limit lengths over the given words.
+def homothety_check(auto: Automorphism, tt: TrainTrackData, words) -> HomothetyReport:
+    """Verify |psi(x)| = lam * |x| on limit lengths over the given words,
+    each limit taken to m = 80 with tol 1e-7.
 
     Words not classified Exponential are skipped (their limit is zero on
     both sides).  For a non-expanding map the eigenmetric lengths themselves
@@ -406,12 +395,11 @@ def homothety_check(
             checked.append((word, err))
             worst = max(worst, err)
             continue
-        rep = limit_length(auto, word, tt, M=M, tol=tol, orbit=orbit)
+        rep = limit_length(auto, word, tt, M=80, tol=1e-7, orbit=orbit)
         if not rep.classification.is_exponential:
             skipped.append(word)
             continue
-        image_word = orbit.word_at(1)
-        rep_img = limit_length(auto, image_word, tt, M=M, tol=tol)
+        rep_img = limit_length(auto, orbit.word_at(1), tt, M=80, tol=1e-7)
         target = tt.pf.lam * rep.limit
         err = abs(rep_img.limit - target) / target
         checked.append((word, err))

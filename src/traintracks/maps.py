@@ -17,7 +17,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import BudgetExceededError, InputError
 from .graphs import Graph, rose
-from .words import ALPHABET, DEFAULT_WORD_BUDGET, Automorphism, letter_index, reduce_word, signed_substitution
+from .words import ALPHABET, DEFAULT_WORD_BUDGET, Automorphism, letter_counts, reduce_word, signed_substitution
 
 
 def _turn(d1: str, d2: str) -> frozenset:
@@ -111,8 +111,14 @@ class GraphMap:
         return self._subst(word)
 
     def iterate_path(self, word: str, m: int, budget: int | None = None) -> str:
+        """m-fold image of an edge path, tightened at every step.
+
+        Raises :class:`InputError` if ``word`` is not an edge path, and
+        :class:`BudgetExceededError` carrying the number of completed
+        applications and the last in-budget path.
+        """
         cap = self.budget if budget is None else budget
-        w = reduce_word(word, self.graph.edge_pairs)
+        w = reduce_word(self.graph.check_path(word), self.graph.edge_pairs)
         for j in range(m):
             try:
                 w = self.map_path(w, budget=cap)
@@ -141,22 +147,7 @@ class GraphMap:
         crossed by the image of e'.  Column sums are the image lengths.
         """
         n = self.graph.edge_pairs
-        mat = np.zeros((n, n), dtype=np.int64)
-        for j, w in enumerate(self.edge_images):
-            for ch in w:
-                mat[letter_index(ch), j] += 1
-        return mat
-
-    def is_irreducible(self) -> bool:
-        return self.find_invariant_subgraph() is None
-
-    def find_invariant_subgraph(self):
-        """A proper nonempty set of edge pairs closed under the map, or None.
-
-        Closed means the image of every edge in the set only crosses edges of
-        the set; irreducibility is exactly the absence of such a witness.
-        """
-        return invariant_subgraph(self.transition_matrix())
+        return np.column_stack([letter_counts(w, n).sum(axis=0) for w in self.edge_images])
 
     # ----------------------------------------------------------------- turns
 

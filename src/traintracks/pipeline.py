@@ -298,11 +298,10 @@ def train_track_section(tt: TrainTrackData) -> dict:
 
 
 def transition_section(tt: TrainTrackData) -> dict:
-    invariant = tt.gmap.find_invariant_subgraph()
     return {
         "matrix": tt.matrix.tolist(),
         "irreducible": tt.irreducible,
-        "invariant_subgraph": sorted(invariant) if invariant else None,
+        "invariant_subgraph": sorted(tt.invariant) if tt.invariant else None,
     }
 
 

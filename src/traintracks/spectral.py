@@ -18,7 +18,7 @@ from .cancellation import cancellation_bound
 from .errors import NotIrreducibleError, PowerIterationError
 from .graphs import Metric, path_length
 from .maps import GraphMap, TrainTrackVerdict, invariant_subgraph, rose_map
-from .words import ALPHABET, Automorphism, letter_index
+from .words import ALPHABET, Automorphism
 
 DEFAULT_TOL = 1e-12
 MAX_POWER_ITERATIONS = 10**6
@@ -69,6 +69,8 @@ class PFData:
 
     ``nu`` is the left eigenvector (nu @ A = lam * nu), entrywise positive and
     summing to 1; ``residual`` is the max-norm defect of that identity.
+    ``primitive_first_return`` is all True: for an irreducible matrix of
+    period k, A^k is primitive on each cyclic block (Frobenius normal form).
     """
 
     lam: float
@@ -82,25 +84,6 @@ class PFData:
     @property
     def expanding(self) -> bool:
         return self.lam > 1 + 1e-9
-
-
-def _first_return_primitive(mat: np.ndarray, k: int, blocks: tuple) -> tuple:
-    full = np.linalg.matrix_power(mat, k) > 0
-    flags = []
-    for block in blocks:
-        idx = [letter_index(c) for c in block]
-        sub = full[np.ix_(idx, idx)]
-        n = len(idx)
-        # Wielandt bound: primitive iff some power up to (n-1)^2 + 1 is positive
-        power = np.eye(n, dtype=bool)
-        primitive = False
-        for _ in range((n - 1) ** 2 + 1):
-            power = (power.astype(np.int64) @ sub.astype(np.int64)) > 0
-            if power.all():
-                primitive = True
-                break
-        flags.append(primitive)
-    return tuple(flags)
 
 
 def pf_eigen(matrix, tol: float = DEFAULT_TOL, max_iter: int = MAX_POWER_ITERATIONS) -> PFData:
@@ -154,14 +137,9 @@ def pf_eigen(matrix, tol: float = DEFAULT_TOL, max_iter: int = MAX_POWER_ITERATI
         k=k,
         blocks=blocks,
         residual=residual,
-        primitive_first_return=_first_return_primitive(mat.astype(np.int64), k, blocks),
+        primitive_first_return=(True,) * k,
         iterations=used,
     )
-
-
-def eigenmetric(pf: PFData) -> Metric:
-    """The metric with edge lengths given by the left eigenvector."""
-    return Metric(pf.nu)
 
 
 def is_simplicial(matrix) -> bool:
@@ -176,9 +154,13 @@ class TrainTrackData:
     gmap: GraphMap
     verdict: TrainTrackVerdict
     matrix: np.ndarray
-    irreducible: bool
+    invariant: frozenset | None  # a proper invariant subgraph, None when irreducible
     pf: PFData | None
     metric: Metric | None
+
+    @property
+    def irreducible(self) -> bool:
+        return self.invariant is None
 
     @property
     def expanding(self) -> bool:
@@ -204,15 +186,10 @@ def analyze_train_track(gmap: GraphMap, tol: float = DEFAULT_TOL) -> TrainTrackD
     """Run the verdict, irreducibility and spectral stages on one map."""
     verdict = gmap.is_train_track()
     mat = gmap.transition_matrix()
-    irreducible = is_irreducible_matrix(mat)
-    pf = None
-    metric = None
-    if irreducible:
-        pf = pf_eigen(mat, tol=tol)
-        metric = eigenmetric(pf)
-    return TrainTrackData(
-        gmap=gmap, verdict=verdict, matrix=mat, irreducible=irreducible, pf=pf, metric=metric
-    )
+    invariant = invariant_subgraph(mat)
+    pf = pf_eigen(mat, tol=tol) if invariant is None else None
+    metric = None if pf is None else Metric(pf.nu)  # the eigenmetric
+    return TrainTrackData(gmap=gmap, verdict=verdict, matrix=mat, invariant=invariant, pf=pf, metric=metric)
 
 
 def train_track_twist(auto: Automorphism, tt: TrainTrackData) -> tuple[Automorphism, TrainTrackData]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._subst import SubstTable
-from .errors import BudgetExceededError, InputError
+from .errors import InputError
 
 # The generators in order; every module spells letters and edges with it.
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
@@ -38,10 +38,24 @@ _CANON_IN = "".join(c + c.upper() for c in ALPHABET)
 _CANON_TABLE = str.maketrans(_CANON_IN, "".join(map(chr, range(33, 33 + 52))))
 _CANON_BACK = str.maketrans("".join(map(chr, range(33, 33 + 52))), _CANON_IN)
 
+# ASCII codes of the generators (row 0) and of their inverses (row 1).
+_ORIENTED_CODES = np.array([[ord(g) for g in ALPHABET], [ord(g) for g in ALPHABET.upper()]])
+
 
 def letter_index(letter: str) -> int:
     """0-based generator index of a letter, ignoring orientation."""
     return ord(letter.lower()) - 97
+
+
+def letter_counts(word: str, rank: int) -> np.ndarray:
+    """Exact occurrences of the first ``rank`` generators (row 0) and of their
+    inverses (row 1) in a word, one ``bincount`` over its ASCII codes.
+
+    >>> letter_counts("abAa", 2).tolist()
+    [[2, 1], [1, 0]]
+    """
+    counts = np.bincount(np.frombuffer(word.encode("ascii"), dtype=np.uint8), minlength=128)
+    return counts[_ORIENTED_CODES[:, :rank]].astype(np.int64, copy=False)
 
 
 def invert_word(word: str) -> str:
@@ -88,10 +102,6 @@ def reduce_word(word: str, rank: int | None = None) -> str:
             return w
 
 
-def is_reduced(word: str) -> bool:
-    return all(word[i] != word[i + 1].swapcase() for i in range(len(word) - 1))
-
-
 def cyclic_reduce(word: str) -> tuple[str, str]:
     """Split a freely reduced word as ``conj * core * conj^-1``.
 
@@ -112,12 +122,6 @@ def cyclic_reduce(word: str) -> tuple[str, str]:
     return word[lo:hi], word[:lo]
 
 
-def is_cyclically_reduced(word: str) -> bool:
-    if not is_reduced(word):
-        return False
-    return len(word) < 2 or word[0] != word[-1].swapcase()
-
-
 def canonical_rotation(word: str) -> str:
     """Lexicographically least rotation under the index-then-orientation order.
 
@@ -129,39 +133,6 @@ def canonical_rotation(word: str) -> str:
     t = word.translate(_CANON_TABLE)
     doubled, n, least = t + t, len(t), min(t)
     return min(doubled[i : i + n] for i, ch in enumerate(t) if ch == least).translate(_CANON_BACK)
-
-
-class CyclicWord:
-    """A conjugacy class, stored as the canonical rotation of its cyclic reduction.
-
-    Equality and hashing are rotation invariant; a class and its inverse are
-    distinct.
-    """
-
-    __slots__ = ("word",)
-
-    def __init__(self, word: str, rank: int | None = None):
-        if rank is not None:
-            check_word(word, rank)
-        core, _ = cyclic_reduce(reduce_word(word))
-        self.word = canonical_rotation(core)
-
-    def __len__(self):
-        return len(self.word)
-
-    def __eq__(self, other):
-        if isinstance(other, CyclicWord):
-            return self.word == other.word
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((CyclicWord, self.word))
-
-    def inverse(self) -> "CyclicWord":
-        return CyclicWord(invert_word(self.word))
-
-    def __repr__(self):
-        return f"CyclicWord({self.word!r})"
 
 
 def enumerate_cyclic_words(rank: int, max_len: int):
@@ -285,10 +256,6 @@ class Automorphism:
         self.budget = budget
         _, self._subst = signed_substitution(self.images)
 
-    def substitute(self, word: str) -> str:
-        """Letterwise substitution without reduction."""
-        return self._subst(word)
-
     def apply(self, word: str) -> str:
         """Image of a reduced word, freely reduced."""
         return reduce_word(self._subst(word), self.rank)
@@ -301,25 +268,6 @@ class Automorphism:
         """
         core, _ = cyclic_reduce(self.apply(word))
         return core
-
-    def iterate(self, word: str, m: int, budget: int | None = None) -> str:
-        """m-fold image of a word, reduced at every step.
-
-        Raises :class:`BudgetExceededError` carrying the number of completed
-        applications and the last in-budget word.
-        """
-        cap = self.budget if budget is None else budget
-        w = reduce_word(check_word(word, self.rank), self.rank)
-        for j in range(m):
-            nxt = self.apply(w)
-            if len(nxt) > cap:
-                raise BudgetExceededError(
-                    f"length {len(nxt)} exceeds budget {cap} at application {j + 1}",
-                    m_reached=j,
-                    partial=w,
-                )
-            w = nxt
-        return w
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """The composition self . other (apply ``other`` first)."""
@@ -334,11 +282,7 @@ class Automorphism:
 
     def abelianization(self) -> np.ndarray:
         """Exponent-sum matrix; column j is the image of generator j."""
-        mat = np.zeros((self.rank, self.rank), dtype=np.int64)
-        for j, w in enumerate(self.images):
-            for ch in w:
-                mat[letter_index(ch), j] += 1 if ch.islower() else -1
-        return mat
+        return np.column_stack([np.subtract(*letter_counts(w, self.rank)) for w in self.images])
 
     def validate(self) -> ValidationReport:
         problems = []

@@ -47,12 +47,12 @@ def test_theta_incidence():
     assert g.betti() == 2
     assert g.origin("a") == 0 and g.terminus("a") == 1
     assert g.origin("A") == 1 and g.terminus("A") == 0
-    assert g.is_path("aB")
-    assert g.is_path("aBcA")
-    assert not g.is_path("ab")  # both leave vertex 0
-    assert not g.is_path("ax")
+    assert g.check_path("aB") == "aB"
+    assert g.check_path("aBcA") == "aBcA"
     with pytest.raises(InputError):
-        g.check_path("ab")
+        g.check_path("ab")  # both leave vertex 0
+    with pytest.raises(InputError):
+        g.check_path("ax")
 
 
 def test_edge_path_tightens():

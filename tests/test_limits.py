@@ -8,6 +8,9 @@ a b^-1 drops once and is then constant at 1/phi^3.
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -47,7 +50,7 @@ def test_cyclic_orbit_basic(fib):
     orbit = CyclicOrbit(fib, "a")
     assert orbit.word_at(0) == "a"
     assert orbit.word_at(3) == "abaab"
-    assert orbit.computed == 3
+    assert len(orbit.words) - 1 == 3
     # raw lengths are Fibonacci numbers: |psi^m(a)| = F_{m+2}
     fibs = [1, 1, 2, 3, 5, 8, 13, 21, 34]
     for m in range(1, 8):
@@ -322,6 +325,28 @@ def test_per_block_fibonacci_is_whole_limit(fib, fib_tt):
     rep = split(fib, "ab", fib_tt)
     assert len(rep.limits) == 1
     assert rep.total == pytest.approx(1.0, abs=1e-9)
+
+
+def test_per_block_independent_of_hash_seed():
+    """Block lengths sum in letter order, not in string-hash order: this
+    rank-6 map's single block read two different floats under hash seeds 0
+    and 1 when the sum ran over the set of the word's letters."""
+    import traintracks
+
+    code = (
+        "from traintracks import Automorphism, CyclicOrbit, analyze_train_track, limit_length\n"
+        "from traintracks import per_block_lengths, rose_map\n"
+        "auto = Automorphism(['bafedafc', 'c', 'd', 'e', 'fbafc', 'afc'])\n"
+        "tt = analyze_train_track(rose_map(auto))\n"
+        "orbit = CyclicOrbit(auto, 'a', tt=tt)\n"
+        "print(repr(per_block_lengths(tt, limit_length(auto, 'a', tt, orbit=orbit), orbit).limits))\n"
+    )
+    src = os.path.dirname(os.path.dirname(traintracks.__file__))
+    outs = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        outs.add(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout)
+    assert len(outs) == 1, outs
 
 
 def iterated_per_block(auto, word, tt, M=80, tol=1e-7):

@@ -14,12 +14,14 @@ from traintracks import (
     Graph,
     GraphMap,
     InputError,
+    analyze_train_track,
     reduce_word,
     rose,
     rose_map,
     to_automorphism,
 )
 from traintracks import corpus
+from traintracks.maps import invariant_subgraph
 
 CORPUS = sorted(corpus.REGISTRY)
 
@@ -84,20 +86,21 @@ FROZEN_IRREDUCIBLE = {
 
 @pytest.mark.parametrize("name", CORPUS)
 def test_irreducibility_frozen(name):
-    gmap = rose_map(corpus.get(name))
-    assert gmap.is_irreducible() == FROZEN_IRREDUCIBLE[name]
+    tt = analyze_train_track(rose_map(corpus.get(name)))
+    assert tt.irreducible == FROZEN_IRREDUCIBLE[name]
+    assert (invariant_subgraph(tt.matrix) is None) == FROZEN_IRREDUCIBLE[name]
 
 
 def test_invariant_subgraph_witnesses():
-    uni = rose_map(corpus.unipotent_rank2())
-    assert uni.find_invariant_subgraph() == frozenset("a")
+    uni = analyze_train_track(rose_map(corpus.unipotent_rank2()))
+    assert uni.invariant == frozenset("a")
 
-    ident = rose_map(corpus.identity_rank2())
-    witness = ident.find_invariant_subgraph()
+    ident = analyze_train_track(rose_map(corpus.identity_rank2()))
+    witness = ident.invariant
     assert witness is not None and 0 < len(witness) < 2
 
-    fib = rose_map(corpus.fibonacci())
-    assert fib.find_invariant_subgraph() is None
+    fib = analyze_train_track(rose_map(corpus.fibonacci()))
+    assert fib.invariant is None
 
 
 # ------------------------------------------------------------------ turns
@@ -242,6 +245,13 @@ def test_iterate_path_budget(fib_tt):
     assert exc.value.partial
 
 
+def test_iterate_path_rejects_non_paths():
+    with pytest.raises(InputError):
+        rose_map(corpus.fibonacci()).iterate_path("x", 2)
+    with pytest.raises(InputError):
+        GraphMap(theta(), ("b", "c", "a")).iterate_path("ab", 1)  # a and b both leave vertex 0
+
+
 def test_compose_is_square(fib_tt):
     gmap = fib_tt.gmap
     sq = gmap.compose(gmap)
@@ -266,7 +276,7 @@ def test_theta_edge_rotation_is_train_track():
     assert np.array_equal(
         gmap.transition_matrix(), np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
     )
-    assert gmap.is_irreducible()
+    assert invariant_subgraph(gmap.transition_matrix()) is None
 
 
 def test_graph_map_rejects_bad_images():

@@ -390,7 +390,10 @@ def test_growth_section_without_train_track_twist():
     same, same_tt = train_track_twist(auto, tt)
     assert not tt.verdict.is_train_track and same is auto and same_tt is tt
     sweep = enumerate_cyclic_words(2, 1)
-    n_exp = sum(classify_growth(auto, w, M=SWEEP_M, budget=SWEEP_BUDGET).is_exponential for w in sweep)
+    n_exp = sum(
+        classify_growth(auto, w, M=SWEEP_M, orbit=CyclicOrbit(auto, w, budget=SWEEP_BUDGET)).is_exponential
+        for w in sweep
+    )
     assert growth_section(auto, tt, sweep, None, AnalysisConfig(max_word_len=1)) == {
         "sweep_len": 1, "classes": len(sweep), "exponential": n_exp, "polynomial": len(sweep) - n_exp,
     }

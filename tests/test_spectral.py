@@ -14,15 +14,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from traintracks import (
+    Metric,
     NotIrreducibleError,
     PowerIterationError,
     cyclic_index,
-    eigenmetric,
     is_irreducible_matrix,
     is_simplicial,
     path_length,
     pf_eigen,
 )
+from traintracks.words import letter_index
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -141,6 +142,51 @@ def test_pf_matches_dense_eigensolver(mat):
     assert float(np.abs(pf.nu @ mat - pf.lam * pf.nu).max()) < 1e-8
 
 
+@st.composite
+def cyclic_matrices(draw):
+    """An irreducible matrix with k planted cyclic classes: its digraph only
+    steps from class r to class r + 1 mod k, along a closed walk through
+    every vertex plus random such steps.  Returns the matrix and k."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=k, max_size=k))
+    first = np.cumsum([0] + sizes)
+    n = int(first[-1])
+    mat = np.zeros((n, n), dtype=np.int64)
+    walk = [int(first[t % k]) + (t // k) % sizes[t % k] for t in range(max(sizes) * k)]
+    for u, v in zip(walk, walk[1:] + walk[:1]):
+        mat[v, u] = 1
+    for r in range(k):
+        for u in range(first[r], first[r + 1]):
+            s = (r + 1) % k
+            for v in range(first[s], first[s + 1]):
+                mat[v, u] = max(mat[v, u], draw(st.integers(min_value=0, max_value=2)))
+    return mat, k
+
+
+@settings(max_examples=200, deadline=None)
+@given(cyclic_matrices())
+def test_power_is_primitive_on_cyclic_classes(planted):
+    """The premise of ``primitive_first_return = (True,) * k``: on each of
+    ``cyclic_index``'s classes, the diagonal block B of A^k, of size n,
+    passes Wielandt's test B^((n-1)^2+1) > 0 entrywise."""
+    mat, planted_k = planted
+    k, blocks = cyclic_index(mat)
+    assert k % planted_k == 0
+    label = {letter_index(c): r for r, block in enumerate(blocks) for c in block}
+    assert sorted(label) == list(range(len(mat)))
+    for v, u in zip(*np.nonzero(mat)):  # u -> v steps to the next class
+        assert label[v] == (label[u] + 1) % k
+    power = np.linalg.matrix_power((mat > 0).astype(np.int64), k)
+    for block in blocks:
+        idx = [letter_index(c) for c in block]
+        sub = np.minimum(power[np.ix_(idx, idx)], 1)
+        reach = np.eye(len(idx), dtype=np.int64)
+        for _ in range((len(idx) - 1) ** 2 + 1):
+            reach = np.minimum(reach @ sub, 1)
+        assert reach.all()
+    assert pf_eigen(mat).primitive_first_return == (True,) * k
+
+
 def test_power_iteration_budget(fib_tt):
     with pytest.raises(PowerIterationError):
         pf_eigen(fib_tt.matrix, tol=1e-15, max_iter=2)
@@ -152,7 +198,7 @@ def test_power_iteration_budget(fib_tt):
 @pytest.mark.parametrize("name", ["fibonacci", "fibonacci-conj-a", "swap-fibonacci", "swap"])
 def test_eigenmetric_homothety(name, all_tts):
     tt = all_tts[name]
-    metric = eigenmetric(tt.pf)
+    metric = Metric(tt.pf.nu)
     assert metric.volume() == pytest.approx(1.0, abs=1e-12)
     for i, w in enumerate(tt.gmap.edge_images):
         assert path_length(w, metric) == pytest.approx(
