@@ -10,7 +10,9 @@ be checked literally.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -297,9 +299,12 @@ class _SuffixAutomaton:
 
     matching_statistics(q)[i] is the length of the longest suffix of
     q[: i + 1] occurring in the text, i.e. the longest match ending at i.
+    A letter missing from the text resets the match to 0, so ``live``, the
+    text's letters as a character class, splits a query into runs that
+    match independently of each other.
     """
 
-    __slots__ = ("next", "link", "length")
+    __slots__ = ("next", "link", "length", "live", "runs")
 
     def __init__(self, text: str):
         self.next = [{}]
@@ -332,6 +337,9 @@ class _SuffixAutomaton:
                     self.link[q] = clone
                     self.link[cur] = clone
             last = cur
+        letters = re.escape("".join(sorted(set(text))))
+        self.live = re.compile(f"[{letters}]+" if letters else "(?!)")
+        self.runs = {}
 
     def matching_statistics(self, query: str) -> np.ndarray:
         ms = np.zeros(len(query), dtype=np.int64)
@@ -349,6 +357,22 @@ class _SuffixAutomaton:
                 length += 1
             ms[i] = length
         return ms
+
+    def chains(self, run: str) -> tuple:
+        """(start, first end, last end) of each maximal stretch of a live
+        run's end positions whose longest match starts at the same place,
+        computed once per distinct run."""
+        chains = self.runs.get(run)
+        if chains is None:
+            found = []
+            for end, length in enumerate(self.matching_statistics(run).tolist()):
+                start = end + 1 - length
+                if found and found[-1][0] == start:
+                    found[-1][2] = end
+                else:
+                    found.append([start, end, end])
+            chains = self.runs[run] = tuple(map(tuple, found))
+        return chains
 
 
 @dataclass
@@ -368,7 +392,12 @@ def longest_leaf_segment(word: str, corpus: LeafCorpus, metric: Metric) -> LeafM
     Matching statistics against each block's automaton give, for every end
     position, the longest leaf match ending there; the metric weight of each
     match comes from prefix sums, and matches are capped at the period so a
-    segment never wraps more than once around the loop.
+    segment never wraps more than once around the loop.  Only the block's
+    live runs can match, and a run shorter than the period never reaches
+    the cap, so such runs are matched once per distinct run and read at the
+    last end of each chain of matches sharing a start: weights are positive,
+    so no earlier end of the chain is heavier.  A word live all the way
+    round is one run past the period and takes the capped scan of every end.
     """
     best = LeafMatch(block=None, length=0.0, edge_count=0, segment="")
     if not word:
@@ -376,23 +405,36 @@ def longest_leaf_segment(word: str, corpus: LeafCorpus, metric: Metric) -> LeafM
     period = len(word)
     for oriented in (word, invert_word(word)):
         doubled = oriented + oriented
-        codes = np.frombuffer(doubled.encode("ascii"), dtype=np.uint8)
-        weights = metric.table[codes]
-        pre = np.concatenate(([0.0], np.cumsum(weights)))
+        pre = None
         for block in range(corpus.k):
-            ms = corpus.automaton(block).matching_statistics(doubled)
-            ms = np.minimum(ms, period)
-            ends = np.arange(1, len(doubled) + 1)
-            vals = pre[ends] - pre[ends - ms]
-            i = int(np.argmax(vals))
-            if vals[i] > best.length + 1e-15:
-                l = int(ms[i])
-                best = LeafMatch(
-                    block=block,
-                    length=float(vals[i]),
-                    edge_count=l,
-                    segment=doubled[i + 1 - l : i + 1],
-                )
+            automaton = corpus.automaton(block)
+            runs = [(m.start(), m.group()) for m in automaton.live.finditer(doubled)]
+            if not runs:
+                continue
+            if pre is None:
+                codes = np.frombuffer(doubled.encode("ascii"), dtype=np.uint8)
+                pre = list(accumulate(metric.table[codes].tolist(), initial=0.0))  # np.cumsum's order
+            if len(runs[0][1]) > period:
+                ms = np.minimum(automaton.matching_statistics(doubled), period)
+                ends = np.arange(1, len(doubled) + 1)
+                sums = np.asarray(pre)
+                vals = sums[ends] - sums[ends - ms]
+                i = int(np.argmax(vals))
+                value, l = float(vals[i]), int(ms[i])
+            else:
+                value = -1.0
+                for offset, run in runs:
+                    for start, first, last in automaton.chains(run):
+                        v = pre[offset + last + 1] - pre[offset + start]
+                        if v > value:
+                            value, chain = v, (offset + start, offset + first, offset + last)
+                # the first end of the chain as heavy as its last, as argmax reads it
+                start, first, i = chain
+                while i > first and pre[i] - pre[start] == value:
+                    i -= 1
+                l = i + 1 - start
+            if value > best.length + 1e-15:
+                best = LeafMatch(block=block, length=value, edge_count=l, segment=doubled[i + 1 - l : i + 1])
     return best
 
 

@@ -125,7 +125,7 @@ def polynomial_degree(lengths):
     for d in range(7):
         if _tail_is_flat(vals):
             return d
-        vals = list(np.diff(vals))
+        vals = [b - a for a, b in zip(vals, vals[1:])]
     return None
 
 

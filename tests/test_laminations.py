@@ -9,6 +9,7 @@ constants are cross-checked by literally scanning all windows of a prefix.
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,11 +20,13 @@ from traintracks import (
     CyclicOrbit,
     InternalConsistencyError,
     LeafCorpus,
+    LeafMatch,
     NotALeafSegmentError,
     PreconditionError,
     analyze,
     analyze_train_track,
     build_leaf_corpus,
+    cyclic_reduce,
     expand_leaf,
     find_eigen_seed,
     invert_word,
@@ -31,6 +34,7 @@ from traintracks import (
     longest_leaf_segment,
     path_length,
     quasiperiodicity_window,
+    reduce_word,
     rose_map,
     weak_limit_probe,
 )
@@ -502,6 +506,104 @@ def test_longest_segment_properties(w):
 
 
 _SESSION_CORPUS = {}
+
+
+def scan_every_end(word, corpus, metric):
+    """Reference matcher: matching statistics of each whole doubled
+    orientation against each block, capped at the period and read at every
+    end; numpy's argmax takes the first heaviest end."""
+    best = LeafMatch(block=None, length=0.0, edge_count=0, segment="")
+    if not word:
+        return best
+    period = len(word)
+    for oriented in (word, invert_word(word)):
+        doubled = oriented + oriented
+        codes = np.frombuffer(doubled.encode("ascii"), dtype=np.uint8)
+        pre = np.concatenate(([0.0], np.cumsum(metric.table[codes])))
+        for block in range(corpus.k):
+            ms = np.minimum(corpus.automaton(block).matching_statistics(doubled), period)
+            ends = np.arange(1, len(doubled) + 1)
+            vals = pre[ends] - pre[ends - ms]
+            i = int(np.argmax(vals))
+            if vals[i] > best.length + 1e-15:
+                l = int(ms[i])
+                best = LeafMatch(block=block, length=float(vals[i]), edge_count=l, segment=doubled[i + 1 - l : i + 1])
+    return best
+
+
+def _bits(match):
+    return (match.block, match.length.hex(), match.edge_count, match.segment)
+
+
+# name -> (map, depth, budget); swap-fibonacci is the sweep's own corpus
+_MATCHER_MAPS = {
+    "fib": ("fibonacci", 10, 500_000),
+    "rank4": ("swap-fibonacci", 10, 500_000),
+    "swap-fibonacci": ("swap-fibonacci", 12, 500_000),
+}
+_MATCHER_CORPORA = {}
+
+
+def _matcher_corpus(name):
+    """One corpus per name for the whole session, so automata keep the runs
+    that earlier examples matched."""
+    if name not in _MATCHER_CORPORA:
+        from traintracks import corpus as bundled
+
+        example, depth, budget = _MATCHER_MAPS[name]
+        tt = analyze_train_track(rose_map(bundled.get(example)))
+        _MATCHER_CORPORA[name] = (tt, build_leaf_corpus(tt, depth=depth, budget=budget))
+    return _MATCHER_CORPORA[name]
+
+
+@st.composite
+def _matcher_cases(draw):
+    """A corpus and a cyclically reduced word: over all letters, over one
+    block's letters (no live letter for the other blocks), or a factor of a
+    leaf (live all the way round in one orientation)."""
+    name = draw(st.sampled_from(sorted(_MATCHER_MAPS)))
+    tt, corpus = _matcher_corpus(name)
+    block = draw(st.integers(0, corpus.k - 1))
+    kind = draw(st.sampled_from(["any", "block", "leaf"]))
+    if kind == "leaf":
+        leaf = corpus.prefixes[block].word
+        n = draw(st.integers(1, 80))
+        i = draw(st.integers(0, len(leaf) - n))
+        word = leaf[i : i + n]
+    else:
+        letters = "".join(sorted(set(corpus.prefixes[block].word))) if kind == "block" else tt.gmap.graph.letters
+        word = draw(st.text(alphabet=letters + letters.upper(), min_size=1, max_size=60))
+    core, _ = cyclic_reduce(reduce_word(word))
+    rotation = draw(st.integers(0, max(len(core) - 1, 0)))
+    return tt, corpus, core, core[rotation:] + core[:rotation]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matcher_cases())
+def test_leaf_matcher_matches_every_end_scan(case):
+    tt, corpus, word, rotated = case
+    for w in (word, rotated, invert_word(word)):
+        assert _bits(longest_leaf_segment(w, corpus, tt.metric)) == _bits(scan_every_end(w, corpus, tt.metric))
+
+
+def test_leaf_matcher_cases_reached():
+    """The three regimes the property test draws, on explicit words."""
+    fib_tt, fib_leaves = _matcher_corpus("fib")
+    tt, leaves = _matcher_corpus("swap-fibonacci")
+    # no live letter for block 1 in either orientation
+    assert not leaves.automaton(1).live.search("abaAB")
+    # live all the way round: the match is capped at the period
+    assert fib_leaves.automaton(0).live.fullmatch("abab")
+    match = longest_leaf_segment("ab", fib_leaves, fib_tt.metric)
+    assert match.edge_count == 2 and _bits(match) == _bits(scan_every_end("ab", fib_leaves, fib_tt.metric))
+    # a run matched in one word is reused, at another offset, in the next
+    word = "abaaBcdcCd"
+    longest_leaf_segment(word, leaves, tt.metric)
+    cached = dict(leaves.automaton(0).runs)
+    assert "abaa" in cached
+    shifted = "cD" + word
+    assert _bits(longest_leaf_segment(shifted, leaves, tt.metric)) == _bits(scan_every_end(shifted, leaves, tt.metric))
+    assert leaves.automaton(0).runs["abaa"] is cached["abaa"]
 
 
 # ------------------------------------------------------------ weak probe

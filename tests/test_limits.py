@@ -37,7 +37,7 @@ from traintracks import (
 )
 from traintracks import corpus
 from traintracks.graphs import block_path_length
-from traintracks.limits import SWEEP_M
+from traintracks.limits import SWEEP_M, _tail_is_flat
 from traintracks.words import ALPHABET, letter_index
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -293,6 +293,36 @@ def test_polynomial_degree_detector():
         fibs.append(fibs[-1] + fibs[-2])
     assert polynomial_degree(fibs) is None
     assert polynomial_degree([1.0, 2.0]) is None
+
+
+def _degree_by_numpy_diff(lengths):
+    """polynomial_degree with numpy's differences, the reference."""
+    vals = [float(v) for v in lengths]
+    for d in range(7):
+        if _tail_is_flat(vals):
+            return d
+        vals = list(np.diff(vals))
+    return None
+
+
+@st.composite
+def _length_sequences(draw):
+    """Up to 45 integer lengths: arbitrary, or a polynomial in m of degree
+    0-7 with nonnegative integer coefficients, exact or within 1."""
+    n = draw(st.integers(0, 45))
+    if draw(st.booleans()):
+        return draw(st.lists(st.integers(0, 10**9), min_size=n, max_size=n))
+    degree = draw(st.integers(0, 7))
+    coeffs = [draw(st.integers(1, 10**4))] + [draw(st.integers(int(j == degree), 30)) for j in range(1, degree + 1)]
+    jitter = draw(st.integers(0, 1))
+    noise = draw(st.lists(st.integers(-jitter, jitter), min_size=n, max_size=n))
+    return [sum(c * m**j for j, c in enumerate(coeffs)) + e for m, e in zip(range(n), noise)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_length_sequences())
+def test_polynomial_degree_matches_numpy_diff(lengths):
+    assert polynomial_degree(lengths) == _degree_by_numpy_diff(lengths)
 
 
 # ------------------------------------------------------- block splitting
