@@ -177,7 +177,8 @@ def leaf_contains(prefix: LeafPrefix, segment: str) -> bool:
 
 @dataclass
 class LeafCorpus:
-    """One leaf prefix per cyclic block, with lazy matching automata."""
+    """One leaf prefix per cyclic block, with lazy matching automata that
+    keep the runs they have matched for the life of the corpus."""
 
     tt: TrainTrackData
     prefixes: tuple

@@ -591,19 +591,16 @@ def test_leaf_matcher_cases_reached():
     fib_tt, fib_leaves = _matcher_corpus("fib")
     tt, leaves = _matcher_corpus("swap-fibonacci")
     # no live letter for block 1 in either orientation
-    assert not leaves.automaton(1).live.search("abaAB")
+    assert not leaves.automaton(1).live.search("abaBbABA")
     # live all the way round: the match is capped at the period
     assert fib_leaves.automaton(0).live.fullmatch("abab")
-    match = longest_leaf_segment("ab", fib_leaves, fib_tt.metric)
-    assert match.edge_count == 2 and _bits(match) == _bits(scan_every_end("ab", fib_leaves, fib_tt.metric))
+    assert longest_leaf_segment("ab", fib_leaves, fib_tt.metric).edge_count == 2
     # a run matched in one word is reused, at another offset, in the next
-    word = "abaaBcdcCd"
-    longest_leaf_segment(word, leaves, tt.metric)
-    cached = dict(leaves.automaton(0).runs)
-    assert "abaa" in cached
-    shifted = "cD" + word
-    assert _bits(longest_leaf_segment(shifted, leaves, tt.metric)) == _bits(scan_every_end(shifted, leaves, tt.metric))
-    assert leaves.automaton(0).runs["abaa"] is cached["abaa"]
+    longest_leaf_segment("abaaBcdcd", leaves, tt.metric)
+    cached = leaves.automaton(0).runs["abaa"]
+    for data, corpus, word in ((tt, leaves, "abaB"), (fib_tt, fib_leaves, "ab"), (tt, leaves, "cDabaaBcdcd")):
+        assert _bits(longest_leaf_segment(word, corpus, data.metric)) == _bits(scan_every_end(word, corpus, data.metric))
+    assert leaves.automaton(0).runs["abaa"] is cached
 
 
 # ------------------------------------------------------------ weak probe
