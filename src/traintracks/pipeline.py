@@ -329,11 +329,11 @@ def homothety_section(tt: TrainTrackData) -> dict:
 
 
 def growth_classes(auto: Automorphism, tt: TrainTrackData, words, M: int, budget: int | None = None) -> dict:
-    """Growth verdict per class: the limit length's certificate on an expanding
-    train track, else the classifier's, on a train-track twist if one exists."""
-    if tt.verdict.is_train_track and tt.expanding:
-        return {w: limit_length(auto, w, tt, M=M, budget=budget).classification for w in words}
+    """Verdict per class on :func:`train_track_twist`'s representative: the
+    limit's certificate on an expanding train track, else the classifier's."""
     phi, phi_tt = train_track_twist(auto, tt)
+    if phi_tt.verdict.is_train_track and phi_tt.expanding:
+        return {w: limit_length(phi, w, phi_tt, M=M, budget=budget).classification for w in words}
     return {w: classify_growth(phi, w, M=M, orbit=CyclicOrbit(phi, w, budget=budget, tt=phi_tt)) for w in words}
 
 

@@ -456,6 +456,47 @@ def test_convergence_uniform_cross_check(fib, fib_tt):
     assert rep.uniform_max_rel_error < 1e-5
 
 
+def test_convergence_uniform_check_builds_no_word_past_legality(fib, fib_tt, monkeypatch):
+    """a is legal at m = 0, so the cross-check reads its unit length at the
+    last stride from count vectors: the only words built are the limit's."""
+    m_stop = limit_length(fib, "a", fib_tt, M=80, tol=1e-8).m_stop
+    calls = []
+    apply_cyclic = Automorphism.apply_cyclic
+    monkeypatch.setattr(Automorphism, "apply_cyclic", lambda self, w: calls.append(w) or apply_cyclic(self, w))
+    rep = convergence_constants(fib, fib_tt, unit_metric(2), loop_words=["a"])
+    assert rep.uniform_checked == 1
+    assert m_stop == 1 and len(calls) <= m_stop
+
+
+def test_convergence_uniform_error_at_the_horizon(fib, fib_tt):
+    """All three loops reach the budget at m = 25.  Legal loops read the
+    spectral gap's tail there, of order (phi^-2)^25 ~ 4e-11.  aabAB is a
+    Nielsen path: its unit lengths obey L_m = L_(m-1) + L_(m-2) - 4, so
+    lam^-m L_m exceeds its limit by 4 lam^-m, which is 2.04e-5 of it at
+    m = 25."""
+    legal = convergence_constants(fib, fib_tt, unit_metric(2), loop_words=["a", "aaBB"])
+    assert legal.uniform_checked == 2 and legal.uniform_max_rel_error < 1e-10
+    nielsen = convergence_constants(fib, fib_tt, unit_metric(2), loop_words=["aabAB"])
+    assert nielsen.uniform_max_rel_error == pytest.approx(2.0365e-5, rel=1e-3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cross_check_lengths_match_built_words(data):
+    """The alt-metric length the cross-check reads, off count vectors once
+    the orbit is legal, is the path length of the word-built orbit at every
+    m, and both stop at the same cut."""
+    auto, word, budget = data.draw(orbits_of_positive_maps())
+    alt = Metric(data.draw(st.lists(st.floats(0.1, 10.0), min_size=auto.rank, max_size=auto.rank)))
+    orbit = CyclicOrbit(auto, word, budget=budget, tt=analyze_train_track(rose_map(auto)))
+    built = CyclicOrbit(auto, word, budget=budget)
+    m = 0
+    while m <= 120 and (got := orbit.metric_length_at(m, alt)) is not None:
+        assert got == pytest.approx(path_length(built.word_at(m), alt), rel=1e-12, abs=0.0)
+        m += 1
+    assert m > 120 or built.word_at(m) is None
+
+
 def _positive_map(rank, moves):
     """The rotation a -> b -> ... -> a followed by positive Nielsen moves
     x_i -> x_i x_j: a positive, irreducible, expanding train track."""

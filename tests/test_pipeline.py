@@ -30,7 +30,6 @@ from traintracks import (
 from traintracks.laminations import PROBE_M
 from traintracks.limits import SWEEP_BUDGET, SWEEP_M
 from traintracks import corpus
-from traintracks import pipeline
 from traintracks.cli import main
 from traintracks.pipeline import growth_section
 from traintracks.words import ALPHABET
@@ -314,14 +313,17 @@ def test_round_floats_shapes():
 # SHA-256 of report_json(report) without "meta", at FAST.  Re-recorded when
 # the convergence constants took their closed form and legal splits became
 # splits of legal paths, and when each lengths entry gained "certificate"
-# and "interval" (only those fields changed); the report must not drift.
+# and "interval" (only those fields changed), and when the convergence
+# cross-check began to read count vectors at its last stride instead of
+# stopping on a Cauchy gap (only "uniform_max_rel_error" changed, on
+# fibonacci, fibonacci-conj-a and swap-fibonacci); the report must not drift.
 GOLDEN_FAST_DIGESTS = {
-    "fibonacci": "6eda63415bc8356f768204c15b263411e879fce8e4556ac633bc7430c170a072",
-    "fibonacci-conj-a": "87fc424bf1b3357e496dc1b84712ab78556ff189d221c38d960a2eadaf17847f",
+    "fibonacci": "1426695cd147559bea19d1c19cc93e9b6abb07b4c41ac18c7fbbf0c34e2b8d5c",
+    "fibonacci-conj-a": "51afd3576bc347860e93f9bb5d63b0d05d193f143aa237294ff77ca8c2347e63",
     "fibonacci-conj-b": "246a66f3350c9e8dd3dec2aeac3e3a7a2c095d4a28fd36ca12298b604a04fa02",
     "identity": "f633099568ee25752582ad95aaefcea41ca2d59078ea93041e9e4fe84958717c",
     "swap": "40e7ca3dd20d3e5f64d921ec6f19daec5f5088e070999830e7717bf77e96cc53",
-    "swap-fibonacci": "d8432072fbb84cf13cae68b8db554903f52e298220ad915aaa72434b52bc3335",
+    "swap-fibonacci": "bace33db4d52b48e53aa7a40efd55b56c4ad40a109fb7afb7da37cf19e89a78a",
     "unipotent": "060a43b83c7b7b7d7672d5e6370b4d65e9e11186448477dcc76f111f632ca4f1",
 }
 
@@ -369,16 +371,27 @@ def test_cli_growth(capsys):
     assert "b: Polynomial(1)" in capsys.readouterr().out
 
 
-def test_cli_growth_on_twist_matches_word_built_path(capsys, monkeypatch):
-    """fibonacci-conj-b is one letter twist from a train track, so growth
-    reads count lengths on the twist; text and JSON are byte-identical to
-    the classes' own words under the input map."""
-    args = ["growth", "example:fibonacci-conj-b", "--max-m", "12", "--json", "-"]
-    assert main(args) == 0
+def test_cli_growth_on_twist_reads_its_certificates(capsys):
+    """fibonacci-conj-b twisted by b is fibonacci, an expanding train track,
+    so growth prints the twist's certified verdicts: text and JSON are those
+    of fibonacci itself, aabAB (a Nielsen path) included."""
+    args = ["--words", "a,b,ab,aB,aabAB", "--json", "-"]
+    assert main(["growth", "example:fibonacci-conj-b", *args]) == 0
     on_twist = capsys.readouterr().out
-    monkeypatch.setattr(pipeline, "train_track_twist", lambda auto, tt: (auto, tt))
-    assert main(args) == 0
-    assert capsys.readouterr().out == on_twist
+    assert main(["growth", "example:fibonacci", *args]) == 0
+    assert on_twist == capsys.readouterr().out
+    assert on_twist.count("Exponential(1.61803399)\n") == 5 and "low confidence" not in on_twist
+
+
+def test_growth_section_certified_on_slow_twist():
+    """Family map r10-m1-conj is no train track; its twist is one with
+    lambda ~ 1.1975, on which every letter is legal.  The raw-length
+    classifier read i and I as Polynomial(2) there."""
+    images = ["Hbh", "Hch", "Hdch", "Heh", "Hfh", "Hgh", "h", "Hih", "Hjh", "Hah"]
+    source = "rank: 10\n" + "".join(f"{g} -> {w}\n" for g, w in zip(ALPHABET, images))
+    growth = analyze(source, AnalysisConfig(max_word_len=1))["growth"]
+    assert growth["classes"] == 20
+    assert (growth["exponential"], growth["polynomial"]) == (20, 0)
 
 
 def test_growth_section_without_train_track_twist():
