@@ -81,7 +81,6 @@ from .spectral import (
     TrainTrackData,
     analyze_train_track,
     cyclic_index,
-    is_irreducible_matrix,
     is_simplicial,
     pf_eigen,
     train_track_twist,

@@ -181,7 +181,7 @@ def _cmd_convergence(args) -> int:
     if parsed.auto is None:
         raise PreconditionError("convergence constants need a rose map")
     tt = analyze_train_track(parsed.gmap)
-    alt = Metric([float(x) for x in args.metric.split(",")]) if args.metric else None
+    alt = Metric(args.metric.split(",")) if args.metric else None
     words = _word_list(args, parsed.auto.rank)
     conv = convergence_section(parsed.auto, tt, alt, loop_words=words)
     for i, c in enumerate(conv["constants"]):

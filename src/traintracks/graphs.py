@@ -103,11 +103,14 @@ class Metric:
     """Positive edge lengths, one per edge pair, orientation independent."""
 
     def __init__(self, lengths):
-        lengths = np.asarray(lengths, dtype=float)
+        try:
+            lengths = np.asarray(lengths, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"edge lengths must be numbers: {exc}") from None
         if lengths.ndim != 1 or len(lengths) == 0:
             raise InputError("metric needs a flat, nonempty length vector")
-        if not np.all(lengths > 0):
-            raise InputError("edge lengths must be positive")
+        if not np.all(np.isfinite(lengths) & (lengths > 0)):
+            raise InputError("edge lengths must be positive and finite")
         self.lengths = lengths
         table = np.zeros(128, dtype=float)
         for g, val in zip(ALPHABET, lengths):

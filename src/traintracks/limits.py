@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InternalConsistencyError, PreconditionError
+from .errors import InputError, InternalConsistencyError, PreconditionError
 from .graphs import Metric, block_path_length, path_length
 from .spectral import TrainTrackData, pf_eigen
 from .words import Automorphism, check_word, cyclic_reduce, letter_counts, letter_index, reduce_word
@@ -279,6 +279,8 @@ def limit_length(
     verdict defers to the growth classifier, flagged low-confidence.
     """
     _require_spectral(tt)
+    if M < 0:
+        raise InputError(f"iterate horizon M must be >= 0, got {M}")
     if orbit is None:
         orbit = CyclicOrbit(auto, word, budget=budget, tt=tt)
     lam, k = tt.pf.lam, tt.pf.k

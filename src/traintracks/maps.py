@@ -12,8 +12,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import BudgetExceededError, InputError
 from .graphs import Graph, rose
@@ -251,27 +249,43 @@ class GraphMap:
         return f"GraphMap({body})"
 
 
-def invariant_subgraph(matrix):
-    """A proper nonempty set of edge pairs whose images stay inside it, or None.
-
-    The sets are read off the strongly connected components of the occurrence
-    digraph (j -> i when ``matrix[i, j] > 0``): a sink component is closed,
-    and a matrix of size > 1 is irreducible exactly when it is one component.
+def tarjan_sink(matrix) -> tuple[list, np.ndarray]:
+    """The first component Tarjan's search closes in the occurrence digraph
+    (j -> i when ``matrix[i, j] > 0``), and each edge pair's depth in the
+    search tree (-1 where not reached).  The search starts at edge 0 and takes
+    successors in descending order.  Components close in reverse topological
+    order, so the first is a sink; as none has left the stack yet, it is the
+    tail of the visiting order.
     """
     mat = np.asarray(matrix)
-    if len(mat) == 1:
-        return None
-    reach = mat.T != 0
-    adj = csr_matrix(reach.astype(np.int8))
-    count, labels = connected_components(adj, directed=True, connection="strong")
-    if count == 1:
-        return None
-    for comp in range(count):
-        members = np.flatnonzero(labels == comp)
-        outside = np.flatnonzero(labels != comp)
-        if not reach[np.ix_(members, outside)].any():
-            return frozenset(ALPHABET[i] for i in members)
-    raise AssertionError("condensation of a finite digraph has a sink component")
+    n = len(mat)
+    succ = [[i for i, x in enumerate(col) if x][::-1] for col in (mat.T > 0).tolist()]
+    index, low, depth = [-1] * n, [0] * n, [-1] * n
+    index[0] = depth[0] = 0
+    order, calls = [0], [(0, iter(succ[0]))]
+    while True:
+        u, todo = calls[-1]
+        for v in todo:
+            if index[v] < 0:
+                index[v] = low[v] = len(order)
+                depth[v] = len(calls)
+                order.append(v)
+                calls.append((v, iter(succ[v])))
+                break
+            low[u] = min(low[u], index[v])
+        else:
+            calls.pop()
+            if low[u] == index[u]:
+                return order[index[u] :], np.array(depth)
+            parent = calls[-1][0]
+            low[parent] = min(low[parent], low[u])
+
+
+def invariant_subgraph(matrix):
+    """A proper nonempty set of edge pairs whose images stay inside it, or None:
+    the sink component of :func:`tarjan_sink`, unless that is every edge pair."""
+    members, _ = tarjan_sink(matrix)
+    return None if len(members) == len(matrix) else frozenset(ALPHABET[i] for i in members)
 
 
 def rose_map(auto: Automorphism, budget: int | None = None) -> GraphMap:

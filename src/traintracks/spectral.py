@@ -10,56 +10,35 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
 
 import numpy as np
 
 from .cancellation import cancellation_bound
-from .errors import NotIrreducibleError, PowerIterationError
+from .errors import InputError, NotIrreducibleError, PowerIterationError
 from .graphs import Metric, path_length
-from .maps import GraphMap, TrainTrackVerdict, invariant_subgraph, rose_map
+from .maps import GraphMap, TrainTrackVerdict, invariant_subgraph, rose_map, tarjan_sink
 from .words import ALPHABET, Automorphism
 
 DEFAULT_TOL = 1e-12
 MAX_POWER_ITERATIONS = 10**6
 
 
-def is_irreducible_matrix(matrix) -> bool:
-    """Strong connectivity of the occurrence digraph (j -> i when A[i, j] > 0)."""
-    mat = np.asarray(matrix)
-    if len(mat) == 1:
-        return mat[0, 0] > 0
-    return invariant_subgraph(mat) is None
-
-
 def cyclic_index(matrix) -> tuple[int, tuple]:
     """Gcd of directed cycle lengths, with the residue-class blocks.
 
-    Blocks are the classes of (directed BFS distance from edge 0) mod k, in
-    cyclic order: the map sends block i into block i+1 mod k.
+    With d the depth in :func:`tarjan_sink`'s search tree, k is the gcd of
+    d(u) + 1 - d(v) over the edges u -> v, and block r holds the edges with
+    d = r mod k, so the map sends block r into block r+1 mod k.  Walks from
+    edge 0 to an edge agree in length mod k, so the tree chosen does not matter.
     """
     mat = np.asarray(matrix)
-    n = len(mat)
-    if not is_irreducible_matrix(mat):
+    members, depth = tarjan_sink(mat)
+    heads, tails = np.nonzero(mat > 0)
+    # k = 0 when reducible, and for the one strongly connected digraph without a cycle: 1x1 zero
+    k = int(np.gcd.reduce(depth[tails] + 1 - depth[heads])) if len(members) == len(mat) else 0
+    if k == 0:
         raise NotIrreducibleError("matrix is reducible; no cyclic index or positive eigenvector")
-    succ = [np.flatnonzero(mat[:, j]) for j in range(n)]
-    dist = np.full(n, -1)
-    dist[0] = 0
-    order = [0]
-    head = 0
-    while head < len(order):
-        u = order[head]
-        head += 1
-        for v in succ[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                order.append(v)
-    k = 0
-    for u in range(n):
-        for v in succ[u]:
-            k = gcd(k, int(dist[u]) + 1 - int(dist[v]))
-    k = abs(k) if k else 1
-    blocks = tuple(tuple(ALPHABET[i] for i in np.flatnonzero(dist % k == r)) for r in range(k))
+    blocks = tuple(tuple(ALPHABET[i] for i in np.flatnonzero(depth % k == r)) for r in range(k))
     return k, blocks
 
 
@@ -93,6 +72,8 @@ def pf_eigen(matrix, tol: float = DEFAULT_TOL, max_iter: int = MAX_POWER_ITERATI
     with L1 normalization, then phase-averages the k partial vectors so the
     result is an honest eigenvector of A itself.
     """
+    if not tol > 0:
+        raise InputError(f"tolerance must be positive, got {tol!r}")
     mat = np.asarray(matrix, dtype=float)
     n = len(mat)
     if mat.shape != (n, n) or (mat < 0).any():

@@ -1,5 +1,7 @@
 """Graphs, edge paths and metrics."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -113,6 +115,12 @@ def test_path_length_accepts_edge_path():
 def test_unit_metric_from_rank_or_graph():
     assert unit_metric(4).volume() == 4.0
     assert unit_metric(rose(2)).volume() == 2.0
+
+
+@pytest.mark.parametrize("lengths", [["x", "1"], [1.0, math.inf], [1.0, math.nan], [1.0, 0.0], [], [[1.0]]])
+def test_metric_rejects_bad_lengths(lengths):
+    with pytest.raises(InputError):
+        Metric(lengths)
 
 
 def test_metric_lengths_are_read_only_view():

@@ -22,6 +22,7 @@ from traintracks import (
 )
 from traintracks import corpus
 from traintracks.maps import invariant_subgraph
+from traintracks.words import ALPHABET
 
 CORPUS = sorted(corpus.REGISTRY)
 
@@ -101,6 +102,89 @@ def test_invariant_subgraph_witnesses():
 
     fib = analyze_train_track(rose_map(corpus.fibonacci()))
     assert fib.invariant is None
+
+
+# The first three have more than one sink component, and a search taking
+# successors in ascending order would close a different one first: they pin
+# the descending order, and with it which invariant subgraph reports name.
+@pytest.mark.parametrize(
+    "matrix, expected",
+    [
+        ([[0, 1, 0, 1, 0], [0, 1, 0, 0, 0], [0, 1, 1, 1, 0], [1, 1, 0, 1, 0], [1, 1, 0, 0, 1]], "e"),
+        (
+            [
+                [0, 0, 0, 0, 0, 0, 0, 0],
+                [0, 0, 0, 0, 0, 0, 1, 0],
+                [0, 0, 0, 1, 0, 1, 0, 0],
+                [0, 0, 1, 0, 0, 1, 0, 0],
+                [1, 0, 0, 0, 1, 0, 0, 0],
+                [1, 0, 1, 0, 0, 0, 0, 1],
+                [0, 1, 1, 0, 0, 0, 0, 0],
+                [0, 1, 0, 0, 0, 0, 0, 0],
+            ],
+            "bcdfgh",
+        ),
+        (
+            [
+                [1, 0, 1, 0, 0, 0, 0, 1],
+                [0, 0, 0, 0, 0, 0, 0, 0],
+                [1, 0, 0, 0, 1, 0, 0, 0],
+                [0, 1, 0, 0, 0, 0, 1, 0],
+                [1, 0, 0, 0, 0, 0, 0, 0],
+                [1, 1, 1, 0, 1, 1, 0, 0],
+                [0, 0, 0, 1, 0, 0, 0, 1],
+                [1, 0, 0, 0, 1, 0, 0, 0],
+            ],
+            "dg",
+        ),
+        ([[1, 0], [0, 1]], "a"),  # identity
+        ([[1, 1], [0, 1]], "a"),  # unipotent
+        ([[1, 0], [1, 1]], "b"),
+    ],
+)
+def test_invariant_subgraph_cases(matrix, expected):
+    assert invariant_subgraph(np.array(matrix)) == frozenset(expected)
+
+
+def reaches(adj, start):
+    """Edge pairs reachable from ``start`` along j -> i when adj[i, j]."""
+    seen, todo = {start}, [start]
+    while todo:
+        j = todo.pop()
+        for i in np.flatnonzero(adj[:, j]):
+            if i not in seen:
+                seen.add(int(i))
+                todo.append(int(i))
+    return seen
+
+
+@st.composite
+def occurrence_matrices(draw):
+    """Nonnegative matrices of size 1-26 with up to 3n positive entries."""
+    n = draw(st.integers(min_value=1, max_value=26))
+    cells = st.tuples(st.integers(min_value=0, max_value=n - 1), st.integers(min_value=0, max_value=n - 1))
+    mat = np.zeros((n, n), dtype=np.int64)
+    for i, j in draw(st.lists(cells, max_size=3 * n)):
+        mat[i, j] += 1
+    return mat
+
+
+@settings(max_examples=300, deadline=None)
+@given(occurrence_matrices())
+def test_invariant_subgraph_is_a_closed_strong_component(mat):
+    """The returned set is closed under the map (no edge leaves it) and
+    strongly connected, and it is None exactly when the whole occurrence
+    digraph is strongly connected; checked by plain reachability."""
+    adj = mat > 0
+    n = len(mat)
+    inv = invariant_subgraph(mat)
+    whole = all(len(reaches(adj, j)) == n for j in range(n))
+    assert (inv is None) == whole
+    if inv is not None:
+        members = {ALPHABET.index(c) for c in inv}
+        assert 0 < len(members) < n
+        for j in members:
+            assert reaches(adj, j) == members
 
 
 # ------------------------------------------------------------------ turns

@@ -622,3 +622,24 @@ def test_cli_leaf_on_non_expanding_is_domain_error(capsys):
 def test_cli_leaf_bad_segment_is_domain_error(capsys):
     assert main(["leaf", "example:fibonacci", "--depth", "6", "--segment", "bb"]) == 2
     assert "does not occur" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("metric", ["x,1", "1,inf"])
+def test_cli_convergence_bad_metric_is_input_error(metric, capsys):
+    assert main(["convergence", "example:fibonacci", "--metric", metric]) == 2
+    assert "edge lengths must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", [["spectral", "--tol", "-1"], ["lengths", "--tol", "0", "--words", "ab"], ["analyze", "--tol", "0"]]
+)
+def test_cli_tol_not_positive_is_input_error(argv, capsys):
+    # rejected before the first power iteration, not after 10**6 of them
+    assert main([argv[0], "example:fibonacci", *argv[1:]]) == 2
+    assert "tolerance must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["lengths", "growth", "analyze"])
+def test_cli_negative_max_m_is_input_error(command, capsys):
+    assert main([command, "example:fibonacci", "--max-m", "-3"]) == 2
+    assert "M must be >= 0" in capsys.readouterr().err

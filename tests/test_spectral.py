@@ -14,11 +14,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from traintracks import (
+    InputError,
     Metric,
     NotIrreducibleError,
     PowerIterationError,
     cyclic_index,
-    is_irreducible_matrix,
     is_simplicial,
     path_length,
     pf_eigen,
@@ -81,12 +81,11 @@ def test_one_by_one_matrix():
 
 
 def test_irreducibility_cases():
-    assert is_irreducible_matrix([[1, 1], [1, 0]])
-    assert is_irreducible_matrix([[0, 1], [1, 0]])
-    assert not is_irreducible_matrix([[1, 1], [0, 1]])
-    assert not is_irreducible_matrix([[1, 0], [0, 1]])
-    assert is_irreducible_matrix([[2]])
-    assert not is_irreducible_matrix([[0]])
+    for irreducible in ([[1, 1], [1, 0]], [[0, 1], [1, 0]], [[2]]):
+        cyclic_index(irreducible)
+    for reducible in ([[1, 1], [0, 1]], [[1, 0], [0, 1]], [[0]]):
+        with pytest.raises(NotIrreducibleError):
+            cyclic_index(reducible)
 
 
 def test_pf_requires_irreducible():
@@ -190,6 +189,13 @@ def test_power_is_primitive_on_cyclic_classes(planted):
 def test_power_iteration_budget(fib_tt):
     with pytest.raises(PowerIterationError):
         pf_eigen(fib_tt.matrix, tol=1e-15, max_iter=2)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_pf_eigen_rejects_tol_not_positive(fib_tt, tol):
+    # max_iter=1 would raise PowerIterationError if the loop were entered
+    with pytest.raises(InputError, match="tolerance"):
+        pf_eigen(fib_tt.matrix, tol=tol, max_iter=1)
 
 
 # ------------------------------------------------------------- eigenmetric
