@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     BudgetExceededError,
+    InputError,
     InternalConsistencyError,
     NotALeafSegmentError,
     PreconditionError,
@@ -227,6 +228,8 @@ def build_leaf_corpus(
     budget: int = DEFAULT_WORD_BUDGET,
 ) -> LeafCorpus:
     """One expanded leaf prefix for each cyclic block."""
+    if depth < 0:
+        raise InputError(f"leaf depth must be >= 0, got {depth}")
     if tt.pf is None:
         raise PreconditionError("leaf generation needs an irreducible transition matrix")
     prefixes = []

@@ -281,9 +281,12 @@ def limit_length(
     _require_spectral(tt)
     if M < 0:
         raise InputError(f"iterate horizon M must be >= 0, got {M}")
+    lam, k = tt.pf.lam, tt.pf.k
+    if M < k:
+        # one stride is the least horizon at which a certificate can fire
+        raise InputError(f"iterate horizon M must be at least the stride k = {k}, got {M}")
     if orbit is None:
         orbit = CyclicOrbit(auto, word, budget=budget, tt=tt)
-    lam, k = tt.pf.lam, tt.pf.k
     if not tt.expanding:
         # lam = 1 makes the irreducible transition matrix a permutation: the
         # map permutes the edges, so every orbit is periodic.

@@ -35,7 +35,15 @@ from .limits import (
 )
 from .maps import GraphMap, rose_map, to_automorphism
 from .spectral import TrainTrackData, analyze_train_track, is_simplicial, train_track_twist
-from .words import ALPHABET, DEFAULT_WORD_BUDGET, Automorphism, enumerate_cyclic_words, parse_word
+from .words import (
+    ALPHABET,
+    DEFAULT_WORD_BUDGET,
+    Automorphism,
+    canonical_rotation,
+    enumerate_cyclic_words,
+    invert_word,
+    parse_word,
+)
 
 
 @dataclass
@@ -206,6 +214,19 @@ class EquivalenceReport:
     labels: dict = field(default_factory=dict)
 
 
+def _once_per_inverse_pair(words, verdict):
+    """Yield ``(word, verdict(word))`` in order, with ``verdict`` called once
+    per conjugacy class up to inversion: a word whose inverse's canonical
+    rotation came earlier reuses that word's verdict.  The limit tree is an
+    isometric F_n-tree, so w and w^-1 have the same translation length, and
+    a leaf is a leaf in both orientations."""
+    seen: dict = {}
+    for word in words:
+        inverse = canonical_rotation(invert_word(word))
+        seen[word] = seen[inverse] if inverse in seen else verdict(word)
+        yield word, seen[word]
+
+
 def equivalence_sweep(
     auto: Automorphism,
     tt: TrainTrackData,
@@ -215,14 +236,16 @@ def equivalence_sweep(
 ) -> EquivalenceReport:
     """Run limit-length, growth, and leaf-probe verdicts on every word.
 
-    All three operations share one cached orbit per word, whose growth
-    lengths come from count vectors once it is legal; leaf matches are
-    shared per class, up to rotation and inversion, through the corpus.  A
-    word counts as a discrepancy when the verdicts do not agree; the
-    limit-length verdict decides the reported label.  When only the probe
-    dissents it is retried with a longer window before the disagreement is
-    recorded: orbits that dip through short words need a few extra strides
-    to reveal their leaf segments, and bounded orbits stay cheap to extend.
+    The verdicts are read once per class up to inversion and counted for
+    both orientations (see :func:`_once_per_inverse_pair`).  The three
+    operations share one cached orbit, whose growth lengths come from count
+    vectors once it is legal; leaf matches are shared per class, up to
+    rotation and inversion, through the corpus.  A word counts as a
+    discrepancy when the verdicts do not agree; the limit-length verdict
+    decides the reported label.  When only the probe dissents it is retried
+    with a longer window before the disagreement is recorded: orbits that
+    dip through short words need a few extra strides to reveal their leaf
+    segments, and bounded orbits stay cheap to extend.
     """
     config = config or AnalysisConfig()
     # Exponential classes grow like lam^m, so the growth statistic tends to
@@ -232,36 +255,33 @@ def equivalence_sweep(
     lam = tt.pf.lam
     growth_M = max(SWEEP_M, 4 * math.ceil(math.log(3) / math.log(lam)))
     growth_eps = min(0.05, math.sqrt(lam) - 1)
-    checked = 0
-    n_exp = 0
-    n_poly = 0
-    discrepancies = []
-    labels = {}
-    for word in words:
+
+    def verdicts(word):
         orbit = CyclicOrbit(auto, word, budget=SWEEP_BUDGET, tt=tt)
         rep = limit_length(auto, word, tt, M=config.M, tol=config.tol, orbit=orbit)
-        cls = classify_growth(auto, word, M=growth_M, eps=growth_eps, orbit=orbit)
-        probe = weak_limit_probe(auto, word, corpus, orbit=orbit)
         a = rep.classification.is_exponential
-        b = cls.is_exponential
-        c = probe.verdict
+        b = classify_growth(auto, word, M=growth_M, eps=growth_eps, orbit=orbit).is_exponential
+        c = weak_limit_probe(auto, word, corpus, orbit=orbit).verdict
         if a and b and not c:
             for factor in (2, 4):
-                probe = weak_limit_probe(auto, word, corpus, M=factor * PROBE_M, orbit=orbit)
-                if probe.verdict:
+                c = weak_limit_probe(auto, word, corpus, M=factor * PROBE_M, orbit=orbit).verdict
+                if c:
                     break
-            c = probe.verdict
-        checked += 1
-        labels[word] = rep.classification.label()
+        return rep.classification.label(), a, rep.certificate, b, c
+
+    report = EquivalenceReport(checked=0, exponential=0, polynomial=0)
+    for word, (label, a, certificate, b, c) in _once_per_inverse_pair(words, verdicts):
+        report.checked += 1
+        report.labels[word] = label
         if a:
-            n_exp += 1
+            report.exponential += 1
         else:
-            n_poly += 1
+            report.polynomial += 1
         if not (a == b == c):
-            discrepancies.append(
-                {"word": word, "limit_length": a, "certificate": rep.certificate, "growth": b, "leaf_probe": c}
+            report.discrepancies.append(
+                {"word": word, "limit_length": a, "certificate": certificate, "growth": b, "leaf_probe": c}
             )
-    return EquivalenceReport(checked, n_exp, n_poly, discrepancies, labels)
+    return report
 
 
 def _coerce(source):
@@ -330,11 +350,17 @@ def homothety_section(tt: TrainTrackData) -> dict:
 
 def growth_classes(auto: Automorphism, tt: TrainTrackData, words, M: int, budget: int | None = None) -> dict:
     """Verdict per class on :func:`train_track_twist`'s representative: the
-    limit's certificate on an expanding train track, else the classifier's."""
+    limit's certificate on an expanding train track, else the classifier's.
+    Read once per class up to inversion, as in :func:`equivalence_sweep`."""
     phi, phi_tt = train_track_twist(auto, tt)
-    if phi_tt.verdict.is_train_track and phi_tt.expanding:
-        return {w: limit_length(phi, w, phi_tt, M=M, budget=budget).classification for w in words}
-    return {w: classify_growth(phi, w, M=M, orbit=CyclicOrbit(phi, w, budget=budget, tt=phi_tt)) for w in words}
+    certified = phi_tt.verdict.is_train_track and phi_tt.expanding
+
+    def verdict(w):
+        if certified:
+            return limit_length(phi, w, phi_tt, M=M, budget=budget).classification
+        return classify_growth(phi, w, M=M, orbit=CyclicOrbit(phi, w, budget=budget, tt=phi_tt))
+
+    return dict(_once_per_inverse_pair(words, verdict))
 
 
 def growth_section(auto: Automorphism, tt: TrainTrackData, sweep, eq, config: AnalysisConfig) -> dict:

@@ -144,6 +144,8 @@ def enumerate_cyclic_words(rank: int, max_len: int):
     """
     if not 1 <= rank <= MAX_RANK:
         raise InputError(f"rank must be in 1..{MAX_RANK}, got {rank}")
+    if max_len < 0:
+        raise InputError(f"sweep length must be >= 0, got {max_len}")
     alphabet = [c for g in ALPHABET[:rank] for c in (g, g.upper())]
     seen = set()
     stack = [""]

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from traintracks import (
     Automorphism,
     CyclicOrbit,
+    InputError,
     InternalConsistencyError,
     Metric,
     PreconditionError,
@@ -454,6 +455,13 @@ def test_convergence_uniform_cross_check(fib, fib_tt):
     rep = convergence_constants(fib, fib_tt, unit_metric(2), loop_words=["a", "b", "ab", "aB", "aab"])
     assert rep.uniform_checked == 5
     assert rep.uniform_max_rel_error < 1e-5
+
+
+def test_limit_length_rejects_horizon_below_one_stride(rank4, rank4_tt):
+    """The horizon is counted in strides: at k = 2, M = 1 reads only m = 0."""
+    with pytest.raises(InputError, match="stride k = 2"):
+        limit_length(rank4, "a", rank4_tt, M=1)
+    assert limit_length(rank4, "a", rank4_tt, M=2).m_stop == 2
 
 
 def test_convergence_uniform_check_builds_no_word_past_legality(fib, fib_tt, monkeypatch):

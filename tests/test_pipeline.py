@@ -16,9 +16,11 @@ from traintracks import (
     analyze,
     analyze_train_track,
     build_leaf_corpus,
+    canonical_rotation,
     classify_growth,
     enumerate_cyclic_words,
     equivalence_sweep,
+    invert_word,
     limit_length,
     longest_leaf_segment,
     parse_input,
@@ -207,6 +209,49 @@ def test_sweep_matches_word_by_word_reference(auto, max_len):
     words = enumerate_cyclic_words(auto.rank, max_len)
     leaves = build_leaf_corpus(tt, depth=config.leaf_depth, budget=config.leaf_budget)
     assert equivalence_sweep(auto, tt, leaves, words, config) == reference_sweep(auto, tt, leaves, words, config)
+
+
+def test_sweep_builds_one_orbit_per_inverse_pair(fib, fib_tt, monkeypatch):
+    """w and w^-1 share one orbit and one verdict: 102 words, 51 orbits."""
+    import traintracks.pipeline as pipeline
+
+    built = []
+
+    class CountedOrbit(CyclicOrbit):
+        def __init__(self, auto, word, **kwargs):
+            built.append(word)
+            super().__init__(auto, word, **kwargs)
+
+    monkeypatch.setattr(pipeline, "CyclicOrbit", CountedOrbit)
+    words = enumerate_cyclic_words(2, 5)
+    rep = equivalence_sweep(fib, fib_tt, build_leaf_corpus(fib_tt, depth=8, budget=100_000), words)
+    assert (rep.checked, len(built)) == (102, 51)
+    assert set(rep.labels) == set(words)
+    assert all(rep.labels[w] == rep.labels[canonical_rotation(invert_word(w))] for w in words)
+
+
+def test_dissent_is_listed_for_both_orientations(fib, fib_tt, monkeypatch):
+    """A dissenting probe is recorded for w and for w^-1, in sweep order,
+    although it ran on one orientation only (with its two retries)."""
+    import types
+
+    import traintracks.pipeline as pipeline
+
+    words = enumerate_cyclic_words(2, 3)
+    leaves = build_leaf_corpus(fib_tt, depth=8, budget=100_000)
+    honest = equivalence_sweep(fib, fib_tt, leaves, words)
+    probed = []
+
+    def dissent(auto, word, *args, **kwargs):
+        probed.append(word)
+        return types.SimpleNamespace(verdict=False)
+
+    monkeypatch.setattr(pipeline, "weak_limit_probe", dissent)
+    rep = equivalence_sweep(fib, fib_tt, leaves, words)
+    exponential = [w for w in words if honest.labels[w].startswith("Exponential")]
+    assert (rep.checked, rep.exponential, rep.polynomial) == (honest.checked, honest.exponential, honest.polynomial)
+    assert [d["word"] for d in rep.discrepancies] == exponential
+    assert len(probed) == len(words) // 2 + len(exponential)  # one probe per pair, two retries per exponential one
 
 
 # ----------------------------------------------------------------- analyze
@@ -643,3 +688,24 @@ def test_cli_tol_not_positive_is_input_error(argv, capsys):
 def test_cli_negative_max_m_is_input_error(command, capsys):
     assert main([command, "example:fibonacci", "--max-m", "-3"]) == 2
     assert "M must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["leaf", "--depth", "-1"], "leaf depth must be >= 0"),
+        (["growth", "--sweep-len", "-1"], "sweep length must be >= 0"),
+        (["lengths", "--sweep-len", "-1"], "sweep length must be >= 0"),
+    ],
+)
+def test_cli_negative_depth_or_sweep_len_is_input_error(argv, fragment, capsys):
+    assert main([argv[0], "example:fibonacci", *argv[1:]]) == 2
+    assert fragment in capsys.readouterr().err
+
+
+def test_cli_lengths_horizon_below_one_stride_is_input_error(capsys):
+    # at M = 0 no certificate can fire, which read both classes as Polynomial(0)
+    assert main(["lengths", "example:fibonacci", "--words", "a,ab", "--max-m", "0"]) == 2
+    assert "at least the stride k = 1" in capsys.readouterr().err
+    assert main(["lengths", "example:fibonacci", "--words", "a,ab", "--max-m", "1"]) == 0
+    assert capsys.readouterr().out.count("[Exponential(1.61803399)] legal") == 2
