@@ -67,8 +67,11 @@ print()
 print("weak-limit probe (does the heaviest leaf segment in psi^m(w) grow?)")
 for w in ("ab", "abAB"):
     probe = weak_limit_probe(corpus.get("fibonacci"), w, leaves)
-    head = ", ".join(f"{v:.3f}" for v in probe.values[:6])
-    print(f"  {w:5s} values [{head}, ...]  verdict: {'grows' if probe.verdict else 'bounded'}")
+    head, tail = (", ".join(f"{v:.3f}" for v in part) for part in (probe.head, probe.tail))
+    print(
+        f"  {w:5s} first and last quartile of {probe.positions}: [{head}] ... [{tail}]  "
+        f"verdict: {'grows' if probe.verdict else 'bounded'}"
+    )
 print()
 
 # -- two leaves swapped by the rank-4 map ------------------------------------

@@ -444,11 +444,13 @@ def longest_leaf_segment(word: str, corpus: LeafCorpus, metric: Metric) -> LeafM
 
 @dataclass
 class ProbeReport:
-    """Growth of the heaviest leaf segment along the orbit of a word."""
+    """Growth of the heaviest leaf segment along the orbit of a word: the
+    stride-k series' length and its two quartiles, the only lengths matched."""
 
     word: str
-    values: list
-    strided: list
+    head: tuple
+    tail: tuple
+    positions: int
     k: int
     verdict: bool
 
@@ -463,35 +465,36 @@ def weak_limit_probe(
     """Does the orbit of the word sweep out ever-longer leaf segments?
 
     Tracks the heaviest leaf segment of psi^m(word), in the corpus's own
-    eigenmetric, for m = 0..M and judges the stride-k subsequence: verdict
-    True iff its last quartile is strictly increasing and exceeds three
-    times the first quartile's maximum.  Exponentially growing classes
-    shadow leaves, so their segment lengths blow up; bounded or polynomial
-    classes stall.  The series ends
-    before the first orbit word longer than ``MATCH_CAP``: the matcher only
+    eigenmetric, along the stride-k positions m = 0, k, 2k, ... <= M and
+    judges that series: verdict True iff its last quartile is strictly
+    increasing and exceeds three times the first quartile's maximum.
+    Exponentially growing classes shadow leaves, so their segment lengths
+    blow up; bounded or polynomial classes stall.  The series ends before
+    the first orbit word longer than ``MATCH_CAP``: the matcher only
     searches a ``MATCH_CAP``-letter slice of each leaf, so longer words
-    would stall for want of leaf, not of growth.  The lengths come from
-    :meth:`LeafCorpus.match_length`, once per class.
+    would stall for want of leaf, not of growth.  Every orbit word is built
+    and measured to find that end, but only the two quartiles are matched,
+    with :meth:`LeafCorpus.match_length`, once per class; a series shorter
+    than two quartiles is False with nothing matched.
     """
     from .limits import CyclicOrbit
 
     if orbit is None:
         orbit = CyclicOrbit(auto, word)
-    k = corpus.k
-    values = []
+    k, stop = corpus.k, M + 1
     for m in range(M + 1):
         w = orbit.word_at(m)
         if w is None or len(w) > MATCH_CAP:
+            stop = m
             break
-        values.append(corpus.match_length(w))
-    strided = values[::k]
-    q = max(2, len(strided) // 4)
-    head, tail = strided[:q], strided[-q:]
-    increasing = all(b > a for a, b in zip(tail, tail[1:]))
-    verdict = bool(
-        len(strided) >= 2 * q
-        and increasing
-        and min(tail) > 3 * max(head)
-        and min(tail) > 0
+    positions = len(range(0, stop, k))
+    q = max(2, positions // 4)
+    if positions < 2 * q:
+        return ProbeReport(word=word, head=(), tail=(), positions=positions, k=k, verdict=False)
+    head, tail = (
+        tuple(corpus.match_length(orbit.word_at(i * k)) for i in span)
+        for span in (range(q), range(positions - q, positions))
     )
-    return ProbeReport(word=word, values=values, strided=strided, k=k, verdict=verdict)
+    increasing = all(b > a for a, b in zip(tail, tail[1:]))
+    verdict = bool(increasing and min(tail) > 3 * max(head) and min(tail) > 0)
+    return ProbeReport(word=word, head=head, tail=tail, positions=positions, k=k, verdict=verdict)

@@ -63,6 +63,12 @@ class AnalysisConfig:
     samples: int = 200
     seed: int = 0
 
+    def __post_init__(self):
+        rules = (("iterate horizon M", self.M, 1), ("sweep length", self.max_word_len, 0), ("leaf depth", self.leaf_depth, 0))
+        for name, value, least in rules:
+            if value < least:
+                raise InputError(f"{name} must be >= {least}, got {value}")
+
 
 @dataclass
 class ParsedInput:

@@ -610,7 +610,7 @@ def test_probe_verdicts(fib, fib_tt, fib_corpus):
     grows = weak_limit_probe(fib, "ab", fib_corpus, M=12)
     assert grows.verdict
     assert grows.k == 1
-    assert len(grows.values) == 13
+    assert grows.positions == 13
     flat = weak_limit_probe(fib, "abAB", fib_corpus, M=12)
     assert not flat.verdict
 
@@ -618,9 +618,29 @@ def test_probe_verdicts(fib, fib_tt, fib_corpus):
 def test_probe_rank4(rank4, rank4_tt, rank4_corpus):
     rep = weak_limit_probe(rank4, "a", rank4_corpus, M=16)
     assert rep.verdict
-    assert rep.strided == rep.values[::2]
+    orbit = CyclicOrbit(rank4, "a")
+    assert rep.head == tuple(rank4_corpus.match_length(orbit.word_at(m)) for m in (0, 2))
+    assert rep.tail == tuple(rank4_corpus.match_length(orbit.word_at(m)) for m in (14, 16))
     rep = weak_limit_probe(rank4, "abAB", rank4_corpus, M=16)
     assert not rep.verdict
+
+
+@pytest.mark.parametrize(
+    "name, word, M, matched",
+    [("fib", "ab", 12, (0, 1, 2, 10, 11, 12)), ("rank4", "a", 16, (0, 2, 14, 16)), ("rank4", "a", 5, ())],
+)
+def test_probe_matches_only_its_quartiles(request, monkeypatch, name, word, M, matched):
+    """The verdict reads the first and last q = max(2, positions // 4) terms
+    of the stride-k series, so only those orbit words are matched; a series
+    of fewer than 2q positions (here 3: m = 0, 2, 4) matches none and is False."""
+    auto, tt, leaves = (request.getfixturevalue(f"{name}{x}") for x in ("", "_tt", "_corpus"))
+    fresh = LeafCorpus(tt=tt, prefixes=leaves.prefixes, depth=leaves.depth)
+    seen, match = [], fresh.match_length
+    monkeypatch.setattr(fresh, "match_length", lambda w: seen.append(w) or match(w))
+    probe = weak_limit_probe(auto, word, fresh, M=M)
+    orbit = CyclicOrbit(auto, word)
+    assert seen == [orbit.word_at(m) for m in matched]
+    assert probe.verdict == bool(matched)
 
 
 @pytest.mark.parametrize("name, word", [("fib", "abaab"), ("fib", "aabAB"), ("rank4", "cdc"), ("rank4", "abAB")])
@@ -632,7 +652,8 @@ def test_probe_values_are_class_invariant(request, name, word):
     values = set()
     for w in [word[i:] + word[:i] for i in range(len(word))] + [invert_word(word)]:
         fresh = LeafCorpus(tt=tt, prefixes=leaves.prefixes, depth=leaves.depth)
-        values.add(tuple(weak_limit_probe(auto, w, fresh, M=12).values))
+        probe = weak_limit_probe(auto, w, fresh, M=12)
+        values.add((probe.head, probe.tail))
     assert len(values) == 1
 
 
@@ -647,6 +668,6 @@ def test_probe_stops_at_matcher_cap():
     for word in ("b", "B"):
         orbit = CyclicOrbit(auto, word, budget=200_000)
         probe = weak_limit_probe(auto, word, leaves, M=12, orbit=orbit)
-        assert probe.verdict, probe.strided
-        assert len(probe.values) == 10
+        assert probe.verdict, probe.tail
+        assert probe.positions == 10
         assert len(orbit.word_at(10)) > 30_000

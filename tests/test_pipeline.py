@@ -687,7 +687,8 @@ def test_cli_tol_not_positive_is_input_error(argv, capsys):
 @pytest.mark.parametrize("command", ["lengths", "growth", "analyze"])
 def test_cli_negative_max_m_is_input_error(command, capsys):
     assert main([command, "example:fibonacci", "--max-m", "-3"]) == 2
-    assert "M must be >= 0" in capsys.readouterr().err
+    # analyze checks its config up front, where the horizon must be at least 1
+    assert ("M must be >= 1" if command == "analyze" else "M must be >= 0") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -700,6 +701,21 @@ def test_cli_negative_max_m_is_input_error(command, capsys):
 )
 def test_cli_negative_depth_or_sweep_len_is_input_error(argv, fragment, capsys):
     assert main([argv[0], "example:fibonacci", *argv[1:]]) == 2
+    assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["example:identity", "--depth", "-1"], "leaf depth must be >= 0"),
+        (["example:identity", "--max-m", "-3"], "iterate horizon M must be >= 1"),
+        (["example:swap", "--max-m", "0"], "iterate horizon M must be >= 1"),
+    ],
+    ids=["identity-depth", "identity-max-m", "swap-max-m-0"],
+)
+def test_cli_analyze_checks_config_up_front(argv, fragment, capsys):
+    # these maps skip the stages that read --depth and --max-m
+    assert main(["analyze", *argv]) == 2
     assert fragment in capsys.readouterr().err
 
 
