@@ -20,7 +20,6 @@ from .errors import (
     NotALeafSegmentError,
     NotIrreducibleError,
     ParseError,
-    PowerIterationError,
     PreconditionError,
 )
 from .graphs import (

@@ -129,6 +129,8 @@ def measure_cancellation(
     rng = random.Random(seed)
     legal = gmap.legal_turns() if legal_only else None
     if words is None:
+        if samples < 1:
+            raise InputError(f"cancellation samples must be >= 1, got {samples}")
         words = sample_reduced_words(rank, samples, rng, legal=legal)
     bound = cancellation_bound(gmap, metric, lam=lam)
     measured = []

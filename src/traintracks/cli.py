@@ -20,7 +20,6 @@ from .errors import (
     InternalConsistencyError,
     NotALeafSegmentError,
     NotIrreducibleError,
-    PowerIterationError,
     PreconditionError,
 )
 from .graphs import Metric
@@ -98,7 +97,7 @@ def _cmd_verify_tt(args) -> int:
 
 def _cmd_spectral(args) -> int:
     parsed = _load(args)
-    tt = analyze_train_track(parsed.gmap, tol=args.tol)
+    tt = analyze_train_track(parsed.gmap)
     sp = spectral_section(tt)
     print(f"lambda = {_g(sp['lambda'])}  (k = {sp['k']}, residual {_g(sp['residual'])})")
     print(f"nu = ({', '.join(_g(x) for x in sp['nu'])})")
@@ -127,7 +126,7 @@ def _cmd_lengths(args) -> int:
     if parsed.auto is None:
         raise PreconditionError("limit lengths need a rose map")
     auto = parsed.auto
-    tt = analyze_train_track(parsed.gmap, tol=min(1e-12, args.tol))
+    tt = analyze_train_track(parsed.gmap)
     k = spectral_section(tt)["k"]  # on a reducible map, exits 2 with the section's skip reason
     words = _word_list(args, auto.rank, args.sweep_len)
     lengths = lengths_section(auto, tt, words, M=args.max_m, tol=args.tol)
@@ -265,7 +264,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("spectral", help="stretch factor and eigenmetric")
     _add_common(p)
-    p.add_argument("--tol", type=float, default=1e-12)
     p.set_defaults(func=_cmd_spectral)
 
     p = subs.add_parser("growth", help="exponential/polynomial classification")
@@ -334,7 +332,7 @@ def main(argv=None) -> int:
         msg = exc.args[0] if exc.args else str(exc)
         print(f"error: {msg}", file=sys.stderr)
         return 2
-    except (InternalConsistencyError, PowerIterationError) as exc:
+    except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 3
 

@@ -30,14 +30,6 @@ class NotIrreducibleError(ValueError):
     """Spectral data was requested for a reducible transition matrix."""
 
 
-class PowerIterationError(RuntimeError):
-    """Power iteration failed to converge within the iteration cap."""
-
-    def __init__(self, message, last_estimate=None):
-        super().__init__(message)
-        self.last_estimate = last_estimate
-
-
 class NotALeafSegmentError(ValueError):
     """A path was required to occur in a lamination leaf but does not."""
 

@@ -281,6 +281,8 @@ def limit_length(
     _require_spectral(tt)
     if M < 0:
         raise InputError(f"iterate horizon M must be >= 0, got {M}")
+    if not tol > 0:
+        raise InputError(f"tolerance must be positive, got {tol!r}")
     lam, k = tt.pf.lam, tt.pf.k
     if M < k:
         # one stride is the least horizon at which a certificate can fire

@@ -64,7 +64,10 @@ class AnalysisConfig:
     seed: int = 0
 
     def __post_init__(self):
-        rules = (("iterate horizon M", self.M, 1), ("sweep length", self.max_word_len, 0), ("leaf depth", self.leaf_depth, 0))
+        if not self.tol > 0:
+            raise InputError(f"tolerance must be positive, got {self.tol!r}")
+        rules = (("iterate horizon M", self.M, 1), ("sweep length", self.max_word_len, 0))
+        rules += (("leaf depth", self.leaf_depth, 0), ("cancellation samples", self.samples, 1))
         for name, value, least in rules:
             if value < least:
                 raise InputError(f"{name} must be >= {least}, got {value}")
@@ -510,7 +513,7 @@ def analyze(source, config: AnalysisConfig | None = None, words=None) -> dict:
     else:
         skipped["validation"] = "not a rose map; no group automorphism to validate"
 
-    tt = analyze_train_track(gmap, tol=min(1e-12, config.tol))
+    tt = analyze_train_track(gmap)
     report["train_track"] = train_track_section(tt)
     report["transition"] = transition_section(tt)
     try:

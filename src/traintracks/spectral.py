@@ -1,9 +1,10 @@
 """Spectral data of nonnegative transition matrices.
 
 For an irreducible matrix A this computes the stretch factor (the dominant
-eigenvalue), the positive left eigenvector normalized to sum 1, the cyclic
-index k with its edge blocks, and the eigenmetric in which the map stretches
-every edge by exactly the dominant eigenvalue.
+eigenvalue), the positive left eigenvector normalized to sum 1, both from one
+dense eigensolve with no iteration and no tolerance, the cyclic index k with
+its edge blocks, and the eigenmetric in which the map stretches every edge by
+exactly the dominant eigenvalue.
 """
 
 from __future__ import annotations
@@ -14,13 +15,10 @@ from functools import cached_property
 import numpy as np
 
 from .cancellation import cancellation_bound
-from .errors import InputError, NotIrreducibleError, PowerIterationError
+from .errors import InternalConsistencyError, NotIrreducibleError
 from .graphs import Metric, path_length
 from .maps import GraphMap, TrainTrackVerdict, invariant_subgraph, rose_map, tarjan_sink
 from .words import ALPHABET, Automorphism
-
-DEFAULT_TOL = 1e-12
-MAX_POWER_ITERATIONS = 10**6
 
 
 def cyclic_index(matrix) -> tuple[int, tuple]:
@@ -50,6 +48,8 @@ class PFData:
     summing to 1; ``residual`` is the max-norm defect of that identity.
     ``primitive_first_return`` is all True: for an irreducible matrix of
     period k, A^k is primitive on each cyclic block (Frobenius normal form).
+    ``iterations`` is 0, since one eigensolve replaces any iteration; the
+    report's ``spectral.iterations`` key and the benchmark's tracer read it.
     """
 
     lam: float
@@ -65,15 +65,16 @@ class PFData:
         return self.lam > 1 + 1e-9
 
 
-def pf_eigen(matrix, tol: float = DEFAULT_TOL, max_iter: int = MAX_POWER_ITERATIONS) -> PFData:
-    """Power iteration for the dominant eigenvalue and left eigenvector.
+def pf_eigen(matrix) -> PFData:
+    """Perron root and left eigenvector from one dense eigensolve of A^T.
 
-    Iterates transpose(A)^k (k the cyclic index) from the all-ones vector
-    with L1 normalization, then phase-averages the k partial vectors so the
-    result is an honest eigenvector of A itself.
+    nu is the eigenvector of the eigenvalue with the largest real part, the
+    Perron root of an irreducible matrix: the other k - 1 eigenvalues on its
+    spectral circle are rotations of it, and the rest lie inside.
+    lam = sum_e (nu A)_e is the nu-weighted mean of the Collatz-Wielandt
+    ratios (nu A)_e / nu_e, so it lies between their min and max, which
+    bracket the Perron root.
     """
-    if not tol > 0:
-        raise InputError(f"tolerance must be positive, got {tol!r}")
     mat = np.asarray(matrix, dtype=float)
     n = len(mat)
     if mat.shape != (n, n) or (mat < 0).any():
@@ -84,43 +85,15 @@ def pf_eigen(matrix, tol: float = DEFAULT_TOL, max_iter: int = MAX_POWER_ITERATI
             raise NotIrreducibleError("1x1 transition matrix with zero entry")
         return PFData(lam, np.array([1.0]), 1, (("a",),), 0.0, (True,), 0)
     k, blocks = cyclic_index(mat)  # raises NotIrreducibleError for a reducible matrix
-    step = np.linalg.matrix_power(mat.T, k)
-    u = np.full(n, 1.0 / n)
-    est = None
-    used = 0
-    for it in range(1, max_iter + 1):
-        v = step @ u
-        total = v.sum()
-        new_est = total  # u sums to 1, so the L1 ratio is just the sum
-        v /= total
-        drift = np.abs(v - u).max()
-        u = v
-        if est is not None and abs(new_est - est) <= tol * max(1.0, new_est) and drift <= tol:
-            est = new_est
-            used = it
-            break
-        est = new_est
-    else:
-        raise PowerIterationError(
-            f"no convergence within {max_iter} iterations", last_estimate=est
-        )
-    lam = est ** (1.0 / k)
-    acc = u.copy()
-    phase = u.copy()
-    for _ in range(k - 1):
-        phase = (mat.T @ phase) / lam
-        acc += phase
-    nu = acc / acc.sum()
-    residual = float(np.abs(nu @ mat - lam * nu).max())
-    return PFData(
-        lam=float(lam),
-        nu=nu,
-        k=k,
-        blocks=blocks,
-        residual=residual,
-        primitive_first_return=(True,) * k,
-        iterations=used,
-    )
+    values, vectors = np.linalg.eig(mat.T)
+    vec = vectors[:, np.argmax(values.real)].real
+    nu = vec / vec.sum()
+    if not (nu > 0).all():
+        raise InternalConsistencyError(f"Perron eigenvector of an irreducible matrix is not positive: {nu!r}")
+    image = nu @ mat
+    lam = float(image.sum())
+    residual = float(np.abs(image - lam * nu).max())
+    return PFData(lam, nu, k, blocks, residual, (True,) * k, 0)
 
 
 def is_simplicial(matrix) -> bool:
@@ -163,12 +136,12 @@ class TrainTrackData:
         return worst
 
 
-def analyze_train_track(gmap: GraphMap, tol: float = DEFAULT_TOL) -> TrainTrackData:
+def analyze_train_track(gmap: GraphMap) -> TrainTrackData:
     """Run the verdict, irreducibility and spectral stages on one map."""
     verdict = gmap.is_train_track()
     mat = gmap.transition_matrix()
     invariant = invariant_subgraph(mat)
-    pf = pf_eigen(mat, tol=tol) if invariant is None else None
+    pf = pf_eigen(mat) if invariant is None else None
     metric = None if pf is None else Metric(pf.nu)  # the eigenmetric
     return TrainTrackData(gmap=gmap, verdict=verdict, matrix=mat, invariant=invariant, pf=pf, metric=metric)
 

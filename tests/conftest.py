@@ -5,13 +5,17 @@ and shared across test modules.
 """
 
 import functools
+import importlib.util
 import math
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from traintracks import analyze_train_track, rose_map
+import traintracks
+from traintracks import Automorphism, analyze_train_track, rose_map
 from traintracks import corpus
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -99,6 +103,19 @@ def all_tts(fib_tt, conj_a_tt, conj_b_tt, rank4_tt, swap_tt, unipotent_tt, ident
         "unipotent": unipotent_tt,
         "identity": identity2_tt,
     }
+
+
+@pytest.fixture
+def family_autos(monkeypatch):
+    """The 28 maps of the benchmark family, built by ``perfbench/family.py``
+    loaded from its file."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_family", Path(__file__).resolve().parents[1] / "perfbench" / "family.py"
+    )
+    family = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, family)  # its dataclass looks itself up there
+    spec.loader.exec_module(family)
+    return [Automorphism(fm.images) for fm in family.generate(traintracks, family.DESIGN_SEED)]
 
 
 @pytest.fixture(scope="session")

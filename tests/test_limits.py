@@ -598,15 +598,11 @@ def test_certified_limit_matches_delta_reference(reference_limit, case):
         assert -1e-9 <= loss <= 2 * C * _illegal_turns(w, legal) + 1e-9
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="pf_eigen stops at tol 1e-12, so nu A misses lam nu by 3.4e-13 per letter "
-    "and a 22,058-letter step loses -3.0e-9",
-)
 def test_step_loss_bound_on_long_orbit_words():
-    """A class drawn by the property test above on which the float
-    eigenvector breaks the lower step bound loss >= -1e-9.  The loss stays
-    -3.0e-9 with exact rational sums, so the eigenvector is at fault."""
+    """A class drawn by the property test above, with a 22,058-letter orbit
+    word: an eigenvector whose nu A misses lam nu by 3.4e-13 per letter
+    breaks the lower step bound loss >= -1e-9 here, with a loss of -3.0e-9
+    also under exact rational sums."""
     auto = Automorphism(["ba", "c", "dcba", "a"])
     tt = analyze_train_track(rose_map(auto))
     orbit = CyclicOrbit(auto, "DCb")

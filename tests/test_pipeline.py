@@ -361,14 +361,19 @@ def test_round_floats_shapes():
 # and "interval" (only those fields changed), and when the convergence
 # cross-check began to read count vectors at its last stride instead of
 # stopping on a Cauchy gap (only "uniform_max_rel_error" changed, on
-# fibonacci, fibonacci-conj-a and swap-fibonacci); the report must not drift.
+# fibonacci, fibonacci-conj-a and swap-fibonacci), and when the PF data came
+# from one eigensolve instead of power iteration (only spectral "residual"
+# and "iterations", homothety "max_rel_defect", "uniform_max_rel_error" in
+# its third digit, and cancellation "max_measured"/"mean_measured" at the
+# 1e-16 level changed; "lambda", "nu", lengths and labels did not); the
+# report must not drift.
 GOLDEN_FAST_DIGESTS = {
-    "fibonacci": "1426695cd147559bea19d1c19cc93e9b6abb07b4c41ac18c7fbbf0c34e2b8d5c",
-    "fibonacci-conj-a": "51afd3576bc347860e93f9bb5d63b0d05d193f143aa237294ff77ca8c2347e63",
-    "fibonacci-conj-b": "246a66f3350c9e8dd3dec2aeac3e3a7a2c095d4a28fd36ca12298b604a04fa02",
+    "fibonacci": "ff2087fd3f9a215fd2387b457e3a6ea7f2a0d015a353628cb6808a468f9e99bb",
+    "fibonacci-conj-a": "151dce90325fbadf14547a735ab7a28895292320e762e1aea4a6243cf363ba13",
+    "fibonacci-conj-b": "e5f9cf4ffe1b35c71c499c703395cae090541c3049ca01b4ee128b96805059c7",
     "identity": "f633099568ee25752582ad95aaefcea41ca2d59078ea93041e9e4fe84958717c",
-    "swap": "40e7ca3dd20d3e5f64d921ec6f19daec5f5088e070999830e7717bf77e96cc53",
-    "swap-fibonacci": "bace33db4d52b48e53aa7a40efd55b56c4ad40a109fb7afb7da37cf19e89a78a",
+    "swap": "c224bc75536983f098ccb5a8acf2f6f223fc9e136b72c633e895d41765df3785",
+    "swap-fibonacci": "95d88d3965f4228aa1b6e96754a17f40fbae5cde604ccfe001ea9722ce174448",
     "unipotent": "060a43b83c7b7b7d7672d5e6370b4d65e9e11186448477dcc76f111f632ca4f1",
 }
 
@@ -676,12 +681,26 @@ def test_cli_convergence_bad_metric_is_input_error(metric, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["spectral", "--tol", "-1"], ["lengths", "--tol", "0", "--words", "ab"], ["analyze", "--tol", "0"]]
+    "argv",
+    [
+        ["lengths", "example:fibonacci", "--words", "ab", "--tol", "nan"],
+        ["lengths", "example:fibonacci", "--tol", "0", "--words", "ab"],
+        ["analyze", "example:fibonacci", "--tol", "0"],
+        ["analyze", "example:fibonacci", "--tol", "nan"],
+        ["analyze", "example:identity", "--tol", "0"],
+    ],
 )
 def test_cli_tol_not_positive_is_input_error(argv, capsys):
-    # rejected before the first power iteration, not after 10**6 of them
-    assert main([argv[0], "example:fibonacci", *argv[1:]]) == 2
+    # NaN fails "tol > 0" too; analyze checks its config also on a map without limit lengths
+    assert main(argv) == 2
     assert "tolerance must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "cancellation"])
+def test_cli_samples_below_one_is_input_error(command, capsys):
+    # names the option rather than blaming the map for having no admissible splits
+    assert main([command, "example:fibonacci", "--samples", "0"]) == 2
+    assert "cancellation samples must be >= 1, got 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["lengths", "growth", "analyze"])

@@ -3,25 +3,30 @@
 Closed-form oracles: the Fibonacci matrix [[1,1],[1,0]] has characteristic
 polynomial x^2 - x - 1 with root the golden ratio, and the rank-4 swap has
 x^4 - x^2 - 1, so its stretch is the square root of the golden ratio.  The
-generic oracle is numpy's dense eigensolver on small random irreducible
-matrices.
+generic oracles, on random irreducible matrices of size up to 26 and with
+planted cyclic index, are the spectral radius and the exact Collatz-Wielandt
+bracket min_e (nu A)_e / nu_e <= lam <= max_e (nu A)_e / nu_e of the returned
+nu, summed in rationals.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from traintracks import (
-    InputError,
+    Automorphism,
     Metric,
     NotIrreducibleError,
-    PowerIterationError,
+    analyze_train_track,
+    corpus,
     cyclic_index,
     is_simplicial,
     path_length,
     pf_eigen,
+    rose_map,
 )
 from traintracks.words import letter_index
 
@@ -68,6 +73,37 @@ def test_swap_is_simplicial(swap_tt):
     np.testing.assert_allclose(pf.nu, [0.5, 0.5], atol=1e-9)
 
 
+def test_plastic_number_stretch_factor():
+    """a -> b, b -> c, c -> ab has characteristic polynomial x^3 - x - 1,
+    whose real root is the plastic number 1.3247179572447460259609..."""
+    tt = analyze_train_track(rose_map(Automorphism(["b", "c", "ab"])))
+    plastic = 1.3247179572447460
+    assert abs(tt.pf.lam - plastic) <= np.spacing(plastic)
+    assert tt.pf.k == 1
+    assert_pf_quality(tt.pf, tt.matrix)
+
+
+def test_seventeen_edge_map_with_small_spectral_gap():
+    """|lambda_2| / lambda is about 1 - 1e-6 here, with k = 1: an iteration
+    to a gap needs millions of steps, the eigensolve none."""
+    images = ["l", "ppp", "g", "f", "b", "a", "o", "d", "c", "k", "ce", "q", "no", "h", "m", "bbin", "j"]
+    tt = analyze_train_track(rose_map(Automorphism(images)))
+    assert tt.pf.k == 1
+    assert tt.pf.lam == pytest.approx(2.44956954, abs=5e-9)
+    assert_pf_quality(tt.pf, tt.matrix)
+
+
+def test_pf_quality_on_bundled_and_family_maps(family_autos):
+    autos = [corpus.get(name) for name in corpus.REGISTRY] + family_autos
+    tts = [analyze_train_track(rose_map(auto)) for auto in autos]
+    with_pf = [tt for tt in tts if tt.pf is not None]
+    assert len(with_pf) == 33
+    for tt in with_pf:
+        assert tt.pf.iterations == 0
+        assert_pf_quality(tt.pf, tt.matrix)
+        assert tt.pf.residual <= 1e-14 * tt.pf.lam
+
+
 def test_one_by_one_matrix():
     pf = pf_eigen([[3]])
     assert pf.lam == 3.0
@@ -112,9 +148,23 @@ def test_simplicial_cases(identity2_tt, fib_tt):
 # ------------------------------------------------- generic eigen oracle
 
 
+def assert_pf_quality(pf, mat):
+    """Relative residual at most 1e-13, nu positive and summing to 1, and lam
+    within 2 ulps of the exact Collatz-Wielandt bracket of its own nu."""
+    mat = np.asarray(mat)
+    assert (pf.nu > 0).all()
+    assert pf.nu.sum() == pytest.approx(1.0, abs=1e-12)
+    assert float(np.abs(pf.nu @ mat - pf.lam * pf.nu).max()) <= 1e-13 * pf.lam
+    nu = [Fraction(float(x)) for x in pf.nu]
+    n = len(nu)
+    ratios = [sum(nu[i] * int(mat[i, j]) for i in range(n)) / nu[j] for j in range(n)]
+    slack = 2 * Fraction(float(np.spacing(pf.lam)))
+    assert min(ratios) - slack <= Fraction(pf.lam) <= max(ratios) + slack
+
+
 @st.composite
 def irreducible_matrices(draw):
-    n = draw(st.integers(min_value=2, max_value=5))
+    n = draw(st.integers(min_value=2, max_value=26))
     mat = draw(
         st.lists(
             st.lists(st.integers(min_value=0, max_value=4), min_size=n, max_size=n),
@@ -128,17 +178,6 @@ def irreducible_matrices(draw):
     for i in range(n):
         mat[(i + 1) % n, i] = max(1, mat[(i + 1) % n, i])
     return mat
-
-
-@settings(max_examples=60, deadline=None)
-@given(irreducible_matrices())
-def test_pf_matches_dense_eigensolver(mat):
-    pf = pf_eigen(mat)
-    dense = np.max(np.abs(np.linalg.eigvals(mat.astype(float))))
-    assert pf.lam == pytest.approx(float(dense), rel=1e-9, abs=1e-9)
-    assert (pf.nu > 0).all()
-    assert pf.nu.sum() == pytest.approx(1.0, abs=1e-12)
-    assert float(np.abs(pf.nu @ mat - pf.lam * pf.nu).max()) < 1e-8
 
 
 @st.composite
@@ -160,6 +199,17 @@ def cyclic_matrices(draw):
             for v in range(first[s], first[s + 1]):
                 mat[v, u] = max(mat[v, u], draw(st.integers(min_value=0, max_value=2)))
     return mat, k
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(irreducible_matrices(), cyclic_matrices().map(lambda planted: planted[0])))
+def test_pf_matches_dense_eigensolver(mat):
+    """With k > 1 eigenvalues on the spectral circle, too, the Perron root
+    is the one picked."""
+    pf = pf_eigen(mat)
+    dense = np.max(np.abs(np.linalg.eigvals(mat.astype(float))))
+    assert pf.lam == pytest.approx(float(dense), rel=1e-9, abs=1e-9)
+    assert_pf_quality(pf, mat)
 
 
 @settings(max_examples=200, deadline=None)
@@ -184,18 +234,6 @@ def test_power_is_primitive_on_cyclic_classes(planted):
             reach = np.minimum(reach @ sub, 1)
         assert reach.all()
     assert pf_eigen(mat).primitive_first_return == (True,) * k
-
-
-def test_power_iteration_budget(fib_tt):
-    with pytest.raises(PowerIterationError):
-        pf_eigen(fib_tt.matrix, tol=1e-15, max_iter=2)
-
-
-@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
-def test_pf_eigen_rejects_tol_not_positive(fib_tt, tol):
-    # max_iter=1 would raise PowerIterationError if the loop were entered
-    with pytest.raises(InputError, match="tolerance"):
-        pf_eigen(fib_tt.matrix, tol=tol, max_iter=1)
 
 
 # ------------------------------------------------------------- eigenmetric

@@ -6,10 +6,7 @@ cyclic reduction, and an explicit min-over-rotations for the canonical
 form.
 """
 
-import importlib.util
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -330,20 +327,10 @@ def test_integer_det_matches_rational_elimination(rows):
     assert integer_det(rows) == _fraction_det(rows)
 
 
-def test_abelianization_det_of_bundled_and_family_maps(monkeypatch):
+def test_abelianization_det_of_bundled_and_family_maps(family_autos):
     """The exact determinant agrees with the rounded float one on every
     bundled map and every map of the benchmark family."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_family", Path(__file__).resolve().parents[1] / "perfbench" / "family.py"
-    )
-    family = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, family)  # its dataclass looks itself up there
-    spec.loader.exec_module(family)
-    import traintracks
-
-    autos = [corpus.get(name) for name in corpus.REGISTRY]
-    autos += [Automorphism(fm.images) for fm in family.generate(traintracks, family.DESIGN_SEED)]
-    for auto in autos:
+    for auto in [corpus.get(name) for name in corpus.REGISTRY] + family_autos:
         mat = auto.abelianization()
         assert auto.validate().abelianization_det == integer_det(mat) == round(np.linalg.det(mat.astype(float)))
         assert abs(integer_det(mat)) == 1
