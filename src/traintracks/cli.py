@@ -42,6 +42,8 @@ from .pipeline import (
 from .spectral import analyze_train_track
 from .words import enumerate_cyclic_words, parse_word
 
+_PERRON_ROOT = " (the Perron root of this map's transition matrix, an upper bound on the stretch factor)"
+
 
 def _read_source(source: str) -> str:
     if source == "-":
@@ -99,7 +101,8 @@ def _cmd_spectral(args) -> int:
     parsed = _load(args)
     tt = analyze_train_track(parsed.gmap)
     sp = spectral_section(tt)
-    print(f"lambda = {_g(sp['lambda'])}  (k = {sp['k']}, residual {_g(sp['residual'])})")
+    bound = "" if tt.verdict.is_train_track else _PERRON_ROOT
+    print(f"lambda = {_g(sp['lambda'])}{bound}  (k = {sp['k']}, residual {_g(sp['residual'])})")
     print(f"nu = ({', '.join(_g(x) for x in sp['nu'])})")
     print("blocks: " + "  ".join("{" + ",".join(b) + "}" for b in sp["blocks"]))
     if tt.verdict.is_train_track:
@@ -219,7 +222,7 @@ def _print_summary(report: dict) -> None:
     print("train track: " + ("yes" if tt["is_train_track"] else f"NO (iterate {tt['fails_at_iterate']})"))
     if "spectral" in rounded:
         sp = rounded["spectral"]
-        print(f"lambda = {sp['lambda']}, k = {sp['k']}, nu = {sp['nu']}")
+        print(f"lambda = {sp['lambda']}{'' if tt['is_train_track'] else _PERRON_ROOT}, k = {sp['k']}, nu = {sp['nu']}")
     if "growth" in rounded:
         g = rounded["growth"]
         print(

@@ -40,35 +40,44 @@ class CyclicOrbit:
 
     Stores cyclically reduced representatives of psi^m(x); stops extending
     once the next representative would exceed the length budget and records
-    that fact instead of raising.  Given the map's train track ``tt``,
-    lengths past the first legal word step letter counts by the transition
-    matrix: legal circuits map to legal circuits without cancellation.
-    ``counts[m]`` keeps the count vector at m, None before legality.
+    that fact instead of raising.  Given the map's train track ``tt``, words
+    past the first legal one, ``legal_from``, are plain substitutions, as
+    legal circuits map to legal ones without cancellation, and lengths step
+    count vectors ``counts[m]`` (None before) by the transition matrix.
     """
 
     def __init__(self, auto: Automorphism, word: str, budget: int | None = None, tt: TrainTrackData | None = None):
         core, _ = cyclic_reduce(reduce_word(check_word(word, auto.rank), auto.rank))
         self.auto = auto
-        self.words = [core]
         self.budget = auto.budget if budget is None else budget
         self.cut = None  # the first m over the budget, once a word or a length met it
         self.tt = tt if tt is not None and tt.verdict.is_train_track else None
-        self.lengths, self.counts = [], []
+        self.words, self.legal_from, self.lengths, self.counts = [], None, [], []
+        self._push(core)
 
     @property
     def truncated(self) -> bool:
         return self.cut is not None
 
+    def _push(self, w: str):
+        if self.legal_from is None and self.tt is not None and self.tt.gmap.is_legal_cyclic(w):
+            self.legal_from = len(self.words)
+        self.words.append(w)
+
     def word_at(self, m: int):
         """The representative at time m, or None if the budget cut us off."""
         if self.cut is not None and m >= self.cut:
             return None
+        subst = self.auto._subst
         while len(self.words) <= m:
-            nxt = self.auto.apply_cyclic(self.words[-1])
-            if len(nxt) > self.budget:
+            w, legal = self.words[-1], self.legal_from is not None
+            # past legality nothing cancels, so the image's exact length is checked before it is built
+            over = legal and len(w) * subst.max_growth > self.budget and subst.output_length(w) > self.budget
+            nxt = None if over else (subst(w) if legal else self.auto.apply_cyclic(w))
+            if over or len(nxt) > self.budget:
                 self.cut = len(self.words)
                 return None
-            self.words.append(nxt)
+            self._push(nxt)
         return self.words[m]
 
     def length_at(self, m: int):
@@ -82,7 +91,7 @@ class CyclicOrbit:
                 if w is None:
                     return None
                 n = len(w)
-                if self.tt is not None and self.tt.gmap.is_legal_cyclic(w):
+                if self.legal_from == len(self.lengths):
                     counts = letter_counts(w, self.auto.rank).sum(axis=0)
             else:
                 counts = self.tt.matrix @ counts

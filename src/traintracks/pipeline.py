@@ -246,10 +246,10 @@ def equivalence_sweep(
     """Run limit-length, growth, and leaf-probe verdicts on every word.
 
     The verdicts are read once per class up to inversion and counted for
-    both orientations (see :func:`_once_per_inverse_pair`).  The three
-    operations share one cached orbit, whose growth lengths come from count
-    vectors once it is legal; leaf matches are shared per class, up to
-    rotation and inversion, through the corpus.  A word counts as a
+    both orientations (see :func:`_once_per_inverse_pair`).  The growth
+    verdict is :func:`limit_length`'s unless low-confidence, and only then
+    the classifier's on the shared orbit; leaf matches are shared per class,
+    up to rotation and inversion, through the corpus.  A word counts as a
     discrepancy when the verdicts do not agree; the limit-length verdict
     decides the reported label.  When only the probe dissents it is retried
     with a longer window before the disagreement is recorded: orbits that
@@ -268,8 +268,8 @@ def equivalence_sweep(
     def verdicts(word):
         orbit = CyclicOrbit(auto, word, budget=SWEEP_BUDGET, tt=tt)
         rep = limit_length(auto, word, tt, M=config.M, tol=config.tol, orbit=orbit)
-        a = rep.classification.is_exponential
-        b = classify_growth(auto, word, M=growth_M, eps=growth_eps, orbit=orbit).is_exponential
+        a, low = rep.classification.is_exponential, rep.classification.low_confidence
+        b = classify_growth(auto, word, M=growth_M, eps=growth_eps, orbit=orbit).is_exponential if low else a
         c = weak_limit_probe(auto, word, corpus, orbit=orbit).verdict
         if a and b and not c:
             for factor in (2, 4):
@@ -282,10 +282,8 @@ def equivalence_sweep(
     for word, (label, a, certificate, b, c) in _once_per_inverse_pair(words, verdicts):
         report.checked += 1
         report.labels[word] = label
-        if a:
-            report.exponential += 1
-        else:
-            report.polynomial += 1
+        report.exponential += a
+        report.polynomial += not a
         if not (a == b == c):
             report.discrepancies.append(
                 {"word": word, "limit_length": a, "certificate": certificate, "growth": b, "leaf_probe": c}

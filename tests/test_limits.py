@@ -27,6 +27,7 @@ from traintracks import (
     analyze_train_track,
     classify_growth,
     convergence_constants,
+    enumerate_cyclic_words,
     homothety_check,
     limit_length,
     path_length,
@@ -38,7 +39,7 @@ from traintracks import (
 )
 from traintracks import corpus
 from traintracks.graphs import block_path_length
-from traintracks.limits import SWEEP_M, _tail_is_flat
+from traintracks.limits import SWEEP_BUDGET, SWEEP_M, _tail_is_flat
 from traintracks.words import ALPHABET, letter_index
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -69,6 +70,47 @@ def test_cyclic_orbit_budget(fib):
     assert orbit.word_at(5) is None  # next length 13 exceeds the budget
     assert orbit.truncated
     assert orbit.word_at(6) is None  # stays truncated
+
+
+def test_legal_orbit_checks_budget_before_building(fib, fib_tt, monkeypatch):
+    """Past the first legal word the image's exact length meets the budget
+    before the image is built: the cut falls at the same m as when the
+    word is built and then measured (55 letters at m = 8 for budget 50),
+    and the substitution is never asked for an image over the budget."""
+    from traintracks._subst import SubstTable
+
+    images = []
+    build = SubstTable.__call__
+
+    def counted(table, word):
+        images.append(build(table, word))
+        return images[-1]
+
+    monkeypatch.setattr(SubstTable, "__call__", counted)
+    orbit = CyclicOrbit(fib, "a", budget=50, tt=fib_tt)
+    assert orbit.legal_from == 0 and len(orbit.word_at(7)) == 34
+    assert orbit.word_at(8) is None and orbit.cut == 8
+    assert len(images) == 7 and max(map(len, images)) == 34
+    built = CyclicOrbit(fib, "a", budget=50)  # without the train track: build, then compare
+    assert built.word_at(8) is None and built.cut == 8 and max(map(len, images)) == 55
+
+
+@pytest.mark.parametrize(
+    "name, max_len", [("fibonacci", 5), ("fibonacci-conj-a", 5), ("swap-fibonacci", 3)]
+)
+def test_orbit_words_past_legality_match_apply_cyclic(name, max_len):
+    """The plain substitution that builds each word past the first legal
+    one gives apply_cyclic's word (an orbit without the train track builds
+    every word with it), for m <= 12 on every class of the sweep."""
+    auto = corpus.get(name)
+    tt = analyze_train_track(rose_map(auto))
+    late = 0
+    for word in enumerate_cyclic_words(auto.rank, max_len):
+        orbit = CyclicOrbit(auto, word, budget=SWEEP_BUDGET, tt=tt)
+        built = CyclicOrbit(auto, word, budget=SWEEP_BUDGET)
+        assert [orbit.word_at(m) for m in range(13)] == [built.word_at(m) for m in range(13)]
+        late += orbit.legal_from is not None and orbit.legal_from > 0
+    assert late > 0  # some orbit switches from apply_cyclic to substitution mid-way
 
 
 # ------------------------------------------------- normalized sequences

@@ -6,6 +6,8 @@ import math
 import re
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from traintracks import (
     AnalysisConfig,
@@ -166,12 +168,15 @@ def reference_probe(auto, word, corpus, metric, M, orbit):
     return len(strided) >= 2 * q and increasing and min(tail) > 3 * max(head) and min(tail) > 0
 
 
+def sweep_growth_params(lam):
+    """The growth classifier's horizon and eps in a sweep at stretch factor lam."""
+    return max(SWEEP_M, 4 * math.ceil(math.log(3) / math.log(lam))), min(0.05, math.sqrt(lam) - 1)
+
+
 def reference_sweep(auto, tt, corpus, words, config):
     """The sweep word by word: growth reads lengths off built words, and
     the probe matches each orbit word on its own."""
-    lam = tt.pf.lam
-    growth_M = max(SWEEP_M, 4 * math.ceil(math.log(3) / math.log(lam)))
-    growth_eps = min(0.05, math.sqrt(lam) - 1)
+    growth_M, growth_eps = sweep_growth_params(tt.pf.lam)
     n_exp, discrepancies, labels = 0, [], {}
     for word in words:
         orbit = CyclicOrbit(auto, word, budget=SWEEP_BUDGET)
@@ -209,6 +214,125 @@ def test_sweep_matches_word_by_word_reference(auto, max_len):
     words = enumerate_cyclic_words(auto.rank, max_len)
     leaves = build_leaf_corpus(tt, depth=config.leaf_depth, budget=config.leaf_budget)
     assert equivalence_sweep(auto, tt, leaves, words, config) == reference_sweep(auto, tt, leaves, words, config)
+
+
+def classifier_agreement(auto, tt, words):
+    """Certificates of the classes whose limit classification is not
+    low-confidence, after checking that the growth classifier, at the
+    sweep's horizon and eps on the sweep's orbit, reads the same growth."""
+    growth_M, growth_eps = sweep_growth_params(tt.pf.lam)
+    config = AnalysisConfig()
+    certificates = []
+    for word in words:
+        orbit = CyclicOrbit(auto, word, budget=SWEEP_BUDGET, tt=tt)
+        rep = limit_length(auto, word, tt, M=config.M, tol=config.tol, orbit=orbit)
+        if not rep.classification.low_confidence:
+            growth = classify_growth(auto, word, M=growth_M, eps=growth_eps, orbit=orbit)
+            assert growth.is_exponential == rep.classification.is_exponential, word
+            certificates.append(rep.certificate)
+    return certificates
+
+
+@pytest.mark.parametrize(
+    "name, max_len, counts",
+    [
+        ("fibonacci", 5, {"legal": 88, "splitting": 12, "periodic": 2}),
+        ("fibonacci-conj-a", 5, {"legal": 88, "splitting": 12, "periodic": 2}),
+        ("swap-fibonacci", 3, {"legal": 160}),
+    ],
+)
+def test_growth_classifier_agrees_with_certified_classes(name, max_len, counts):
+    """The sweep reads growth off the limit's classification where it is
+    not low-confidence; the raw-length classifier stays the reference for
+    that, on every certificate kind: 6 splitting and 1 periodic class up to
+    inversion on each Fibonacci map."""
+    auto = corpus.get(name)
+    tt = analyze_train_track(rose_map(auto))
+    certificates = classifier_agreement(auto, tt, enumerate_cyclic_words(auto.rank, max_len))
+    assert {c: certificates.count(c) for c in set(certificates)} == counts
+
+
+def family_style_map(rank, moves):
+    """The rotation a -> b -> ... -> a composed with Nielsen moves
+    x_i -> x_i x_j, as the benchmark family builds its maps: positive, so a
+    train track."""
+    letters = ALPHABET[:rank]
+    auto = Automorphism([letters[(i + 1) % rank] for i in range(rank)])
+    for i, j in moves:
+        images = list(letters)
+        images[i] += letters[j]
+        auto = auto.compose(Automorphism(images))
+    return auto
+
+
+@st.composite
+def family_style_maps(draw):
+    rank = draw(st.integers(2, 4))
+    pairs = st.tuples(st.integers(0, rank - 1), st.integers(0, rank - 1)).filter(lambda p: p[0] != p[1])
+    return family_style_map(rank, draw(st.lists(pairs, min_size=1, max_size=8)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(family_style_maps())
+def test_growth_classifier_agrees_on_family_style_train_tracks(auto):
+    """Over sweeps of length 2: the classifier agrees with every class whose
+    limit classification is not low-confidence, and the orbit's words past
+    legality are apply_cyclic's."""
+    tt = analyze_train_track(rose_map(auto))
+    assume(tt.verdict.is_train_track and tt.irreducible and tt.expanding)
+    words = enumerate_cyclic_words(auto.rank, 2)
+    classifier_agreement(auto, tt, words)
+    for word in words:
+        orbit = CyclicOrbit(auto, word, budget=5_000, tt=tt)
+        built = CyclicOrbit(auto, word, budget=5_000)
+        assert [orbit.word_at(m) for m in range(13)] == [built.word_at(m) for m in range(13)]
+
+
+def test_sweep_reads_growth_off_certificates(fib, fib_tt, monkeypatch):
+    """On fibonacci at sweep length 5 every class is certified: the sweep
+    calls the growth classifier 0 times, and apply_cyclic only on the words
+    before each orbit's first legal word, 120 times over 51 orbits.  With
+    every classification marked low-confidence the classifier runs once
+    per class up to inversion, and reads the same verdicts."""
+    import dataclasses
+
+    import traintracks.limits as limits
+    import traintracks.pipeline as pipeline
+
+    words = enumerate_cyclic_words(2, 5)
+    leaves = build_leaf_corpus(fib_tt, depth=8, budget=100_000)
+    classified, applied, orbits = [], [], []
+    classify, apply_cyclic, certify = classify_growth, Automorphism.apply_cyclic, limit_length
+
+    def counted_classify(auto, word, *args, **kwargs):
+        classified.append(word)
+        return classify(auto, word, *args, **kwargs)
+
+    def counted_apply(auto, word):
+        applied.append(word)
+        return apply_cyclic(auto, word)
+
+    class TrackedOrbit(CyclicOrbit):
+        def __init__(self, auto, word, **kwargs):
+            super().__init__(auto, word, **kwargs)
+            orbits.append(self)
+
+    monkeypatch.setattr(pipeline, "classify_growth", counted_classify)
+    monkeypatch.setattr(limits, "classify_growth", counted_classify)
+    monkeypatch.setattr(Automorphism, "apply_cyclic", counted_apply)
+    monkeypatch.setattr(pipeline, "CyclicOrbit", TrackedOrbit)
+    honest = equivalence_sweep(fib, fib_tt, leaves, words)
+    assert (len(classified), len(applied), len(orbits)) == (0, 120, 51)
+    before_legal = [o.legal_from if o.legal_from is not None else len(o.words) - 1 + o.truncated for o in orbits]
+    assert sum(before_legal) == 120
+
+    def uncertain(*args, **kwargs):
+        rep = certify(*args, **kwargs)
+        return dataclasses.replace(rep, classification=dataclasses.replace(rep.classification, low_confidence=True))
+
+    monkeypatch.setattr(pipeline, "limit_length", uncertain)
+    assert equivalence_sweep(fib, fib_tt, leaves, words) == honest
+    assert len(classified) == len(words) // 2 == 51
 
 
 def test_sweep_builds_one_orbit_per_inverse_pair(fib, fib_tt, monkeypatch):
@@ -414,6 +538,36 @@ def test_cli_spectral_json(capsys):
     assert payload["lambda"] == pytest.approx(PHI, abs=1e-8)
     assert payload["k"] == 1
     assert payload["expanding"] is True and payload["simplicial"] is False
+
+
+PERRON_ROOT = "(the Perron root of this map's transition matrix, an upper bound on the stretch factor)"
+
+
+@pytest.mark.parametrize(
+    "source, lam",
+    [("example:fibonacci-conj-b", "3.30277564"), ("rank: 2\na -> aaB\nb -> aB\n", "2.61803399")],
+    ids=["fibonacci-conj-b", "aaB-aB"],
+)
+def test_cli_lambda_line_off_train_tracks(source, lam, tmp_path, capsys):
+    """Both maps represent Fibonacci's outer class, stretch factor phi, and
+    neither is a train track: the lambda line says that the value printed
+    is only its rose map's Perron root."""
+    if not source.startswith("example:"):
+        (tmp_path / "map.txt").write_text(source)
+        source = str(tmp_path / "map.txt")
+    assert main(["spectral", source]) == 0
+    assert f"lambda = {lam} {PERRON_ROOT}  (k = 1, residual " in capsys.readouterr().out
+    assert main(["analyze", source, "--sweep-len", "1"]) == 0
+    assert f"lambda = {lam} {PERRON_ROOT}, k = 1, nu = [" in capsys.readouterr().out
+
+
+def test_cli_lambda_line_on_train_track(capsys):
+    assert main(["spectral", "example:fibonacci"]) == 0
+    assert capsys.readouterr().out.startswith("lambda = 1.61803399  (k = 1, residual ")
+    assert main(["analyze", "example:fibonacci", "--sweep-len", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "lambda = 1.61803399, k = 1, nu = [0.618033989, 0.381966011]" in lines
+    assert "Perron root" not in "\n".join(lines)
 
 
 def test_cli_growth(capsys):
