@@ -9,12 +9,12 @@ the map acts on these limit lengths as multiplication by lambda.
 import math
 
 from traintracks import (
+    AnalysisConfig,
     CyclicOrbit,
+    analyze,
     analyze_train_track,
     classify_growth,
     corpus,
-    enumerate_cyclic_words,
-    homothety_check,
     limit_length,
     path_length,
     per_block_lengths,
@@ -56,14 +56,14 @@ for word in ("a", "b", "ab", "aBab"):
 print("  (b picks up one 'a' per iterate: linear growth, degree 1.)")
 print()
 
-# -- the homothety property, checked in bulk --------------------------------
-words = enumerate_cyclic_words(2, 4)
-rep = homothety_check(fib_auto, fib, words)
-print(
-    f"== homothety: ||psi(w)|| = lambda * ||w|| on {len(rep.checked)} exponential "
-    f"classes of length <= 4 =="
-)
-print(f"  max relative error {rep.max_rel_error:.3e}, skipped {len(rep.skipped)} bounded classes")
+# -- the homothety property, read off the analysis report -------------------
+# The equivalence sweep computes the limit of every class of length <= 4; the
+# homothety section compares ||psi(w)|| with lambda * ||w|| wherever psi(w)
+# is itself one of those classes, at no extra iteration.
+section = analyze(fib_auto, config=AnalysisConfig(max_word_len=4, leaf_depth=8, samples=20))["homothety"]
+print(f"== homothety: ||psi(w)|| = lambda * ||w|| on {section['pairs']} sweep pairs (length <= 4) ==")
+print(f"  max relative defect {section['max_rel_defect']:.3e} at {section['worst_pair']}")
+print(f"  classes with exactly one limit 0: {section['mismatched']}")
 print()
 
 # -- per-block limits on the rank-4 example ---------------------------------

@@ -49,12 +49,10 @@ from .limits import (
     ConvergenceReport,
     CyclicOrbit,
     GrowthClass,
-    HomothetyReport,
     LimitLengthReport,
     PerBlockReport,
     classify_growth,
     convergence_constants,
-    homothety_check,
     limit_length,
     per_block_lengths,
     polynomial_degree,

@@ -13,9 +13,9 @@ import random
 from dataclasses import dataclass
 
 from .errors import InputError, PreconditionError
-from .graphs import Metric, path_length
+from .graphs import Graph, Metric, path_length
 from .maps import GraphMap
-from .words import ALPHABET, reduce_word
+from .words import reduce_word
 
 
 def lipschitz_constant(gmap: GraphMap, metric: Metric) -> float:
@@ -70,19 +70,19 @@ def measure_split(gmap: GraphMap, metric: Metric, p: str, q: str) -> float:
 
 
 def sample_reduced_words(
-    rank: int, count: int, rng: random.Random, min_len: int = 2, max_len: int = 14, legal=None
+    graph: Graph, count: int, rng: random.Random, min_len: int = 2, max_len: int = 14, legal=None
 ):
-    """Uniform-ish reduced words: each letter avoids cancelling its predecessor.
+    """Uniform-ish reduced edge paths: each letter leaves from the terminus
+    of its predecessor and does not cancel it.
 
     Given a set of ``legal`` turns, each letter instead forms a legal turn
     with its predecessor, so the words are legal paths; a word ends early at
-    a letter with no legal continuation.
+    a letter with no continuation.
     """
-    alphabet = ALPHABET[:rank] + ALPHABET[:rank].upper()
-    if legal is None:
-        nexts = {x: set(alphabet) - {x.swapcase()} for x in alphabet}
-    else:
-        nexts = {x: {y for y in alphabet if frozenset((x.swapcase(), y)) in legal} for x in alphabet}
+    alphabet = graph.letters + graph.letters.upper()
+    nexts = {x: {y for y in alphabet if graph.origin(y) == graph.terminus(x)} - {x.swapcase()} for x in alphabet}
+    if legal is not None:
+        nexts = {x: {y for y in ys if frozenset((x.swapcase(), y)) in legal} for x, ys in nexts.items()}
     words = []
     for _ in range(count):
         n = rng.randint(min_len, max_len)
@@ -131,7 +131,7 @@ def measure_cancellation(
     if words is None:
         if samples < 1:
             raise InputError(f"cancellation samples must be >= 1, got {samples}")
-        words = sample_reduced_words(rank, samples, rng, legal=legal)
+        words = sample_reduced_words(gmap.graph, samples, rng, legal=legal)
     bound = cancellation_bound(gmap, metric, lam=lam)
     measured = []
     worst = None

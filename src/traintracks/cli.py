@@ -101,12 +101,10 @@ def _cmd_spectral(args) -> int:
     parsed = _load(args)
     tt = analyze_train_track(parsed.gmap)
     sp = spectral_section(tt)
-    bound = "" if tt.verdict.is_train_track else _PERRON_ROOT
+    bound = "" if sp["lambda_is_stretch_factor"] else _PERRON_ROOT
     print(f"lambda = {_g(sp['lambda'])}{bound}  (k = {sp['k']}, residual {_g(sp['residual'])})")
     print(f"nu = ({', '.join(_g(x) for x in sp['nu'])})")
     print("blocks: " + "  ".join("{" + ",".join(b) + "}" for b in sp["blocks"]))
-    if tt.verdict.is_train_track:
-        print(f"homothety defect: {_g(tt.homothety_defect())}")
     _emit_json(args, sp)
     return 0
 
@@ -223,6 +221,9 @@ def _print_summary(report: dict) -> None:
     if "spectral" in rounded:
         sp = rounded["spectral"]
         print(f"lambda = {sp['lambda']}{'' if tt['is_train_track'] else _PERRON_ROOT}, k = {sp['k']}, nu = {sp['nu']}")
+    if "homothety" in rounded:
+        h = rounded["homothety"]
+        print(f"homothety over {h['pairs']} sweep pairs: max defect {h['max_rel_defect']}, mismatched {h['mismatched']}")
     if "growth" in rounded:
         g = rounded["growth"]
         print(

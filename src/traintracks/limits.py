@@ -397,44 +397,6 @@ def per_block_lengths(tt: TrainTrackData, rep: LimitLengthReport, orbit: CyclicO
 
 
 @dataclass
-class HomothetyReport:
-    max_rel_error: float
-    checked: list
-    skipped: list
-
-
-def homothety_check(auto: Automorphism, tt: TrainTrackData, words) -> HomothetyReport:
-    """Verify |psi(x)| = lam * |x| on limit lengths over the given words,
-    each limit taken to m = 80 with tol 1e-7.
-
-    Words not classified Exponential are skipped (their limit is zero on
-    both sides).  For a non-expanding map the eigenmetric lengths themselves
-    must match exactly.
-    """
-    _require_spectral(tt)
-    checked, skipped, worst = [], [], 0.0
-    for word in words:
-        orbit = CyclicOrbit(auto, word, tt=tt)
-        if not tt.expanding:
-            a = path_length(orbit.word_at(0), tt.metric)
-            b = path_length(orbit.word_at(1), tt.metric)
-            err = abs(b - a) / a if a else 0.0
-            checked.append((word, err))
-            worst = max(worst, err)
-            continue
-        rep = limit_length(auto, word, tt, M=80, tol=1e-7, orbit=orbit)
-        if not rep.classification.is_exponential:
-            skipped.append(word)
-            continue
-        rep_img = limit_length(auto, orbit.word_at(1), tt, M=80, tol=1e-7)
-        target = tt.pf.lam * rep.limit
-        err = abs(rep_img.limit - target) / target
-        checked.append((word, err))
-        worst = max(worst, err)
-    return HomothetyReport(max_rel_error=worst, checked=checked, skipped=skipped)
-
-
-@dataclass
 class ConvergenceReport:
     constants: list
     uniform_checked: int

@@ -175,12 +175,12 @@ class GraphMap:
         return not is_degenerate(self.turn_orbit(turn)[-1])
 
     def legal_turns(self) -> frozenset:
-        """Every legal turn between two distinct directions (computed once): each derivative
-        walk stops at a degenerate (illegal), decided or repeated (legal) turn, deciding its path."""
+        """Every legal turn between two distinct directions at one vertex (computed once): each
+        derivative walk stops at a degenerate (illegal), decided or repeated (legal) turn, deciding its path."""
         if self._legal_turns is None:
-            dirs = self.graph.letters + self.graph.letters.upper()
-            legal = {}
-            for start in [_turn(x, y) for i, x in enumerate(dirs) for y in dirs[i + 1 :]]:
+            g, legal = self.graph, {}
+            dirs = g.letters + g.letters.upper()
+            for start in [_turn(x, y) for i, x in enumerate(dirs) for y in dirs[i + 1 :] if g.origin(x) == g.origin(y)]:
                 path, t = {}, start
                 while not (t in legal or t in path or is_degenerate(t)):
                     path[t] = None

@@ -221,6 +221,8 @@ class EquivalenceReport:
     polynomial: int
     discrepancies: list = field(default_factory=list)
     labels: dict = field(default_factory=dict)
+    limits: dict = field(default_factory=dict)  # limit length of every word
+    images: dict = field(default_factory=dict)  # psi(w), its orbit's word at m = 1, of each class read
 
 
 def _once_per_inverse_pair(words, verdict):
@@ -264,6 +266,7 @@ def equivalence_sweep(
     lam = tt.pf.lam
     growth_M = max(SWEEP_M, 4 * math.ceil(math.log(3) / math.log(lam)))
     growth_eps = min(0.05, math.sqrt(lam) - 1)
+    report = EquivalenceReport(checked=0, exponential=0, polynomial=0)
 
     def verdicts(word):
         orbit = CyclicOrbit(auto, word, budget=SWEEP_BUDGET, tt=tt)
@@ -276,12 +279,13 @@ def equivalence_sweep(
                 c = weak_limit_probe(auto, word, corpus, M=factor * PROBE_M, orbit=orbit).verdict
                 if c:
                     break
-        return rep.classification.label(), a, rep.certificate, b, c
+        report.images[word] = orbit.word_at(1)
+        return rep.classification.label(), rep.limit, a, rep.certificate, b, c
 
-    report = EquivalenceReport(checked=0, exponential=0, polynomial=0)
-    for word, (label, a, certificate, b, c) in _once_per_inverse_pair(words, verdicts):
+    for word, (label, limit, a, certificate, b, c) in _once_per_inverse_pair(words, verdicts):
         report.checked += 1
         report.labels[word] = label
+        report.limits[word] = limit
         report.exponential += a
         report.polynomial += not a
         if not (a == b == c):
@@ -340,19 +344,37 @@ def spectral_section(tt: TrainTrackData) -> dict:
     pf = tt.pf
     return {
         "lambda": pf.lam,
+        "lambda_is_stretch_factor": tt.verdict.is_train_track,
         "nu": [float(x) for x in pf.nu],
         "k": pf.k,
         "blocks": [list(b) for b in pf.blocks],
         "residual": pf.residual,
-        "primitive_first_return": list(pf.primitive_first_return),
         "iterations": pf.iterations,
         "expanding": pf.expanding,
         "simplicial": is_simplicial(tt.matrix),
     }
 
 
-def homothety_section(tt: TrainTrackData) -> dict:
-    return {"max_rel_defect": tt.homothety_defect()}
+def homothety_section(tt: TrainTrackData, eq: EquivalenceReport) -> dict:
+    """The paper's dilation, L(psi(w)) = lam L(w) on limit lengths, checked
+    on the sweep's pairs: a class read and its image psi(w), where the
+    image's canonical rotation is a sweep word too.  ``pairs`` counts the
+    pairs with both sides nonzero; ``mismatched`` lists the classes where
+    exactly one side is 0, which no dilation allows."""
+    longest = max(map(len, eq.limits), default=0)
+    pairs, worst, worst_pair, mismatched = 0, None, None, []
+    for word, image in eq.images.items():
+        if image is None or len(image) > longest or (target := canonical_rotation(image)) not in eq.limits:
+            continue
+        scaled, after = tt.pf.lam * eq.limits[word], eq.limits[target]
+        if (scaled == 0) != (after == 0):
+            mismatched.append(word)
+        elif scaled:
+            pairs += 1
+            defect = abs(after - scaled) / scaled
+            if worst is None or defect > worst:
+                worst, worst_pair = defect, [word, target]
+    return {"pairs": pairs, "max_rel_defect": worst, "worst_pair": worst_pair, "mismatched": mismatched}
 
 
 def growth_classes(auto: Automorphism, tt: TrainTrackData, words, M: int, budget: int | None = None) -> dict:
@@ -519,21 +541,19 @@ def analyze(source, config: AnalysisConfig | None = None, words=None) -> dict:
     except NotIrreducibleError as exc:
         skipped["spectral"] = str(exc)
 
-    structured = tt.verdict.is_train_track and tt.irreducible
-    if structured:
-        report["homothety"] = homothety_section(tt)
-    else:
-        skipped["homothety"] = "needs a verified irreducible train track"
-
-    leafy = structured and tt.expanding
+    leafy = tt.verdict.is_train_track and tt.irreducible and tt.expanding
+    swept = leafy and auto is not None
     corpus = build_leaf_corpus(tt, depth=config.leaf_depth, budget=config.leaf_budget) if leafy else None
-    eq = None
+    sweep = enumerate_cyclic_words(auto.rank, config.max_word_len) if auto is not None else None
+    eq = equivalence_sweep(auto, tt, corpus, sweep, config) if swept else None
+    if swept:
+        report["homothety"] = homothety_section(tt, eq)
+    else:
+        skipped["homothety"] = "checked on the equivalence sweep, which needs an expanding train track on a rose"
+
     if auto is not None:
-        sweep = enumerate_cyclic_words(auto.rank, config.max_word_len)
-        if leafy:
-            eq = equivalence_sweep(auto, tt, corpus, sweep, config)
         report["growth"] = growth_section(auto, tt, sweep, eq, config)
-        if eq is not None:
+        if swept:
             report["equivalence"] = equivalence_section(eq)
         else:
             skipped["equivalence"] = "verdict comparison needs an expanding train track"
@@ -541,11 +561,13 @@ def analyze(source, config: AnalysisConfig | None = None, words=None) -> dict:
         skipped["growth"] = "conjugacy sweeps need a rose map"
         skipped["equivalence"] = "conjugacy sweeps need a rose map"
 
-    if leafy and auto is not None:
+    if swept:
         probe_words = list(words) if words else list(ALPHABET[: min(auto.rank, 4)])
         report["lengths"] = lengths_section(
             auto, tt, probe_words, M=config.M, tol=config.tol, budget=DEFAULT_WORD_BUDGET
         )
+    elif auto is None:
+        skipped["lengths"] = "limit lengths need a rose map"
     else:
         skipped["lengths"] = "limit lengths need an expanding irreducible train track"
 
@@ -556,9 +578,11 @@ def analyze(source, config: AnalysisConfig | None = None, words=None) -> dict:
 
     report["cancellation"] = cancellation_section(tt, config.samples, config.seed)
 
-    if leafy and auto is not None:
+    if swept:
         loop_words = [w for w in sweep if len(w) <= 2 and eq.labels[w].startswith("Exponential")][:6]
         report["convergence"] = convergence_section(auto, tt, loop_words=loop_words)
+    elif auto is None:
+        skipped["convergence"] = "comparison constants need a rose map"
     else:
         skipped["convergence"] = "comparison constants need an expanding train track"
 

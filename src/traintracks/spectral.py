@@ -16,7 +16,7 @@ import numpy as np
 
 from .cancellation import cancellation_bound
 from .errors import InternalConsistencyError, NotIrreducibleError
-from .graphs import Metric, path_length
+from .graphs import Metric
 from .maps import GraphMap, TrainTrackVerdict, invariant_subgraph, rose_map, tarjan_sink
 from .words import ALPHABET, Automorphism
 
@@ -46,8 +46,6 @@ class PFData:
 
     ``nu`` is the left eigenvector (nu @ A = lam * nu), entrywise positive and
     summing to 1; ``residual`` is the max-norm defect of that identity.
-    ``primitive_first_return`` is all True: for an irreducible matrix of
-    period k, A^k is primitive on each cyclic block (Frobenius normal form).
     ``iterations`` is 0, since one eigensolve replaces any iteration; the
     report's ``spectral.iterations`` key and the benchmark's tracer read it.
     """
@@ -57,7 +55,6 @@ class PFData:
     k: int
     blocks: tuple
     residual: float
-    primitive_first_return: tuple
     iterations: int
 
     @property
@@ -83,7 +80,7 @@ def pf_eigen(matrix) -> PFData:
         lam = float(mat[0, 0])
         if lam <= 0:
             raise NotIrreducibleError("1x1 transition matrix with zero entry")
-        return PFData(lam, np.array([1.0]), 1, (("a",),), 0.0, (True,), 0)
+        return PFData(lam, np.array([1.0]), 1, (("a",),), 0.0, 0)
     k, blocks = cyclic_index(mat)  # raises NotIrreducibleError for a reducible matrix
     values, vectors = np.linalg.eig(mat.T)
     vec = vectors[:, np.argmax(values.real)].real
@@ -93,7 +90,7 @@ def pf_eigen(matrix) -> PFData:
     image = nu @ mat
     lam = float(image.sum())
     residual = float(np.abs(image - lam * nu).max())
-    return PFData(lam, nu, k, blocks, residual, (True,) * k, 0)
+    return PFData(lam, nu, k, blocks, residual, 0)
 
 
 def is_simplicial(matrix) -> bool:
@@ -124,16 +121,6 @@ class TrainTrackData:
     def cancellation_constant(self) -> float:
         """Cancellation bound C = Lip * vol in the eigenmetric, computed once."""
         return cancellation_bound(self.gmap, self.metric).bound
-
-    def homothety_defect(self) -> float:
-        """Max relative error of |image of e| = lam * |e| in the eigenmetric."""
-        if self.pf is None or self.metric is None:
-            raise NotIrreducibleError("no eigenmetric without irreducibility")
-        worst = 0.0
-        for i, w in enumerate(self.gmap.edge_images):
-            target = self.pf.lam * self.metric.of_pair(i)
-            worst = max(worst, abs(path_length(w, self.metric) - target) / target)
-        return worst
 
 
 def analyze_train_track(gmap: GraphMap) -> TrainTrackData:

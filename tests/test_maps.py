@@ -15,6 +15,7 @@ from traintracks import (
     GraphMap,
     InputError,
     analyze_train_track,
+    parse_input,
     reduce_word,
     rose,
     rose_map,
@@ -247,6 +248,16 @@ def test_legal_turns_match_turn_orbits(gmap):
     dirs = gmap.graph.letters + gmap.graph.letters.upper()
     turns = {frozenset((x, y)) for x in dirs for y in dirs if x != y}
     assert gmap.legal_turns() == {t for t in turns if gmap.is_legal_turn(t)}
+
+
+def test_legal_turns_pair_directions_at_one_vertex(subdivided_fib):
+    """Off a rose, only directions with a common origin form turns."""
+    gmap = parse_input(subdivided_fib).gmap
+    g = gmap.graph
+    dirs = g.letters + g.letters.upper()
+    turns = {frozenset((x, y)) for x in dirs for y in dirs if x != y and g.origin(x) == g.origin(y)}
+    assert gmap.legal_turns() == {t for t in turns if gmap.is_legal_turn(t)}
+    assert len(turns) == 7 and gmap.legal_turns() == turns - {frozenset("ac")}  # a and c both map to ab
 
 
 def test_turn_orbit_shapes(fib_tt):

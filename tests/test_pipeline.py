@@ -1,5 +1,6 @@
 """Input parsing, the full analyze report, JSON shaping, and the CLI."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -33,9 +34,9 @@ from traintracks import (
 )
 from traintracks.laminations import PROBE_M
 from traintracks.limits import SWEEP_BUDGET, SWEEP_M
-from traintracks import corpus
+from traintracks import corpus, pipeline
 from traintracks.cli import main
-from traintracks.pipeline import growth_section
+from traintracks.pipeline import growth_section, homothety_section
 from traintracks.words import ALPHABET
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -175,9 +176,10 @@ def sweep_growth_params(lam):
 
 def reference_sweep(auto, tt, corpus, words, config):
     """The sweep word by word: growth reads lengths off built words, and
-    the probe matches each orbit word on its own."""
+    the probe matches each orbit word on its own.  A word whose inverse
+    came earlier must have that word's limit, which it records."""
     growth_M, growth_eps = sweep_growth_params(tt.pf.lam)
-    n_exp, discrepancies, labels = 0, [], {}
+    n_exp, discrepancies, labels, limits, images = 0, [], {}, {}, {}
     for word in words:
         orbit = CyclicOrbit(auto, word, budget=SWEEP_BUDGET)
         rep = limit_length(auto, word, tt, M=config.M, tol=config.tol, orbit=orbit)
@@ -189,12 +191,18 @@ def reference_sweep(auto, tt, corpus, words, config):
             if c:
                 break
         labels[word] = rep.classification.label()
+        inverse = canonical_rotation(invert_word(word))
+        if inverse in limits:  # the sweep reads a class and its inverse once: one limit, one image
+            assert rep.limit == pytest.approx(limits[inverse], rel=1e-12, abs=1e-15), word
+        else:
+            images[word] = orbit.word_at(1)
+        limits[word] = limits.get(inverse, rep.limit)
         n_exp += a
         if not (a == b == c):
             discrepancies.append(
                 {"word": word, "limit_length": a, "certificate": rep.certificate, "growth": b, "leaf_probe": c}
             )
-    return EquivalenceReport(len(words), n_exp, len(words) - n_exp, discrepancies, labels)
+    return EquivalenceReport(len(words), n_exp, len(words) - n_exp, discrepancies, labels, limits, images)
 
 
 R6_M4 = ["bcf", "c", "d", "eb", "f", "ac"]
@@ -214,6 +222,41 @@ def test_sweep_matches_word_by_word_reference(auto, max_len):
     words = enumerate_cyclic_words(auto.rank, max_len)
     leaves = build_leaf_corpus(tt, depth=config.leaf_depth, budget=config.leaf_budget)
     assert equivalence_sweep(auto, tt, leaves, words, config) == reference_sweep(auto, tt, leaves, words, config)
+
+
+@pytest.mark.parametrize(
+    "auto, max_len, leaves, pairs",
+    [(corpus.fibonacci(), 5, "fib_corpus", 30), (corpus.swap_fibonacci_rank4(), 3, "rank4_corpus", 48)],
+    ids=["fibonacci", "swap-fibonacci"],
+)
+def test_homothety_section_agrees_with_reference(auto, max_len, leaves, pairs, homothety_reference, request):
+    """The section's pairs are the classes read whose image is a sweep word
+    and whose limit is positive; fresh limits at m = 80 for w and psi(w)
+    confirm L(psi(w)) = lam L(w) on each of them."""
+    tt = analyze_train_track(rose_map(auto))
+    eq = equivalence_sweep(auto, tt, request.getfixturevalue(leaves), enumerate_cyclic_words(auto.rank, max_len))
+    section = homothety_section(tt, eq)
+    paired = [w for w, image in eq.images.items() if canonical_rotation(image) in eq.limits]
+    ref = homothety_reference(auto, tt, paired)
+    assert section["pairs"] == len(ref.checked) == pairs
+    assert section["mismatched"] == []
+    assert section["worst_pair"][0] in dict(ref.checked)
+    assert section["max_rel_defect"] < 1e-12 and ref.max_rel_error < 1e-9
+
+
+def test_homothety_section_sees_a_scaled_limit(monkeypatch):
+    """One class's limit off by 0.1% breaks the dilation by about 1e-3."""
+    real = pipeline.limit_length
+
+    def scaled(auto, word, *args, **kwargs):
+        rep = real(auto, word, *args, **kwargs)
+        return dataclasses.replace(rep, limit=rep.limit * 1.001) if word == "ab" else rep
+
+    monkeypatch.setattr(pipeline, "limit_length", scaled)
+    section = analyze(corpus.fibonacci(), config=FAST)["homothety"]
+    assert section["max_rel_defect"] == pytest.approx(1e-3, rel=0.01)
+    assert "ab" in section["worst_pair"]
+    assert section["mismatched"] == []
 
 
 def classifier_agreement(auto, tt, words):
@@ -449,6 +492,39 @@ def test_analyze_deterministic_modulo_meta():
     assert report_json(a) == report_json(b)
 
 
+def test_analyze_homothety_needs_a_sweep():
+    """swap is a train track with lambda = 1: no sweep, so no dilation check."""
+    report = analyze(corpus.swap_rank2(), config=FAST)
+    assert "homothety" not in report and "equivalence" not in report
+    reason = "checked on the equivalence sweep, which needs an expanding train track on a rose"
+    assert report["skipped"]["homothety"] == reason
+
+
+def test_analyze_subdivided_fibonacci(subdivided_fib):
+    """An expanding train track off a rose: cancellation is sampled on edge
+    paths and stays within its bound, and the skips name the missing rose.
+    With non-paths among the 200 default samples it read 1.854 > phi."""
+    report = analyze(subdivided_fib, config=dataclasses.replace(FAST, samples=200))
+    assert report["spectral"]["lambda"] == pytest.approx(PHI, abs=1e-12)
+    assert report["spectral"]["lambda_is_stretch_factor"] is True
+    cancel = report["cancellation"]
+    assert cancel["bound"] == pytest.approx(PHI, abs=1e-9)
+    assert cancel["random_splits"]["within_bound"] is True
+    assert cancel["legal_splits"]["max_measured"] == 0.0
+    skipped = report["skipped"]
+    assert skipped["lengths"] == "limit lengths need a rose map"
+    assert skipped["convergence"] == "comparison constants need a rose map"
+    assert set(skipped) == {"validation", "homothety", "growth", "equivalence", "lengths", "convergence"}
+    assert "lamination" in report
+
+
+@pytest.mark.parametrize("name, expected", [("fibonacci", True), ("swap-fibonacci", True), ("fibonacci-conj-b", False)])
+def test_lambda_is_stretch_factor_only_on_train_tracks(name, expected):
+    """Off a train track lambda is only its rose map's Perron root."""
+    report = analyze(corpus.get(name), config=AnalysisConfig(max_word_len=1, leaf_depth=6, samples=10))
+    assert report["spectral"]["lambda_is_stretch_factor"] is expected
+
+
 def test_analyze_rejects_unknown_source():
     from traintracks import InputError
 
@@ -489,16 +565,19 @@ def test_round_floats_shapes():
 # from one eigensolve instead of power iteration (only spectral "residual"
 # and "iterations", homothety "max_rel_defect", "uniform_max_rel_error" in
 # its third digit, and cancellation "max_measured"/"mean_measured" at the
-# 1e-16 level changed; "lambda", "nu", lengths and labels did not); the
-# report must not drift.
+# 1e-16 level changed; "lambda", "nu", lengths and labels did not), and
+# when the homothety section began to check the dilation on the sweep's
+# limits (only "homothety", "skipped.homothety", the removed
+# "spectral.primitive_first_return" and the new
+# "spectral.lambda_is_stretch_factor" changed); the report must not drift.
 GOLDEN_FAST_DIGESTS = {
-    "fibonacci": "ff2087fd3f9a215fd2387b457e3a6ea7f2a0d015a353628cb6808a468f9e99bb",
-    "fibonacci-conj-a": "151dce90325fbadf14547a735ab7a28895292320e762e1aea4a6243cf363ba13",
-    "fibonacci-conj-b": "e5f9cf4ffe1b35c71c499c703395cae090541c3049ca01b4ee128b96805059c7",
-    "identity": "f633099568ee25752582ad95aaefcea41ca2d59078ea93041e9e4fe84958717c",
-    "swap": "c224bc75536983f098ccb5a8acf2f6f223fc9e136b72c633e895d41765df3785",
-    "swap-fibonacci": "95d88d3965f4228aa1b6e96754a17f40fbae5cde604ccfe001ea9722ce174448",
-    "unipotent": "060a43b83c7b7b7d7672d5e6370b4d65e9e11186448477dcc76f111f632ca4f1",
+    "fibonacci": "e643b4473b9ada6c64a7cdaba634d2f27e6376653007def06ca798362fb9d14c",
+    "fibonacci-conj-a": "97bd814db30da24d87a8b730cc512f3874d95f2782d3644c2d4158c813ff9201",
+    "fibonacci-conj-b": "d6d488cbac49b9c67a3ca314e00ca010ee5c424856a7682a8d184240727e50f3",
+    "identity": "730b0851820705b5ebf57fc5a9381540947e25e56cfdde6ce406fbba1a89fffb",
+    "swap": "4f7ae6852f9cd7a99a5ed4373eb5eb6eda60cb45528b8d4f70454e06d4f2ef84",
+    "swap-fibonacci": "91f54e4add8cf71e4fd2de6750543bf0161c50a67ee1ceba66466c583705798c",
+    "unipotent": "ad7e27b8056b81101c4e9ab8725b197aa9aed98938b47dfc46c61d7e8640e188",
 }
 
 
@@ -568,6 +647,9 @@ def test_cli_lambda_line_on_train_track(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert "lambda = 1.61803399, k = 1, nu = [0.618033989, 0.381966011]" in lines
     assert "Perron root" not in "\n".join(lines)
+    assert lines[lines.index("lambda = 1.61803399, k = 1, nu = [0.618033989, 0.381966011]") + 1].startswith(
+        "homothety over 1 sweep pairs: max defect "  # the pair (b, a), as psi(b) = a
+    )
 
 
 def test_cli_growth(capsys):

@@ -45,7 +45,6 @@ def test_fibonacci_stretch_factor(fib_tt):
     assert pf.k == 1
     assert pf.blocks == (("a", "b"),)
     assert pf.residual < 1e-10
-    assert pf.primitive_first_return == (True,)
     assert pf.expanding
 
 
@@ -55,7 +54,6 @@ def test_rank4_stretch_factor(rank4_tt):
     assert pf.lam == pytest.approx(lam, abs=1e-12)
     assert pf.k == 2
     assert pf.blocks == (("a", "b"), ("c", "d"))
-    assert pf.primitive_first_return == (True, True)
     # closed form from nu A = lam nu: nu_c = lam nu_a, nu_d = nu_a / lam,
     # nu_b = nu_a / phi, normalized to sum 1
     nu_a = 1.0 / (1.0 + 1.0 / PHI + lam + 1.0 / lam)
@@ -215,7 +213,7 @@ def test_pf_matches_dense_eigensolver(mat):
 @settings(max_examples=200, deadline=None)
 @given(cyclic_matrices())
 def test_power_is_primitive_on_cyclic_classes(planted):
-    """The premise of ``primitive_first_return = (True,) * k``: on each of
+    """Frobenius normal form for an irreducible matrix of period k: on each of
     ``cyclic_index``'s classes, the diagonal block B of A^k, of size n,
     passes Wielandt's test B^((n-1)^2+1) > 0 entrywise."""
     mat, planted_k = planted
@@ -233,7 +231,6 @@ def test_power_is_primitive_on_cyclic_classes(planted):
         for _ in range((len(idx) - 1) ** 2 + 1):
             reach = np.minimum(reach @ sub, 1)
         assert reach.all()
-    assert pf_eigen(mat).primitive_first_return == (True,) * k
 
 
 # ------------------------------------------------------------- eigenmetric
@@ -248,11 +245,3 @@ def test_eigenmetric_homothety(name, all_tts):
         assert path_length(w, metric) == pytest.approx(
             tt.pf.lam * metric.of_pair(i), rel=1e-10
         )
-    assert tt.homothety_defect() < 1e-10
-
-
-def test_homothety_defect_needs_metric(unipotent_tt):
-    assert unipotent_tt.pf is None and unipotent_tt.metric is None
-    assert not unipotent_tt.expanding
-    with pytest.raises(NotIrreducibleError):
-        unipotent_tt.homothety_defect()
