@@ -71,7 +71,7 @@ r4_auto = corpus.get("swap-fibonacci")
 r4 = analyze_train_track(rose_map(r4_auto))
 print("== per-block limit lengths, swap-fibonacci (blocks {a,b} and {c,d}) ==")
 for word in ("a", "c", "ac"):
-    orbit = CyclicOrbit(r4_auto, word)
+    orbit = CyclicOrbit(r4_auto, word, tt=r4)
     rep = per_block_lengths(r4, limit_length(r4_auto, word, r4, orbit=orbit), orbit)
     parts = " + ".join(f"{x:.9f}" for x in rep.limits)
     print(f"  ||{word}|| = {rep.total:.9f} = {parts}")

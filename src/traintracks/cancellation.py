@@ -117,7 +117,7 @@ def measure_cancellation(
     legal_only: bool = False,
     lam: float | None = None,
 ) -> CancellationSample:
-    """Cancellation measured over random reduced splits p|q.
+    """Cancellation measured over random reduced splits p|q of edge paths.
 
     With legal_only, only splits of legal paths p.q are kept (every turn of
     p.q legal), and sampled words are drawn as legal paths.  On a verified
@@ -132,6 +132,8 @@ def measure_cancellation(
         if samples < 1:
             raise InputError(f"cancellation samples must be >= 1, got {samples}")
         words = sample_reduced_words(gmap.graph, samples, rng, legal=legal)
+    else:
+        words = [gmap.graph.check_path(w) for w in words]
     bound = cancellation_bound(gmap, metric, lam=lam)
     measured = []
     worst = None

@@ -144,8 +144,9 @@ def _cmd_lengths(args) -> int:
 
 def _cmd_leaf(args) -> int:
     parsed = _load(args)
+    segment = args.segment and parse_word(args.segment, parsed.gmap.graph.edge_pairs)
     tt = analyze_train_track(parsed.gmap)
-    lam = lamination_section(build_leaf_corpus(tt, depth=args.depth, budget=args.budget), segment=args.segment)
+    lam = lamination_section(build_leaf_corpus(tt, depth=args.depth, budget=args.budget), segment=segment)
     rows = zip(lam["seeds"], lam["prefix_lengths"], lam["truncated"], lam["previews"], lam["windows"])
     for block, (seed, length, truncated, preview, window) in enumerate(rows):
         print(

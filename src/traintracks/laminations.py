@@ -85,7 +85,7 @@ def find_eigen_seed(tt: TrainTrackData, block: int | None = None) -> LeafSeed:
     in block order; the seed is the first edge with (B^p)_ee >= 3.  No cap
     is needed: A^k is block diagonal with primitive blocks on an expanding
     train track, so some diagonal entry grows without bound.  The search
-    stops at the map's budget instead, before its integers outgrow the
+    stops at ``DEFAULT_WORD_BUDGET`` instead, before its integers outgrow the
     words it stands for.  Only the seed's word is built; the middle
     crossing anchors leaf expansion.
     """
@@ -114,9 +114,9 @@ def find_eigen_seed(tt: TrainTrackData, block: int | None = None) -> LeafSeed:
         sums = counts.sum(axis=1)
         j = hits[0] if hits else min(range(len(rows)), key=sums.__getitem__)
         edge, b = candidates[j]
-        if sums[j] > gmap.budget:
+        if sums[j] > DEFAULT_WORD_BUDGET:
             raise BudgetExceededError(
-                f"image of {edge!r} under power {power} has {sums[j]} letters, over the budget {gmap.budget}",
+                f"image of {edge!r} under power {power} has {sums[j]} letters, over the budget {DEFAULT_WORD_BUDGET}",
                 m_reached=power,
                 partial=edge,
             )

@@ -18,7 +18,9 @@ import numpy as np
 from .errors import InputError, InternalConsistencyError, PreconditionError
 from .graphs import Metric, block_path_length, path_length
 from .spectral import TrainTrackData, pf_eigen
-from .words import Automorphism, check_word, cyclic_reduce, letter_counts, letter_index, reduce_word
+from .words import (
+    DEFAULT_WORD_BUDGET, Automorphism, check_word, cyclic_reduce, letter_counts, letter_index, reduce_word,
+)
 
 MONOTONE_SLACK = 1e-9
 
@@ -46,10 +48,11 @@ class CyclicOrbit:
     count vectors ``counts[m]`` (None before) by the transition matrix.
     """
 
-    def __init__(self, auto: Automorphism, word: str, budget: int | None = None, tt: TrainTrackData | None = None):
+    def __init__(self, auto: Automorphism, word: str, budget: int = DEFAULT_WORD_BUDGET,
+                 tt: TrainTrackData | None = None):
         core, _ = cyclic_reduce(reduce_word(check_word(word, auto.rank), auto.rank))
         self.auto = auto
-        self.budget = auto.budget if budget is None else budget
+        self.budget = budget
         self.cut = None  # the first m over the budget, once a word or a length met it
         self.tt = tt if tt is not None and tt.verdict.is_train_track else None
         self.words, self.legal_from, self.lengths, self.counts = [], None, [], []
@@ -258,7 +261,6 @@ def limit_length(
     tt: TrainTrackData,
     M: int = 40,
     tol: float = 1e-6,
-    budget: int | None = None,
     orbit: CyclicOrbit | None = None,
 ) -> LimitLengthReport:
     """Translation length of a class in the limit forest of the map.
@@ -296,8 +298,9 @@ def limit_length(
     if M < k:
         # one stride is the least horizon at which a certificate can fire
         raise InputError(f"iterate horizon M must be at least the stride k = {k}, got {M}")
-    if orbit is None:
-        orbit = CyclicOrbit(auto, word, budget=budget, tt=tt)
+    orbit = orbit or CyclicOrbit(auto, word, tt=tt)
+    if orbit.tt is not tt:
+        raise PreconditionError("limit lengths read legality off an orbit built with the same train track")
     if not tt.expanding:
         # lam = 1 makes the irreducible transition matrix a permutation: the
         # map permutes the edges, so every orbit is periodic.
@@ -323,7 +326,7 @@ def limit_length(
         if legal_before:
             certificate, limit, lower = "legal", x, x
             break
-        if tt.gmap.is_legal_cyclic(w):
+        if orbit.legal_from is not None and orbit.legal_from <= m:
             legal_before = True
         elif any(len(v) == len(w) and w in v + v for v in orbit.words[0:m:k]):
             certificate, limit, lower = "periodic", 0.0, 0.0

@@ -48,7 +48,7 @@ class TrainTrackVerdict:
 class GraphMap:
     """A self-map of a graph, described by its positive edge images."""
 
-    def __init__(self, graph: Graph, edge_images, vertex_images=None, budget: int = DEFAULT_WORD_BUDGET):
+    def __init__(self, graph: Graph, edge_images, vertex_images=None):
         edge_images = tuple(edge_images)
         if len(edge_images) != graph.edge_pairs:
             raise InputError(f"expected {graph.edge_pairs} edge images, got {len(edge_images)}")
@@ -61,7 +61,6 @@ class GraphMap:
             tight.append(t)
         self.graph = graph
         self.edge_images = tuple(tight)
-        self.budget = budget
         self._letter_images, self._subst = signed_substitution(self.edge_images)
         self._legal_turns = self._illegal_pairs = None
         if vertex_images is None:
@@ -96,34 +95,32 @@ class GraphMap:
     def image_of_letter(self, letter: str) -> str:
         return self._letter_images[letter]
 
-    def map_path(self, word: str, budget: int | None = None) -> str:
+    def map_path(self, word: str, budget: int = DEFAULT_WORD_BUDGET) -> str:
         """Image of a tight path, tightened again."""
-        cap = self.budget if budget is None else budget
+        if not self.graph.is_rose():
+            self.graph.check_path(word)
         w = self._subst(word)
-        if len(w) > cap:
-            raise BudgetExceededError(f"image length {len(w)} exceeds budget {cap}", m_reached=0, partial=word)
+        if len(w) > budget:
+            raise BudgetExceededError(f"image length {len(w)} exceeds budget {budget}", m_reached=0, partial=word)
         return reduce_word(w, self.graph.edge_pairs)
 
     def substitute(self, word: str) -> str:
         """Image without tightening (callers must know no cancellation occurs)."""
         return self._subst(word)
 
-    def iterate_path(self, word: str, m: int, budget: int | None = None) -> str:
+    def iterate_path(self, word: str, m: int, budget: int = DEFAULT_WORD_BUDGET) -> str:
         """m-fold image of an edge path, tightened at every step.
 
         Raises :class:`InputError` if ``word`` is not an edge path, and
         :class:`BudgetExceededError` carrying the number of completed
         applications and the last in-budget path.
         """
-        cap = self.budget if budget is None else budget
         w = reduce_word(self.graph.check_path(word), self.graph.edge_pairs)
         for j in range(m):
             try:
-                w = self.map_path(w, budget=cap)
+                w = self.map_path(w, budget=budget)
             except BudgetExceededError as exc:
-                raise BudgetExceededError(
-                    f"{exc} at application {j + 1}", m_reached=j, partial=w
-                ) from None
+                raise BudgetExceededError(f"{exc} at application {j + 1}", m_reached=j, partial=w) from None
         return w
 
     def compose(self, other: "GraphMap") -> "GraphMap":
@@ -134,7 +131,7 @@ class GraphMap:
             raise InputError("composition needs maps of the same graph")
         images = tuple(self.map_path(w) for w in other.edge_images)
         vimgs = tuple(self.vertex_images[v] for v in other.vertex_images)
-        return GraphMap(self.graph, images, vertex_images=vimgs, budget=self.budget)
+        return GraphMap(self.graph, images, vertex_images=vimgs)
 
     # ------------------------------------------------------------ linear data
 
@@ -288,12 +285,12 @@ def invariant_subgraph(matrix):
     return None if len(members) == len(matrix) else frozenset(ALPHABET[i] for i in members)
 
 
-def rose_map(auto: Automorphism, budget: int | None = None) -> GraphMap:
+def rose_map(auto: Automorphism) -> GraphMap:
     """The rose self-map induced by an automorphism (edges = generators)."""
-    return GraphMap(rose(auto.rank), auto.images, budget=auto.budget if budget is None else budget)
+    return GraphMap(rose(auto.rank), auto.images)
 
 
 def to_automorphism(gmap: GraphMap) -> Automorphism:
     if not gmap.graph.is_rose():
         raise InputError("only rose maps translate directly to automorphisms")
-    return Automorphism(gmap.edge_images, rank=gmap.graph.edge_pairs, budget=gmap.budget)
+    return Automorphism(gmap.edge_images, rank=gmap.graph.edge_pairs)

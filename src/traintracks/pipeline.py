@@ -377,7 +377,7 @@ def homothety_section(tt: TrainTrackData, eq: EquivalenceReport) -> dict:
     return {"pairs": pairs, "max_rel_defect": worst, "worst_pair": worst_pair, "mismatched": mismatched}
 
 
-def growth_classes(auto: Automorphism, tt: TrainTrackData, words, M: int, budget: int | None = None) -> dict:
+def growth_classes(auto: Automorphism, tt: TrainTrackData, words, M: int, budget: int = DEFAULT_WORD_BUDGET) -> dict:
     """Verdict per class on :func:`train_track_twist`'s representative: the
     limit's certificate on an expanding train track, else the classifier's.
     Read once per class up to inversion, as in :func:`equivalence_sweep`."""
@@ -385,9 +385,10 @@ def growth_classes(auto: Automorphism, tt: TrainTrackData, words, M: int, budget
     certified = phi_tt.verdict.is_train_track and phi_tt.expanding
 
     def verdict(w):
+        orbit = CyclicOrbit(phi, w, budget=budget, tt=phi_tt)
         if certified:
-            return limit_length(phi, w, phi_tt, M=M, budget=budget).classification
-        return classify_growth(phi, w, M=M, orbit=CyclicOrbit(phi, w, budget=budget, tt=phi_tt))
+            return limit_length(phi, w, phi_tt, M=M, orbit=orbit).classification
+        return classify_growth(phi, w, M=M, orbit=orbit)
 
     return dict(_once_per_inverse_pair(words, verdict))
 
@@ -412,14 +413,12 @@ def equivalence_section(eq: EquivalenceReport) -> dict:
     }
 
 
-def lengths_section(
-    auto: Automorphism, tt: TrainTrackData, words, M: int = 40, tol: float = 1e-6, budget: int | None = None
-) -> dict:
+def lengths_section(auto: Automorphism, tt: TrainTrackData, words, M: int = 40, tol: float = 1e-6) -> dict:
     """Limit length of each class with the certificate that gave it and the
     interval it lies in, split by block for exponential classes."""
     lengths: dict = {}
     for word in words:
-        orbit = CyclicOrbit(auto, word, budget=budget, tt=tt)
+        orbit = CyclicOrbit(auto, word, tt=tt)
         rep = limit_length(auto, word, tt, M=M, tol=tol, orbit=orbit)
         entry = {
             "limit": rep.limit,
@@ -563,9 +562,7 @@ def analyze(source, config: AnalysisConfig | None = None, words=None) -> dict:
 
     if swept:
         probe_words = list(words) if words else list(ALPHABET[: min(auto.rank, 4)])
-        report["lengths"] = lengths_section(
-            auto, tt, probe_words, M=config.M, tol=config.tol, budget=DEFAULT_WORD_BUDGET
-        )
+        report["lengths"] = lengths_section(auto, tt, probe_words, M=config.M, tol=config.tol)
     elif auto is None:
         skipped["lengths"] = "limit lengths need a rose map"
     else:

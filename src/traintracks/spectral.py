@@ -141,7 +141,7 @@ def train_track_twist(auto: Automorphism, tt: TrainTrackData) -> tuple[Automorph
     if not tt.verdict.is_train_track:
         for g in ALPHABET[: auto.rank] + ALPHABET[: auto.rank].upper():
             if any(w[0] == g.swapcase() for w in auto.images) and any(w[-1] == g for w in auto.images):
-                twist = Automorphism([g + w + g.swapcase() for w in auto.images], rank=auto.rank, budget=auto.budget)
+                twist = Automorphism([g + w + g.swapcase() for w in auto.images], rank=auto.rank)
                 if (gmap := rose_map(twist)).is_train_track():
                     return twist, analyze_train_track(gmap)
     return auto, tt

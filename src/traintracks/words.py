@@ -236,7 +236,7 @@ class Automorphism:
     necessary condition run by :meth:`validate`.
     """
 
-    def __init__(self, images, inverse_images=None, rank: int | None = None, budget: int = DEFAULT_WORD_BUDGET):
+    def __init__(self, images, inverse_images=None, rank: int | None = None):
         images = _image_tuple(images)
         if inverse_images is not None:
             inverse_images = _image_tuple(inverse_images)
@@ -255,7 +255,6 @@ class Automorphism:
             if len(inverse_images) != rank:
                 raise InputError(f"expected {rank} inverse images, got {len(inverse_images)}")
             self.inverse_images = tuple(reduce_word(check_word(w, rank), rank) for w in inverse_images)
-        self.budget = budget
         _, self._subst = signed_substitution(self.images)
 
     def apply(self, word: str) -> str:
@@ -280,7 +279,7 @@ class Automorphism:
         if self.inverse_images is not None and other.inverse_images is not None:
             other_inv = Automorphism(other.inverse_images, rank=self.rank)
             inv = tuple(other_inv.apply(w) for w in self.inverse_images)
-        return Automorphism(images, inverse_images=inv, rank=self.rank, budget=self.budget)
+        return Automorphism(images, inverse_images=inv, rank=self.rank)
 
     def abelianization(self) -> np.ndarray:
         """Exponent-sum matrix; column j is the image of generator j."""

@@ -126,6 +126,16 @@ def test_samples_are_edge_paths_off_roses(subdivided_fib):
     assert measure_cancellation(tt.gmap, tt.metric, legal_only=True).max_measured == 0.0
 
 
+@pytest.mark.parametrize("legal_only", [False, True])
+def test_caller_words_must_be_edge_paths(subdivided_fib, legal_only):
+    """aacA and acab are no paths (a ends at vertex 1, where a and c do not
+    start); abca is one."""
+    tt = analyze_train_track(parse_input(subdivided_fib).gmap)
+    with pytest.raises(InputError, match="do not compose"):
+        measure_cancellation(tt.gmap, tt.metric, words=["aacA", "acab"], legal_only=legal_only)
+    assert measure_cancellation(tt.gmap, tt.metric, words=["abca"]).count == 1
+
+
 @pytest.mark.parametrize("name", ["fibonacci", "fibonacci-conj-a", "fibonacci-conj-b", "swap-fibonacci"])
 def test_measured_cancellation_within_bound(name, all_tts):
     tt = all_tts[name]

@@ -38,6 +38,7 @@ from traintracks import (
     rose_map,
     weak_limit_probe,
 )
+from traintracks import laminations
 from traintracks.laminations import _SuffixAutomaton
 from traintracks.words import ALPHABET, letter_index
 
@@ -167,7 +168,8 @@ def test_slow_rank16_seed_needs_no_power_cap():
 
 def test_seed_budget_is_checked_before_building(fib, monkeypatch):
     """|tau^3(a)| = 5 exceeds a budget of 4: no word may be built."""
-    tt = analyze_train_track(rose_map(fib, budget=4))
+    tt = analyze_train_track(rose_map(fib))
+    monkeypatch.setattr(laminations, "DEFAULT_WORD_BUDGET", 4)
 
     def build(*args, **kwargs):
         raise AssertionError("a seed word was built")
@@ -178,15 +180,16 @@ def test_seed_budget_is_checked_before_building(fib, monkeypatch):
         find_eigen_seed(tt)
 
 
-def test_seed_search_stops_once_every_image_is_over_budget():
+def test_seed_search_stops_once_every_image_is_over_budget(monkeypatch):
     """a -> b, b -> c, c -> ab seeds at ('b', 7), a 7-letter word, but from
     power 5 on every image has at least 3 letters: a budget of 2 stops the
     search there, before the hit."""
     auto = Automorphism(["b", "c", "ab"])
     seed = find_eigen_seed(analyze_train_track(rose_map(auto)))
     assert (seed.edge, seed.power, len(seed.occurrences)) == ("b", 7, 3)
+    monkeypatch.setattr(laminations, "DEFAULT_WORD_BUDGET", 2)
     with pytest.raises(BudgetExceededError) as err:
-        find_eigen_seed(analyze_train_track(rose_map(auto, budget=2)))
+        find_eigen_seed(analyze_train_track(rose_map(auto)))
     assert err.value.m_reached == 5
 
 

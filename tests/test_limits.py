@@ -6,6 +6,7 @@ eigenmetric length (Binet: raw lengths are Fibonacci numbers).  The word
 a b^-1 drops once and is then constant at 1/phi^3.
 """
 
+import collections
 import dataclasses
 import math
 import os
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from traintracks import (
     Automorphism,
     CyclicOrbit,
+    GraphMap,
     InputError,
     InternalConsistencyError,
     Metric,
@@ -211,7 +213,7 @@ def test_fibonacci_aabAB_is_exact_at_default_tol(fib, fib_tt):
 
 
 def test_swap_fibonacci_aabAB_splits_exactly(rank4, rank4_tt, reference_limit):
-    orbit = CyclicOrbit(rank4, "aabAB")
+    orbit = CyclicOrbit(rank4, "aabAB", tt=rank4_tt)
     rep = limit_length(rank4, "aabAB", rank4_tt, M=80, tol=1e-9, orbit=orbit)
     assert rep.certificate == "splitting"
     assert rep.limit == pytest.approx(0.2720196495, abs=1e-9)
@@ -268,6 +270,27 @@ def test_limit_length_preconditions(conj_b, conj_b_tt, unipotent, unipotent_tt):
         limit_length(conj_b, "a", conj_b_tt)  # not a train track
     with pytest.raises(PreconditionError):
         limit_length(unipotent, "a", unipotent_tt)  # reducible
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "swap-fibonacci"])
+def test_limit_length_reads_legality_off_the_orbit(name, monkeypatch):
+    """Legal circuits map to legal ones, so the orbit's first legal word,
+    found as the orbit is built, decides legality at every later m: only
+    CyclicOrbit._push tests words.  An orbit built without the train track
+    records no legality and is refused."""
+    auto = corpus.get(name)
+    tt = analyze_train_track(rose_map(auto))
+    callers, test = collections.Counter(), GraphMap.is_legal_cyclic
+
+    def counted(self, word):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return test(self, word)
+
+    monkeypatch.setattr(GraphMap, "is_legal_cyclic", counted)
+    certificates = {limit_length(auto, w, tt, M=40 * tt.pf.k).certificate for w in enumerate_cyclic_words(auto.rank, 3)}
+    assert "legal" in certificates and callers.keys() == {"_push"}
+    with pytest.raises(PreconditionError, match="same train track"):
+        limit_length(auto, "ab", tt, orbit=CyclicOrbit(auto, "ab"))
 
 
 def test_non_expanding_map_reports_zero(swap, swap_tt):
@@ -372,7 +395,7 @@ def test_polynomial_degree_matches_numpy_diff(lengths):
 
 def split(auto, word, tt, M=40, tol=1e-6):
     """per_block_lengths of the limit length of word, on the orbit it ran on."""
-    orbit = CyclicOrbit(auto, word)
+    orbit = CyclicOrbit(auto, word, tt=tt)
     return per_block_lengths(tt, limit_length(auto, word, tt, M=M, tol=tol, orbit=orbit), orbit)
 
 
@@ -625,7 +648,7 @@ def test_certified_limit_matches_delta_reference(reference_limit, case):
     illegal turn: |psi(w)| >= lam |w| - 2 C t(w)."""
     auto, word = case
     tt = analyze_train_track(rose_map(auto))
-    orbit = CyclicOrbit(auto, word)
+    orbit = CyclicOrbit(auto, word, tt=tt)
     rep = limit_length(auto, word, tt, M=40 * tt.pf.k, orbit=orbit)
     assert rep.converged and rep.certificate in ("legal", "periodic", "splitting")
     assert rep.lower <= rep.limit <= rep.strided[-1][1] + 1e-12
@@ -646,7 +669,7 @@ def test_step_loss_bound_on_long_orbit_words():
     also under exact rational sums."""
     auto = Automorphism(["ba", "c", "dcba", "a"])
     tt = analyze_train_track(rose_map(auto))
-    orbit = CyclicOrbit(auto, "DCb")
+    orbit = CyclicOrbit(auto, "DCb", tt=tt)
     limit_length(auto, "DCb", tt, M=40 * tt.pf.k, orbit=orbit)
     for w, image in zip(orbit.words, orbit.words[1:]):
         assert tt.pf.lam * path_length(w, tt.metric) - path_length(image, tt.metric) >= -1e-9
@@ -726,7 +749,7 @@ def test_train_track_twist_keeps_class_lengths(case):
     tt = analyze_train_track(rose_map(auto))
     twist, twist_tt = train_track_twist(auto, tt)
     assert twist_tt.verdict.is_train_track and twist_tt.gmap.edge_images == twist.images
-    assert twist.budget == auto.budget and twist.inverse_images is None
+    assert twist.inverse_images is None
 
     def check(budget):
         orbit = CyclicOrbit(twist, word, budget=budget, tt=twist_tt)

@@ -347,6 +347,14 @@ def test_iterate_path_rejects_non_paths():
         GraphMap(theta(), ("b", "c", "a")).iterate_path("ab", 1)  # a and b both leave vertex 0
 
 
+def test_map_path_rejects_non_paths_off_roses(subdivided_fib):
+    """a ends at vertex 1 and starts at vertex 0, so aa is no path."""
+    gmap = parse_input(subdivided_fib).gmap
+    assert gmap.map_path("ab") == "abc"
+    with pytest.raises(InputError, match="do not compose"):
+        gmap.map_path("aa")
+
+
 def test_compose_is_square(fib_tt):
     gmap = fib_tt.gmap
     sq = gmap.compose(gmap)

@@ -176,13 +176,15 @@ def sweep_growth_params(lam):
 
 def reference_sweep(auto, tt, corpus, words, config):
     """The sweep word by word: growth reads lengths off built words, and
-    the probe matches each orbit word on its own.  A word whose inverse
-    came earlier must have that word's limit, which it records."""
+    the probe matches each orbit word on its own, on an orbit built without
+    the train track; the limit runs on its own orbit, built with it.  A word
+    whose inverse came earlier must have that word's limit, which it records."""
     growth_M, growth_eps = sweep_growth_params(tt.pf.lam)
     n_exp, discrepancies, labels, limits, images = 0, [], {}, {}, {}
     for word in words:
         orbit = CyclicOrbit(auto, word, budget=SWEEP_BUDGET)
-        rep = limit_length(auto, word, tt, M=config.M, tol=config.tol, orbit=orbit)
+        limit_orbit = CyclicOrbit(auto, word, budget=SWEEP_BUDGET, tt=tt)
+        rep = limit_length(auto, word, tt, M=config.M, tol=config.tol, orbit=limit_orbit)
         b = classify_growth(auto, word, M=growth_M, eps=growth_eps, orbit=orbit).is_exponential
         a = rep.classification.is_exponential
         c = reference_probe(auto, word, corpus, tt.metric, PROBE_M, orbit)
@@ -908,6 +910,11 @@ def test_cli_leaf_on_non_expanding_is_domain_error(capsys):
 def test_cli_leaf_bad_segment_is_domain_error(capsys):
     assert main(["leaf", "example:fibonacci", "--depth", "6", "--segment", "bb"]) == 2
     assert "does not occur" in capsys.readouterr().err
+
+
+def test_cli_leaf_segment_letters_are_edges(capsys):
+    assert main(["leaf", "example:fibonacci", "--segment", "x"]) == 2
+    assert "letter 'x' at position 0 is not valid for rank 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("metric", ["x,1", "1,inf"])
