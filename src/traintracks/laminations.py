@@ -143,6 +143,8 @@ def expand_leaf(
     exceed the budget the word is first trimmed symmetrically around the
     center, which preserves nesting on the surviving window.
     """
+    if budget < 1:
+        raise InputError(f"leaf budget must be >= 1, got {budget}")
     gmap = tt.gmap
     step = gmap
     for _ in range(seed.power - 1):

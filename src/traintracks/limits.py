@@ -169,6 +169,8 @@ def classify_growth(
     exponential orbits have geometrically growing differences and are never
     captured by it.
     """
+    if M < 1:
+        raise InputError(f"iterate horizon M must be >= 1, got {M}")
     if orbit is None:
         orbit = CyclicOrbit(auto, word)
     escalated, cap = False, M

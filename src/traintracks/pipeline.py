@@ -17,7 +17,7 @@ import numpy as np
 
 from .cancellation import cancellation_bound, measure_cancellation
 from .errors import InputError, NotALeafSegmentError, NotIrreducibleError, ParseError, PreconditionError
-from .graphs import Graph, Metric, unit_metric
+from .graphs import Graph, Metric, rose, unit_metric
 from .laminations import (
     PROBE_M,
     build_leaf_corpus,
@@ -67,7 +67,8 @@ class AnalysisConfig:
         if not self.tol > 0:
             raise InputError(f"tolerance must be positive, got {self.tol!r}")
         rules = (("iterate horizon M", self.M, 1), ("sweep length", self.max_word_len, 0))
-        rules += (("leaf depth", self.leaf_depth, 0), ("cancellation samples", self.samples, 1))
+        rules += (("leaf depth", self.leaf_depth, 0), ("leaf budget", self.leaf_budget, 1))
+        rules += (("cancellation samples", self.samples, 1),)
         for name, value, least in rules:
             if value < least:
                 raise InputError(f"{name} must be >= {least}, got {value}")
@@ -84,28 +85,38 @@ def _parse_arrow(line: str, lineno: int):
         raise ParseError(f"expected 'letter -> word', got {line!r}", line=lineno)
     lhs, rhs = line.split("->", 1)
     lhs = lhs.strip()
-    rhs = rhs.strip()
     if len(lhs) != 1 or not lhs.isalpha():
         raise ParseError(f"left side must be a single letter, got {lhs!r}", line=lineno)
     try:
-        return lhs, parse_word(rhs)
+        return lhs, parse_word(rhs.strip())
     except InputError as exc:
         raise ParseError(str(exc), line=lineno) from None
 
 
+def _check_letters(found: dict, graph: Graph, what: str, scope: str):
+    missing = [c for c in graph.letters if c not in found]
+    if missing:
+        raise ParseError(f"missing {what} for {missing}")
+    extra = sorted(set(found) - set(graph.letters))
+    if extra:
+        raise ParseError(f"{what} given for letters outside {scope}: {extra}")
+
+
 def parse_input(text: str) -> ParsedInput:
-    """Read an automorphism (rank + generator images) or a marked graph map.
+    """Read a self-map of a marked graph from its text description.
 
-    Grammar, one item per line, '#' comments::
+    One item per line, '#' comments.  ``rank: n`` names the rose on n
+    edges; its edge images may be followed by inverse images, which
+    certify invertibility::
 
-        rank: 2          # rose on two edges
+        rank: 2
         a -> ab
         b -> a
-        inverse:         # optional block certifying invertibility
+        inverse:
         a -> b
         b -> Ba
 
-    or, for a map on an arbitrary graph::
+    Any other marked graph is given by its vertices and edges::
 
         graph:
         vertices: 2
@@ -114,102 +125,78 @@ def parse_input(text: str) -> ParsedInput:
         map:
         a -> ab
         b -> b
+
+    Both spellings are read alike: each header comes at most once, the
+    images (and inverse images, only with ``rank:``) name exactly the
+    graph's edges, and a one-vertex graph gives an :class:`Automorphism`.
     """
-    rank = None
-    images: dict = {}
-    inverses: dict = {}
-    vertices = None
-    endpoints: list = []
-    edge_letters: list = []
-    edge_images: dict = {}
+    headers: dict = {}
+    edges: dict = {}
+    images: dict = {"images": {}, "inverse": {}, "map": {}}
     section = "images"
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         low = line.lower()
-        if low == "inverse:":
-            section = "inverse"
+        if low in ("inverse:", "graph:", "map:"):
+            if low == "map:" and section != "graph":
+                raise ParseError("'map:' must follow a 'graph:' section", line=lineno)
+            section = low[:-1]
             continue
-        if low == "graph:":
-            section = "graph"
-            continue
-        if low == "map:":
-            section = "map"
-            continue
-        if low.startswith("rank:"):
+        key, _, value = low.partition(":")
+        if key in ("rank", "vertices"):
+            if key in headers:
+                raise ParseError(f"second '{key}:' line", line=lineno)
             try:
-                rank = int(line.split(":", 1)[1])
+                headers[key] = int(value)
             except ValueError:
-                raise ParseError(f"rank is not an integer: {line!r}", line=lineno) from None
+                raise ParseError(f"{key} is not an integer: {line!r}", line=lineno) from None
             continue
         if section == "graph":
-            if low.startswith("vertices:"):
-                try:
-                    vertices = int(line.split(":", 1)[1])
-                except ValueError:
-                    raise ParseError(f"vertex count is not an integer: {line!r}", line=lineno) from None
-                continue
-            if low.startswith("edge "):
-                body = line[5:]
-                if ":" not in body:
-                    raise ParseError(f"expected 'edge x: u v', got {line!r}", line=lineno)
-                name, ends = body.split(":", 1)
-                name = name.strip()
-                parts = ends.split()
-                if len(name) != 1 or not name.islower() or len(parts) != 2:
-                    raise ParseError(f"expected 'edge x: u v', got {line!r}", line=lineno)
-                try:
-                    u, v = int(parts[0]), int(parts[1])
-                except ValueError:
-                    raise ParseError(f"edge endpoints must be integers: {line!r}", line=lineno) from None
-                if name in edge_letters:
-                    raise ParseError(f"duplicate edge {name!r}", line=lineno)
-                edge_letters.append(name)
-                endpoints.append((u, v))
-                continue
-            raise ParseError(f"unexpected line in graph section: {line!r}", line=lineno)
-        target = {"images": images, "inverse": inverses, "map": edge_images}[section]
+            if not low.startswith("edge "):
+                raise ParseError(f"unexpected line in graph section: {line!r}", line=lineno)
+            name, _, ends = line[5:].partition(":")
+            name = name.strip()
+            parts = ends.split()
+            if len(name) != 1 or not name.islower() or len(parts) != 2:
+                raise ParseError(f"expected 'edge x: u v', got {line!r}", line=lineno)
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ParseError(f"edge endpoints must be integers: {line!r}", line=lineno) from None
+            if name in edges:
+                raise ParseError(f"duplicate edge {name!r}", line=lineno)
+            edges[name] = (u, v)
+            continue
+        target = images[section]
         lhs, rhs = _parse_arrow(line, lineno)
         if lhs in target:
             raise ParseError(f"duplicate image for {lhs!r}", line=lineno)
         target[lhs] = rhs
 
-    if edge_letters:
-        if images or inverses:
-            raise ParseError("cannot mix generator images with a graph/map description")
+    rank, vertices, inverse = headers.get("rank"), headers.get("vertices"), images["inverse"]
+    if vertices is None and not edges and not images["map"]:
+        if rank is None:
+            raise ParseError("missing 'rank:' line")
+        graph, given = rose(rank), images["images"]
+        scope = f"rank {rank}"
+    else:
+        if rank is not None or images["images"] or inverse:
+            raise ParseError("cannot mix 'rank:', generator images or inverse images with a graph/map description")
         if vertices is None:
             raise ParseError("graph section needs a 'vertices:' line")
-        expected = list(ALPHABET[: len(edge_letters)])
-        if sorted(edge_letters) != expected:
-            raise ParseError(f"edges must be named consecutively a..{expected[-1]}")
-        order = {c: i for i, c in enumerate(edge_letters)}
-        ordered = [endpoints[order[c]] for c in expected]
-        graph = Graph(vertices, ordered)
-        missing = [c for c in expected if c not in edge_images]
-        if missing:
-            raise ParseError(f"map section is missing images for {missing}")
-        gmap = GraphMap(graph, [edge_images[c] for c in expected])
-        auto = to_automorphism(gmap) if graph.is_rose() else None
-        return ParsedInput(gmap=gmap, auto=auto)
-
-    if rank is None:
-        raise ParseError("missing 'rank:' line")
-    expected = list(ALPHABET[:rank])
-    missing = [c for c in expected if c not in images]
-    if missing:
-        raise ParseError(f"missing images for generators {missing}")
-    extra = sorted(set(images) - set(expected))
-    if extra:
-        raise ParseError(f"images given for letters outside rank {rank}: {extra}")
-    inv = None
-    if inverses:
-        missing = [c for c in expected if c not in inverses]
-        if missing:
-            raise ParseError(f"missing inverse images for generators {missing}")
-        inv = [inverses[c] for c in expected]
-    auto = Automorphism([images[c] for c in expected], inverse_images=inv, rank=rank)
-    return ParsedInput(gmap=rose_map(auto), auto=auto)
+        letters = ALPHABET[: len(edges)]
+        if sorted(edges) != list(letters):
+            raise ParseError(f"edges must be named consecutively a..{letters[-1]}")
+        graph, given = Graph(vertices, [edges[c] for c in letters]), images["map"]
+        scope = f"edges a..{letters[-1]}"
+    _check_letters(given, graph, "images", scope)
+    if inverse:
+        _check_letters(inverse, graph, "inverse images", scope)
+    if not graph.is_rose():
+        return _coerce(GraphMap(graph, [given[c] for c in graph.letters]))
+    return _coerce(Automorphism(given, inverse_images=inverse or None, rank=graph.edge_pairs))
 
 
 @dataclass

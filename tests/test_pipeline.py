@@ -93,6 +93,21 @@ def test_parse_graph_rose_recovers_automorphism():
     assert parsed.auto.images == ("ab", "a")
 
 
+# Malformed descriptions in which a line would be dropped or overridden:
+# each must be refused, with an error naming the letter or the line.
+MALFORMED = [
+    ("graph:\nvertices: 1\nedge a: 0 0\nedge b: 0 0\nmap:\na -> ab\nb -> a\nc -> abab\n", "outside edges a..b: ['c']"),
+    (
+        "graph:\nvertices: 2\nedge a: 0 1\nedge b: 1 0\nedge c: 0 0\nmap:\na -> ab\nb -> c\nc -> ab\nd -> aa\n",
+        "outside edges a..c: ['d']",
+    ),
+    ("rank: 2\na -> ab\nb -> a\ninverse:\na -> b\nb -> Ba\nc -> a\n", "inverse images given for letters outside rank 2: ['c']"),
+    ("rank: 5\ngraph:\nvertices: 1\nedge a: 0 0\nedge b: 0 0\nmap:\na -> ab\nb -> a\n", "cannot mix 'rank:'"),
+    ("rank: 2\nrank: 3\na -> ab\nb -> a\n", "second 'rank:' line (line 2)"),
+    ("graph:\nvertices: 1\nvertices: 2\nedge a: 0 0\nmap:\na -> a\n", "second 'vertices:' line (line 3)"),
+]
+
+
 @pytest.mark.parametrize(
     "text,fragment",
     [
@@ -110,12 +125,34 @@ def test_parse_graph_rose_recovers_automorphism():
         ("graph:\nvertices: 1\nedge b: 0 0\nmap:\nb -> b\n", "consecutively"),
         ("graph:\nvertices: 1\nedge a: 0 0\nmap:\n", "missing images"),
         ("rank: 2\na -> ab\nb -> a\ngraph:\nvertices: 1\nedge a: 0 0\nmap:\na -> a\n", "cannot mix"),
+        *MALFORMED,
+        ("rank: 2\nmap:\na -> ab\nb -> a\n", "'map:' must follow a 'graph:' section (line 2)"),
     ],
 )
 def test_parse_errors(text, fragment):
     with pytest.raises(ParseError) as exc:
         parse_input(text)
     assert fragment in str(exc.value)
+
+
+def graph_spelling(auto: Automorphism) -> str:
+    """The automorphism as a map of a one-vertex graph, without inverse."""
+    letters = ALPHABET[: auto.rank]
+    lines = ["graph:", "vertices: 1", *(f"edge {g}: 0 0" for g in letters), "map:"]
+    return "\n".join(lines + [f"{g} -> {w}" for g, w in zip(letters, auto.images)]) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(corpus.REGISTRY))
+def test_rank_and_graph_spellings_read_alike(name):
+    texts = corpus.input_text(name), graph_spelling(corpus.get(name))
+    by_rank, by_graph = map(parse_input, texts)
+    assert by_graph.gmap.edge_images == by_rank.gmap.edge_images
+    assert by_graph.auto.images == by_rank.auto.images
+    reports = [analyze(text, config=FAST) for text in texts]
+    for report in reports:
+        report.pop("meta")
+        report.pop("validation")  # the graph spelling carries no inverse
+    assert report_json(reports[0]) == report_json(reports[1])
 
 
 def test_parse_error_carries_line_number():
@@ -607,6 +644,13 @@ def test_cli_verify_tt(capsys, fib_report):
     assert _json_tail(out) == {**fib_report["train_track"], **fib_report["transition"]}
 
 
+@pytest.mark.parametrize("text, fragment", MALFORMED)
+def test_cli_malformed_description_is_input_error(text, fragment, tmp_path, capsys):
+    (tmp_path / "map.txt").write_text(text)
+    assert main(["verify-tt", str(tmp_path / "map.txt")]) == 2
+    assert fragment in capsys.readouterr().err
+
+
 def test_cli_verify_tt_failure_is_exit_zero(capsys):
     assert main(["verify-tt", "example:fibonacci-conj-b"]) == 0
     out = capsys.readouterr().out
@@ -946,11 +990,20 @@ def test_cli_samples_below_one_is_input_error(command, capsys):
     assert "cancellation samples must be >= 1, got 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["lengths", "growth", "analyze"])
-def test_cli_negative_max_m_is_input_error(command, capsys):
-    assert main([command, "example:fibonacci", "--max-m", "-3"]) == 2
-    # analyze checks its config up front, where the horizon must be at least 1
-    assert ("M must be >= 1" if command == "analyze" else "M must be >= 0") in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        pytest.param(["lengths", "example:fibonacci"], "M must be >= 0", id="lengths"),
+        pytest.param(["growth", "example:fibonacci"], "M must be >= 0", id="growth"),
+        # analyze checks its config up front, where the horizon must be at least 1
+        pytest.param(["analyze", "example:fibonacci"], "M must be >= 1", id="analyze"),
+        # off train tracks growth reads the classifier, whose horizon must be at least 1
+        pytest.param(["growth", "example:unipotent", "--words", "b"], "M must be >= 1", id="growth-unipotent"),
+    ],
+)
+def test_cli_negative_max_m_is_input_error(argv, fragment, capsys):
+    assert main([*argv, "--max-m", "-3"]) == 2
+    assert fragment in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -959,6 +1012,7 @@ def test_cli_negative_max_m_is_input_error(command, capsys):
         (["leaf", "--depth", "-1"], "leaf depth must be >= 0"),
         (["growth", "--sweep-len", "-1"], "sweep length must be >= 0"),
         (["lengths", "--sweep-len", "-1"], "sweep length must be >= 0"),
+        (["leaf", "--budget", "0"], "leaf budget must be >= 1"),
     ],
 )
 def test_cli_negative_depth_or_sweep_len_is_input_error(argv, fragment, capsys):
@@ -979,6 +1033,13 @@ def test_cli_analyze_checks_config_up_front(argv, fragment, capsys):
     # these maps skip the stages that read --depth and --max-m
     assert main(["analyze", *argv]) == 2
     assert fragment in capsys.readouterr().err
+
+
+def test_analysis_config_checks_leaf_budget_up_front():
+    from traintracks import InputError
+
+    with pytest.raises(InputError, match="leaf budget must be >= 1, got 0"):
+        AnalysisConfig(leaf_budget=0)
 
 
 def test_cli_lengths_horizon_below_one_stride_is_input_error(capsys):
