@@ -55,7 +55,7 @@ print()
 
 # -- membership and the heaviest leaf segment in a loop ----------------------
 for w in ("abaab", "abAB"):
-    match = longest_leaf_segment(w, leaves, fib.metric)
+    match = longest_leaf_segment(w, leaves)
     inside = leaf_contains(deep, w)
     print(
         f"loop {w:6s} occurs in leaf: {str(inside):5s}  heaviest leaf segment "

@@ -69,11 +69,9 @@ def measure_split(gmap: GraphMap, metric: Metric, p: str, q: str) -> float:
     return lost / 2.0
 
 
-def sample_reduced_words(
-    graph: Graph, count: int, rng: random.Random, min_len: int = 2, max_len: int = 14, legal=None
-):
-    """Uniform-ish reduced edge paths: each letter leaves from the terminus
-    of its predecessor and does not cancel it.
+def sample_reduced_words(graph: Graph, count: int, rng: random.Random, legal=None):
+    """Uniform-ish reduced edge paths of 2 to 14 letters: each letter leaves
+    from the terminus of its predecessor and does not cancel it.
 
     Given a set of ``legal`` turns, each letter instead forms a legal turn
     with its predecessor, so the words are legal paths; a word ends early at
@@ -85,7 +83,7 @@ def sample_reduced_words(
         nexts = {x: {y for y in ys if frozenset((x.swapcase(), y)) in legal} for x, ys in nexts.items()}
     words = []
     for _ in range(count):
-        n = rng.randint(min_len, max_len)
+        n = rng.randint(2, 14)
         out = [rng.choice(alphabet)]
         while len(out) < n and nexts[out[-1]]:
             ch = rng.choice(alphabet)
@@ -115,7 +113,6 @@ def measure_cancellation(
     seed: int = 0,
     words=None,
     legal_only: bool = False,
-    lam: float | None = None,
 ) -> CancellationSample:
     """Cancellation measured over random reduced splits p|q of edge paths.
 
@@ -134,7 +131,7 @@ def measure_cancellation(
         words = sample_reduced_words(gmap.graph, samples, rng, legal=legal)
     else:
         words = [gmap.graph.check_path(w) for w in words]
-    bound = cancellation_bound(gmap, metric, lam=lam)
+    bound = cancellation_bound(gmap, metric)
     measured = []
     worst = None
     for word in words:

@@ -128,14 +128,13 @@ def _cmd_lengths(args) -> int:
         raise PreconditionError("limit lengths need a rose map")
     auto = parsed.auto
     tt = analyze_train_track(parsed.gmap)
-    k = spectral_section(tt)["k"]  # on a reducible map, exits 2 with the section's skip reason
     words = _word_list(args, auto.rank, args.sweep_len)
     lengths = lengths_section(auto, tt, words, M=args.max_m, tol=args.tol)
     for word in words:
         entry = lengths[word]
         how = entry["certificate"] or "uncertified, in [" + ", ".join(_g(x) for x in entry["interval"]) + "]"
         line = f"{word}: limit {_g(entry['limit'])} at m={entry['m_stop']} [{entry['classification']}] {how}"
-        if "per_block" in entry and k > 1:
+        if "per_block" in entry and tt.pf.k > 1:
             line += "  blocks (" + ", ".join(_g(x) for x in entry["per_block"]) + ")"
         print(line)
     _emit_json(args, lengths)

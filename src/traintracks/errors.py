@@ -8,13 +8,9 @@ class InputError(ValueError):
 class ParseError(InputError):
     """Syntax error in an input description file."""
 
-    def __init__(self, message, line=None, col=None):
+    def __init__(self, message, line=None):
         self.line = line
-        self.col = col
-        loc = ""
-        if line is not None:
-            loc = f" (line {line}" + (f", col {col}" if col is not None else "") + ")"
-        super().__init__(message + loc)
+        super().__init__(message if line is None else f"{message} (line {line})")
 
 
 class BudgetExceededError(RuntimeError):

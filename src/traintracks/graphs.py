@@ -112,22 +112,17 @@ class Metric:
         if not np.all(np.isfinite(lengths) & (lengths > 0)):
             raise InputError("edge lengths must be positive and finite")
         self.lengths = lengths
-        table = np.zeros(128, dtype=float)
+        # per-letter weights indexed by character code (both orientations)
+        self.table = np.zeros(128, dtype=float)
         for g, val in zip(ALPHABET, lengths):
-            table[ord(g)] = val
-            table[ord(g.upper())] = val
-        self._table = table
-
-    @property
-    def table(self) -> np.ndarray:
-        """Per-letter weights indexed by character code (both orientations)."""
-        return self._table
+            self.table[ord(g)] = val
+            self.table[ord(g.upper())] = val
 
     def of_pair(self, index: int) -> float:
         return float(self.lengths[index])
 
     def of_letter(self, letter: str) -> float:
-        return float(self._table[ord(letter)])
+        return float(self.table[ord(letter)])
 
     def volume(self) -> float:
         """Total length of the graph: the sum over edge pairs."""
@@ -154,7 +149,7 @@ def path_length(word: str, metric: Metric) -> float:
     if not word:
         return 0.0
     codes = np.frombuffer(word.encode("ascii"), dtype=np.uint8)
-    return float(metric._table[codes].sum())
+    return float(metric.table[codes].sum())
 
 
 def block_path_length(word: str, metric: Metric, block_letters) -> float:

@@ -16,14 +16,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import (
-    BudgetExceededError,
-    InputError,
-    InternalConsistencyError,
-    NotALeafSegmentError,
-    PreconditionError,
-)
-from .graphs import Metric, path_length
+from .errors import BudgetExceededError, InputError, InternalConsistencyError, NotALeafSegmentError
 from .spectral import TrainTrackData
 from .words import DEFAULT_WORD_BUDGET, canonical_rotation, invert_word, letter_counts
 
@@ -59,7 +52,7 @@ class LeafPrefix:
     def block(self) -> int:
         return self.seed.block
 
-    def spelled(self, radius: int | None = None, marker: str = "|") -> str:
+    def spelled(self, radius: int | None = None) -> str:
         """The prefix with the center edge fenced off, optionally windowed."""
         lo, hi = 0, len(self.word)
         if radius is not None:
@@ -67,7 +60,7 @@ class LeafPrefix:
             hi = min(len(self.word), self.center + radius + 1)
         w = self.word
         c = self.center
-        return w[lo:c] + marker + w[c] + marker + w[c + 1 : hi]
+        return w[lo:c] + "|" + w[c] + "|" + w[c + 1 : hi]
 
     def centered_slice(self, size: int) -> str:
         half = size // 2
@@ -89,12 +82,7 @@ def find_eigen_seed(tt: TrainTrackData, block: int | None = None) -> LeafSeed:
     words it stands for.  Only the seed's word is built; the middle
     crossing anchors leaf expansion.
     """
-    if not tt.verdict.is_train_track:
-        raise PreconditionError("leaf generation needs a verified train track")
-    if tt.pf is None:
-        raise PreconditionError("leaf generation needs an irreducible transition matrix")
-    if not tt.expanding:
-        raise PreconditionError("leaf generation needs an expanding stretch factor")
+    tt.require("leaf")
     gmap = tt.gmap
     k = tt.pf.k
     candidates = [(e, b) for b in (range(k) if block is None else [block]) for e in tt.pf.blocks[b]]
@@ -212,7 +200,7 @@ class LeafCorpus:
         if key not in self._matches:
             inverse = canonical_rotation(invert_word(word))
             if inverse not in self._matches:
-                self._matches[inverse] = longest_leaf_segment(min(key, inverse), self, self.tt.metric).length
+                self._matches[inverse] = longest_leaf_segment(min(key, inverse), self).length
             self._matches[key] = self._matches[inverse]
         return self._matches[key]
 
@@ -232,8 +220,7 @@ def build_leaf_corpus(
     """One expanded leaf prefix for each cyclic block."""
     if depth < 0:
         raise InputError(f"leaf depth must be >= 0, got {depth}")
-    if tt.pf is None:
-        raise PreconditionError("leaf generation needs an irreducible transition matrix")
+    tt.require("leaf")
     prefixes = []
     for block in range(tt.pf.k):
         seed = find_eigen_seed(tt, block=block)
@@ -383,7 +370,7 @@ class _SuffixAutomaton:
 
 @dataclass
 class LeafMatch:
-    """Heaviest leaf segment (by a metric) found inside a cyclic word."""
+    """Heaviest leaf segment (in the eigenmetric) found inside a cyclic word."""
 
     block: int | None
     length: float
@@ -391,9 +378,9 @@ class LeafMatch:
     segment: str
 
 
-def longest_leaf_segment(word: str, corpus: LeafCorpus, metric: Metric) -> LeafMatch:
-    """Metric-heaviest subword of the doubled cyclic word that is a leaf
-    segment of some block, in either orientation.
+def longest_leaf_segment(word: str, corpus: LeafCorpus) -> LeafMatch:
+    """Heaviest subword, in the corpus's eigenmetric, of the doubled cyclic
+    word that is a leaf segment of some block, in either orientation.
 
     Matching statistics against each block's automaton give, for every end
     position, the longest leaf match ending there; the metric weight of each
@@ -419,7 +406,7 @@ def longest_leaf_segment(word: str, corpus: LeafCorpus, metric: Metric) -> LeafM
                 continue
             if pre is None:
                 codes = np.frombuffer(doubled.encode("ascii"), dtype=np.uint8)
-                pre = list(accumulate(metric.table[codes].tolist(), initial=0.0))  # np.cumsum's order
+                pre = list(accumulate(corpus.tt.metric.table[codes].tolist(), initial=0.0))  # np.cumsum's order
             if len(runs[0][1]) > period:
                 ms = np.minimum(automaton.matching_statistics(doubled), period)
                 ends = np.arange(1, len(doubled) + 1)

@@ -193,21 +193,15 @@ def classify_growth(
         degree = polynomial_degree(lengths)
         low_confidence = orbit.truncated and m_eff < M
         if degree is None and statistic > math.log1p(eps):
+            # under 4 lengths the detector cannot rule out even degree 1
             return GrowthClass(
                 kind="exponential", rate=math.exp(statistic), statistic=statistic, escalated=escalated,
-                low_confidence=low_confidence,
+                low_confidence=low_confidence or m_eff < 3,
             )
         return GrowthClass(
             kind="polynomial", degree=degree, statistic=statistic, escalated=escalated,
             low_confidence=low_confidence or degree is None,
         )
-
-
-def _require_spectral(tt: TrainTrackData):
-    if not tt.verdict.is_train_track:
-        raise PreconditionError("limit lengths need a verified train track")
-    if tt.pf is None or tt.metric is None:
-        raise PreconditionError("limit lengths need an irreducible transition matrix")
 
 
 @dataclass
@@ -291,7 +285,7 @@ def limit_length(
     Otherwise a positive lower bound reads Exponential(lam); without one the
     verdict defers to the growth classifier, flagged low-confidence.
     """
-    _require_spectral(tt)
+    tt.require("limit lengths", expanding=False)
     if M < 0:
         raise InputError(f"iterate horizon M must be >= 0, got {M}")
     if not tol > 0:
@@ -386,9 +380,7 @@ def per_block_lengths(tt: TrainTrackData, rep: LimitLengthReport, orbit: CyclicO
     period p, a multiple of k, and the losses per period repeat.  The
     entries sum to the limit.
     """
-    _require_spectral(tt)
-    if not tt.expanding:
-        raise PreconditionError("per-block lengths need an expanding stretch factor")
+    tt.require("per-block lengths")
 
     def split(m):
         w = orbit.word_at(m)
@@ -428,9 +420,7 @@ def convergence_constants(
     not a bound: past legality it decays like the spectral gap, on a
     Nielsen path like lam^-m.
     """
-    _require_spectral(tt)
-    if not tt.expanding:
-        raise PreconditionError("convergence constants need an expanding stretch factor")
+    tt.require("convergence constants")
     if len(alt_metric) != tt.gmap.graph.edge_pairs:
         raise PreconditionError("alternative metric does not match the graph")
     k, lam = tt.pf.k, tt.pf.lam

@@ -48,7 +48,7 @@ class TrainTrackVerdict:
 class GraphMap:
     """A self-map of a graph, described by its positive edge images."""
 
-    def __init__(self, graph: Graph, edge_images, vertex_images=None):
+    def __init__(self, graph: Graph, edge_images):
         edge_images = tuple(edge_images)
         if len(edge_images) != graph.edge_pairs:
             raise InputError(f"expected {graph.edge_pairs} edge images, got {len(edge_images)}")
@@ -63,27 +63,22 @@ class GraphMap:
         self.edge_images = tuple(tight)
         self._letter_images, self._subst = signed_substitution(self.edge_images)
         self._legal_turns = self._illegal_pairs = None
-        if vertex_images is None:
-            vertex_images = self._infer_vertex_images()
-        self.vertex_images = tuple(vertex_images)
+        self.vertex_images = self._infer_vertex_images()
         self._check_endpoints()
 
-    def _infer_vertex_images(self):
+    def _infer_vertex_images(self) -> tuple:
+        """Each vertex goes where the image of the first edge leaving it starts
+        (every vertex of a connected graph has one)."""
         img = [None] * self.graph.vertex_count
         for g in self.graph.letters:
             for letter in (g, g.upper()):
                 v = self.graph.origin(letter)
                 if img[v] is None:
                     img[v] = self.graph.origin(self.image_of_letter(letter)[0])
-        if any(v is None for v in img):
-            raise InputError("cannot infer vertex images: isolated vertex")
-        return img
+        return tuple(img)
 
     def _check_endpoints(self):
         g = self.graph
-        for v, w in enumerate(self.vertex_images):
-            if not 0 <= w < g.vertex_count:
-                raise InputError(f"vertex image {w} outside 0..{g.vertex_count - 1}")
         for c, path in zip(g.letters, self.edge_images):
             if g.origin(path[0]) != self.vertex_images[g.origin(c)]:
                 raise InputError(f"image of edge {c!r} does not start at the image of its origin")
@@ -129,9 +124,7 @@ class GraphMap:
             other.graph.vertex_count != self.graph.vertex_count or other.graph.endpoints != self.graph.endpoints
         ):
             raise InputError("composition needs maps of the same graph")
-        images = tuple(self.map_path(w) for w in other.edge_images)
-        vimgs = tuple(self.vertex_images[v] for v in other.vertex_images)
-        return GraphMap(self.graph, images, vertex_images=vimgs)
+        return GraphMap(self.graph, tuple(self.map_path(w) for w in other.edge_images))
 
     # ------------------------------------------------------------ linear data
 
@@ -293,4 +286,4 @@ def rose_map(auto: Automorphism) -> GraphMap:
 def to_automorphism(gmap: GraphMap) -> Automorphism:
     if not gmap.graph.is_rose():
         raise InputError("only rose maps translate directly to automorphisms")
-    return Automorphism(gmap.edge_images, rank=gmap.graph.edge_pairs)
+    return Automorphism(gmap.edge_images)

@@ -196,7 +196,7 @@ def parse_input(text: str) -> ParsedInput:
         _check_letters(inverse, graph, "inverse images", scope)
     if not graph.is_rose():
         return _coerce(GraphMap(graph, [given[c] for c in graph.letters]))
-    return _coerce(Automorphism(given, inverse_images=inverse or None, rank=graph.edge_pairs))
+    return _coerce(Automorphism(given, inverse_images=inverse or None))
 
 
 @dataclass
@@ -400,7 +400,7 @@ def equivalence_section(eq: EquivalenceReport) -> dict:
     }
 
 
-def lengths_section(auto: Automorphism, tt: TrainTrackData, words, M: int = 40, tol: float = 1e-6) -> dict:
+def lengths_section(auto: Automorphism, tt: TrainTrackData, words, M: int, tol: float) -> dict:
     """Limit length of each class with the certificate that gave it and the
     interval it lies in, split by block for exponential classes."""
     lengths: dict = {}
@@ -452,7 +452,7 @@ def cancellation_section(tt: TrainTrackData, samples: int, seed: int) -> dict:
     metric = tt.metric if tt.metric is not None else unit_metric(gmap.graph)
     lam = tt.pf.lam if tt.expanding else None
     bound = cancellation_bound(gmap, metric, lam=lam)
-    sample = measure_cancellation(gmap, metric, samples=samples, seed=seed, lam=lam)
+    sample = measure_cancellation(gmap, metric, samples=samples, seed=seed)
     cancel = {
         "metric": "eigenmetric" if tt.metric is not None else "unit",
         **asdict(bound),
@@ -465,7 +465,7 @@ def cancellation_section(tt: TrainTrackData, samples: int, seed: int) -> dict:
     }
     if tt.verdict.is_train_track:
         try:
-            legal = measure_cancellation(gmap, metric, samples=samples, seed=seed, lam=lam, legal_only=True)
+            legal = measure_cancellation(gmap, metric, samples=samples, seed=seed, legal_only=True)
             cancel["legal_splits"] = {
                 "count": legal.count,
                 "max_measured": legal.max_measured,
@@ -527,7 +527,7 @@ def analyze(source, config: AnalysisConfig | None = None, words=None) -> dict:
     except NotIrreducibleError as exc:
         skipped["spectral"] = str(exc)
 
-    leafy = tt.verdict.is_train_track and tt.irreducible and tt.expanding
+    leafy = tt.verdict.is_train_track and tt.expanding
     swept = leafy and auto is not None
     corpus = build_leaf_corpus(tt, depth=config.leaf_depth, budget=config.leaf_budget) if leafy else None
     sweep = enumerate_cyclic_words(auto.rank, config.max_word_len) if auto is not None else None
@@ -575,26 +575,26 @@ def analyze(source, config: AnalysisConfig | None = None, words=None) -> dict:
     return report
 
 
-def round_floats(obj, sig: int = 9):
-    """Copy a JSON-ready structure with floats at ``sig`` significant digits."""
+def round_floats(obj):
+    """Copy a JSON-ready structure with floats at 9 significant digits."""
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, float):
         if math.isfinite(obj):
-            return float(f"{obj:.{sig}g}")
+            return float(f"{obj:.9g}")
         return obj
     if isinstance(obj, np.floating):
-        return round_floats(float(obj), sig)
+        return round_floats(float(obj))
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, dict):
-        return {k: round_floats(v, sig) for k, v in obj.items()}
+        return {k: round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [round_floats(v, sig) for v in obj]
+        return [round_floats(v) for v in obj]
     return obj
 
 
-def report_json(report: dict, sig: int = 9) -> str:
+def report_json(report: dict) -> str:
     import json
 
-    return json.dumps(round_floats(report, sig), indent=2)
+    return json.dumps(round_floats(report), indent=2)

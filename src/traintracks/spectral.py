@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .cancellation import cancellation_bound
-from .errors import InternalConsistencyError, NotIrreducibleError
+from .errors import InternalConsistencyError, NotIrreducibleError, PreconditionError
 from .graphs import Metric
 from .maps import GraphMap, TrainTrackVerdict, invariant_subgraph, rose_map, tarjan_sink
 from .words import ALPHABET, Automorphism
@@ -76,11 +76,6 @@ def pf_eigen(matrix) -> PFData:
     n = len(mat)
     if mat.shape != (n, n) or (mat < 0).any():
         raise NotIrreducibleError("need a square nonnegative matrix")
-    if n == 1:
-        lam = float(mat[0, 0])
-        if lam <= 0:
-            raise NotIrreducibleError("1x1 transition matrix with zero entry")
-        return PFData(lam, np.array([1.0]), 1, (("a",),), 0.0, 0)
     k, blocks = cyclic_index(mat)  # raises NotIrreducibleError for a reducible matrix
     values, vectors = np.linalg.eig(mat.T)
     vec = vectors[:, np.argmax(values.real)].real
@@ -117,6 +112,17 @@ class TrainTrackData:
     def expanding(self) -> bool:
         return self.pf is not None and self.pf.expanding
 
+    def require(self, stage: str, expanding: bool = True):
+        """Raise :class:`PreconditionError`, naming ``stage``, unless the map
+        is in the domain of the limit tree: a verified train track with an
+        irreducible transition matrix and, if ``expanding``, lam > 1."""
+        if not self.verdict.is_train_track:
+            raise PreconditionError(f"the {stage} stage needs a verified train track")
+        if self.pf is None:
+            raise PreconditionError(f"the {stage} stage needs an irreducible transition matrix")
+        if expanding and not self.pf.expanding:
+            raise PreconditionError(f"the {stage} stage needs an expanding stretch factor")
+
     @cached_property
     def cancellation_constant(self) -> float:
         """Cancellation bound C = Lip * vol in the eigenmetric, computed once."""
@@ -141,7 +147,7 @@ def train_track_twist(auto: Automorphism, tt: TrainTrackData) -> tuple[Automorph
     if not tt.verdict.is_train_track:
         for g in ALPHABET[: auto.rank] + ALPHABET[: auto.rank].upper():
             if any(w[0] == g.swapcase() for w in auto.images) and any(w[-1] == g for w in auto.images):
-                twist = Automorphism([g + w + g.swapcase() for w in auto.images], rank=auto.rank)
+                twist = Automorphism([g + w + g.swapcase() for w in auto.images])
                 if (gmap := rose_map(twist)).is_train_track():
                     return twist, analyze_train_track(gmap)
     return auto, tt

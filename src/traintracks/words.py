@@ -236,14 +236,11 @@ class Automorphism:
     necessary condition run by :meth:`validate`.
     """
 
-    def __init__(self, images, inverse_images=None, rank: int | None = None):
+    def __init__(self, images, inverse_images=None):
         images = _image_tuple(images)
         if inverse_images is not None:
             inverse_images = _image_tuple(inverse_images)
-        if rank is None:
-            rank = len(images)
-        if len(images) != rank:
-            raise InputError(f"expected {rank} generator images, got {len(images)}")
+        rank = len(images)
         if not 1 <= rank <= MAX_RANK:
             raise InputError(f"rank must be in 1..{MAX_RANK}, got {rank}")
         self.rank = rank
@@ -277,9 +274,9 @@ class Automorphism:
         images = tuple(self.apply(w) for w in other.images)
         inv = None
         if self.inverse_images is not None and other.inverse_images is not None:
-            other_inv = Automorphism(other.inverse_images, rank=self.rank)
+            other_inv = Automorphism(other.inverse_images)
             inv = tuple(other_inv.apply(w) for w in self.inverse_images)
-        return Automorphism(images, inverse_images=inv, rank=self.rank)
+        return Automorphism(images, inverse_images=inv)
 
     def abelianization(self) -> np.ndarray:
         """Exponent-sum matrix; column j is the image of generator j."""
@@ -293,7 +290,7 @@ class Automorphism:
             problems.append(f"abelianization determinant is {det}, not +-1")
         inverse_checked = False
         if self.inverse_images is not None:
-            inv = Automorphism(self.inverse_images, rank=self.rank)
+            inv = Automorphism(self.inverse_images)
             for i in range(self.rank):
                 g = ALPHABET[i]
                 if self.apply(inv.images[i]) != g or inv.apply(self.images[i]) != g:

@@ -105,7 +105,7 @@ def test_split_loss_bounded_and_nonnegative(w, data):
 
 def test_sample_reduced_words_shape():
     rng = random.Random(7)
-    words = sample_reduced_words(rose(2), 50, rng, min_len=2, max_len=14)
+    words = sample_reduced_words(rose(2), 50, rng)
     assert len(words) == 50
     for w in words:
         assert 2 <= len(w) <= 14
@@ -121,7 +121,7 @@ def test_samples_are_edge_paths_off_roses(subdivided_fib):
     for turns in (None, legal):
         for w in sample_reduced_words(tt.gmap.graph, 100, random.Random(3), legal=turns):
             assert tt.gmap.graph.check_path(w) == reduce_word(w, 3)
-    sample = measure_cancellation(tt.gmap, tt.metric, lam=tt.pf.lam)
+    sample = measure_cancellation(tt.gmap, tt.metric)
     assert sample.within_bound and sample.max_measured <= PHI + 1e-9
     assert measure_cancellation(tt.gmap, tt.metric, legal_only=True).max_measured == 0.0
 

@@ -265,7 +265,7 @@ def test_expansion_trims_at_budget(fib_tt):
 
 def test_spelled_and_slices(fib_tt):
     p = expand_leaf(fib_tt, find_eigen_seed(fib_tt), depth=3)
-    s = p.spelled(radius=4, marker="|")
+    s = p.spelled(radius=4)
     left, mid, right = s.split("|")
     assert mid == p.word[p.center]
     assert left == p.word[p.center - 4 : p.center]
@@ -455,8 +455,7 @@ def test_matching_statistics_oracle(text, query):
 
 
 def test_longest_segment_frozen(fib_corpus, fib_tt):
-    metric = fib_tt.metric
-    match = longest_leaf_segment("abaab", fib_corpus, metric)
+    match = longest_leaf_segment("abaab", fib_corpus)
     assert match.edge_count == 5
     assert match.segment == "abaab"
     assert match.length == pytest.approx(PHI + 1.0, abs=1e-9)  # 3 nu_a + 2 nu_b
@@ -464,26 +463,26 @@ def test_longest_segment_frozen(fib_corpus, fib_tt):
 
 
 def test_longest_segment_mixed_word(fib_corpus, fib_tt):
-    match = longest_leaf_segment("abAB", fib_corpus, fib_tt.metric)
+    match = longest_leaf_segment("abAB", fib_corpus)
     assert match.length == pytest.approx(1.0, abs=1e-9)
     assert match.edge_count == 2
 
 
 def test_longest_segment_inverted_orientation(fib_corpus, fib_tt):
-    match = longest_leaf_segment("BB", fib_corpus, fib_tt.metric)
+    match = longest_leaf_segment("BB", fib_corpus)
     assert match.edge_count == 1
     assert match.segment == "b"
     assert match.length == pytest.approx(2.0 - PHI, abs=1e-9)  # nu_b
 
 
 def test_longest_segment_wraps_cyclically(fib_corpus, fib_tt):
-    match = longest_leaf_segment("ba", fib_corpus, fib_tt.metric)
+    match = longest_leaf_segment("ba", fib_corpus)
     assert match.edge_count == 2  # capped at the period
     assert match.length == pytest.approx(1.0, abs=1e-9)
 
 
 def test_longest_segment_empty_word(fib_corpus, fib_tt):
-    match = longest_leaf_segment("", fib_corpus, fib_tt.metric)
+    match = longest_leaf_segment("", fib_corpus)
     assert match.block is None and match.edge_count == 0
 
 
@@ -499,7 +498,7 @@ def test_longest_segment_properties(w):
     core = reduce_word(w, 2)
     if not core:
         return
-    match = longest_leaf_segment(core, corpus, tt.metric)
+    match = longest_leaf_segment(core, corpus)
     assert match.edge_count <= len(core)
     assert match.length == pytest.approx(path_length(match.segment, tt.metric), abs=1e-12)
     if match.edge_count:
@@ -511,7 +510,7 @@ def test_longest_segment_properties(w):
 _SESSION_CORPUS = {}
 
 
-def scan_every_end(word, corpus, metric):
+def scan_every_end(word, corpus):
     """Reference matcher: matching statistics of each whole doubled
     orientation against each block, capped at the period and read at every
     end; numpy's argmax takes the first heaviest end."""
@@ -522,7 +521,7 @@ def scan_every_end(word, corpus, metric):
     for oriented in (word, invert_word(word)):
         doubled = oriented + oriented
         codes = np.frombuffer(doubled.encode("ascii"), dtype=np.uint8)
-        pre = np.concatenate(([0.0], np.cumsum(metric.table[codes])))
+        pre = np.concatenate(([0.0], np.cumsum(corpus.tt.metric.table[codes])))
         for block in range(corpus.k):
             ms = np.minimum(corpus.automaton(block).matching_statistics(doubled), period)
             ends = np.arange(1, len(doubled) + 1)
@@ -584,25 +583,25 @@ def _matcher_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(_matcher_cases())
 def test_leaf_matcher_matches_every_end_scan(case):
-    tt, corpus, word, rotated = case
+    _, corpus, word, rotated = case
     for w in (word, rotated, invert_word(word)):
-        assert _bits(longest_leaf_segment(w, corpus, tt.metric)) == _bits(scan_every_end(w, corpus, tt.metric))
+        assert _bits(longest_leaf_segment(w, corpus)) == _bits(scan_every_end(w, corpus))
 
 
 def test_leaf_matcher_cases_reached():
     """The three regimes the property test draws, on explicit words."""
-    fib_tt, fib_leaves = _matcher_corpus("fib")
-    tt, leaves = _matcher_corpus("swap-fibonacci")
+    _, fib_leaves = _matcher_corpus("fib")
+    _, leaves = _matcher_corpus("swap-fibonacci")
     # no live letter for block 1 in either orientation
     assert not leaves.automaton(1).live.search("abaBbABA")
     # live all the way round: the match is capped at the period
     assert fib_leaves.automaton(0).live.fullmatch("abab")
-    assert longest_leaf_segment("ab", fib_leaves, fib_tt.metric).edge_count == 2
+    assert longest_leaf_segment("ab", fib_leaves).edge_count == 2
     # a run matched in one word is reused, at another offset, in the next
-    longest_leaf_segment("abaaBcdcd", leaves, tt.metric)
+    longest_leaf_segment("abaaBcdcd", leaves)
     cached = leaves.automaton(0).runs["abaa"]
-    for data, corpus, word in ((tt, leaves, "abaB"), (fib_tt, fib_leaves, "ab"), (tt, leaves, "cDabaaBcdcd")):
-        assert _bits(longest_leaf_segment(word, corpus, data.metric)) == _bits(scan_every_end(word, corpus, data.metric))
+    for corpus, word in ((leaves, "abaB"), (fib_leaves, "ab"), (leaves, "cDabaaBcdcd")):
+        assert _bits(longest_leaf_segment(word, corpus)) == _bits(scan_every_end(word, corpus))
     assert leaves.automaton(0).runs["abaa"] is cached
 
 

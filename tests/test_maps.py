@@ -385,8 +385,8 @@ def test_theta_edge_rotation_is_train_track():
 def test_graph_map_rejects_bad_images():
     with pytest.raises(InputError):
         GraphMap(theta(), ("ab", "b", "c"))  # "ab" is not a path
-    with pytest.raises(InputError):
-        GraphMap(theta(), ("b", "c", "a"), vertex_images=(0, 0))  # endpoint clash
+    with pytest.raises(InputError, match="image of edge 'c' does not start at the image of its origin"):
+        GraphMap(theta(), ("b", "c", "A"))  # endpoint clash
     with pytest.raises(InputError):
         GraphMap(rose(2), ("aA", "b"))  # image collapses
     with pytest.raises(InputError):

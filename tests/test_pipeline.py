@@ -191,14 +191,14 @@ def test_discrepancy_records_the_limit_certificate(fib, fib_tt, monkeypatch):
     ]
 
 
-def reference_probe(auto, word, corpus, metric, M, orbit):
+def reference_probe(auto, word, corpus, M, orbit):
     """The leaf probe matching every orbit word itself, with no cache."""
     values = []
     for m in range(M + 1):
         w = orbit.word_at(m)
         if w is None or len(w) > 30_000:
             break
-        values.append(longest_leaf_segment(w, corpus, metric).length)
+        values.append(longest_leaf_segment(w, corpus).length)
     strided = values[:: corpus.k]
     q = max(2, len(strided) // 4)
     head, tail = strided[:q], strided[-q:]
@@ -224,9 +224,9 @@ def reference_sweep(auto, tt, corpus, words, config):
         rep = limit_length(auto, word, tt, M=config.M, tol=config.tol, orbit=limit_orbit)
         b = classify_growth(auto, word, M=growth_M, eps=growth_eps, orbit=orbit).is_exponential
         a = rep.classification.is_exponential
-        c = reference_probe(auto, word, corpus, tt.metric, PROBE_M, orbit)
+        c = reference_probe(auto, word, corpus, PROBE_M, orbit)
         for factor in (2, 4) if a and b and not c else ():
-            c = reference_probe(auto, word, corpus, tt.metric, factor * PROBE_M, orbit)
+            c = reference_probe(auto, word, corpus, factor * PROBE_M, orbit)
             if c:
                 break
         labels[word] = rep.classification.label()
@@ -703,6 +703,21 @@ def test_cli_growth(capsys):
     assert "b: Polynomial(1)" in capsys.readouterr().out
 
 
+# unipotent's b and ab grow linearly; from under 4 lengths (M < 3) the
+# classifier cannot rule out degree 1, so an exponential reading is flagged
+@pytest.mark.parametrize(
+    "max_m, out",
+    [
+        (1, "b: Exponential(2) (low confidence)\nab: Exponential(3) (low confidence)\n"),
+        (2, "b: Exponential(1.73205081) (low confidence)\nab: Exponential(2) (low confidence)\n"),
+        (3, "b: Polynomial(1)\nab: Polynomial(1)\n"),
+    ],
+)
+def test_cli_growth_short_horizon(max_m, out, capsys):
+    assert main(["growth", "example:unipotent", "--words", "b,ab", "--max-m", str(max_m)]) == 0
+    assert capsys.readouterr().out == out
+
+
 def test_cli_growth_on_twist_reads_its_certificates(capsys):
     """fibonacci-conj-b twisted by b is fibonacci, an expanding train track,
     so growth prints the twist's certified verdicts: text and JSON are those
@@ -871,6 +886,40 @@ def test_cli_growth_reads_certificates_on_slow_train_track(capsys, tmp_path):
 @pytest.mark.parametrize("name", sorted(corpus.REGISTRY))
 def test_cli_subcommand_defaults_on_examples(command, name, capsys):
     assert main([command, f"example:{name}"]) in (0, 2)
+
+
+# The exit code of each stage subcommand at its defaults on inputs at the
+# edge of its domain; a refusal (exit 2) names the refusing stage.
+_STAGE_WORDS = {
+    "spectral": "eigendata",
+    "growth": "growth",
+    "lengths": "limit lengths",
+    "leaf": "leaf",
+    "convergence": "convergence constants",
+}
+_REFUSALS = {  # exit codes in the order of _STAGE_WORDS
+    "example:identity": (2, 0, 2, 2, 2),
+    "example:swap": (0, 0, 0, 2, 2),
+    "example:unipotent": (2, 0, 2, 2, 2),
+    "example:fibonacci-conj-b": (0, 0, 2, 2, 2),
+    "subdivided-fibonacci": (0, 2, 2, 0, 2),
+}
+
+
+@pytest.mark.parametrize("source", sorted(_REFUSALS))
+def test_cli_refusals_name_their_stage(source, subdivided_fib, tmp_path, capsys):
+    path = source
+    if source == "subdivided-fibonacci":
+        path = str(tmp_path / "map.txt")
+        (tmp_path / "map.txt").write_text(subdivided_fib)
+    codes = []
+    for command, stage in _STAGE_WORDS.items():
+        codes.append(main([command, path]))
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if codes[-1] == 2:
+            assert err.startswith("error: ") and stage in err, (command, err)
+    assert tuple(codes) == _REFUSALS[source]
 
 
 def test_cli_analyze_json_file(tmp_path, capsys):

@@ -20,6 +20,7 @@ from traintracks import (
     Automorphism,
     Metric,
     NotIrreducibleError,
+    PreconditionError,
     analyze_train_track,
     corpus,
     cyclic_index,
@@ -107,6 +108,9 @@ def test_one_by_one_matrix():
     assert pf.lam == 3.0
     assert pf.k == 1
     assert list(pf.nu) == [1.0]
+    # the rank-1 rose a -> A: a permutation, lam = 1
+    pf = pf_eigen(rose_map(Automorphism(["A"])).transition_matrix())
+    assert (pf.lam, pf.k, pf.blocks, list(pf.nu), pf.residual) == (1.0, 1, (("a",),), [1.0], 0.0)
     with pytest.raises(NotIrreducibleError):
         pf_eigen([[0]])
 
@@ -245,3 +249,19 @@ def test_eigenmetric_homothety(name, all_tts):
         assert path_length(w, metric) == pytest.approx(
             tt.pf.lam * metric.of_pair(i), rel=1e-10
         )
+
+
+@pytest.mark.parametrize(
+    "name, missing",
+    [
+        ("fibonacci-conj-b", "a verified train track"),
+        ("identity", "an irreducible transition matrix"),
+        ("swap", "an expanding stretch factor"),
+    ],
+)
+def test_require_names_the_stage_and_what_is_missing(name, missing):
+    tt = analyze_train_track(rose_map(corpus.get(name)))
+    with pytest.raises(PreconditionError, match=f"^the probe stage needs {missing}$"):
+        tt.require("probe")
+    if name == "swap":
+        tt.require("probe", expanding=False)  # lam = 1 is in the limit-length domain

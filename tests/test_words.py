@@ -219,8 +219,6 @@ def test_automorphism_rejects_bad_images():
         Automorphism(("ab", "c"))  # letter outside rank 2
     with pytest.raises(InputError):
         Automorphism(("aA", "b"))  # image collapses to identity
-    with pytest.raises(InputError):
-        Automorphism(("a",), rank=2)
 
 
 @given(words_st(max_size=20), words_st(max_size=20))
