@@ -107,16 +107,22 @@ def all_tts(fib_tt, conj_a_tt, conj_b_tt, rank4_tt, swap_tt, unipotent_tt, ident
 
 
 @pytest.fixture
-def family_autos(monkeypatch):
-    """The 28 maps of the benchmark family, built by ``perfbench/family.py``
-    loaded from its file."""
+def family_maps(monkeypatch):
+    """name -> ``FamilyMap`` for the 28 maps of the benchmark family, built
+    by ``perfbench/family.py`` loaded from its file."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_family", Path(__file__).resolve().parents[1] / "perfbench" / "family.py"
     )
     family = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, family)  # its dataclass looks itself up there
     spec.loader.exec_module(family)
-    return [Automorphism(fm.images) for fm in family.generate(traintracks, family.DESIGN_SEED)]
+    return {fm.name: fm for fm in family.generate(traintracks, family.DESIGN_SEED)}
+
+
+@pytest.fixture
+def family_autos(family_maps):
+    """The 28 maps of the benchmark family as automorphisms."""
+    return [Automorphism(fm.images) for fm in family_maps.values()]
 
 
 @pytest.fixture(scope="session")

@@ -620,6 +620,35 @@ GOLDEN_FAST_DIGESTS = {
 }
 
 
+# SHA-256 of report_json(report) without "meta" for the 14 unconjugated
+# family maps, read from their input text at their own sweep length
+# (``FamilyMap.max_word_len``), as the benchmark's family workload reads them.
+GOLDEN_FAMILY_DIGESTS = {
+    "r2-m1": "458de367dc7ee41cb810f24a72e9661643007f52a6ad3eb5688417b7afdac764",
+    "r2-m4": "5e2ee8fc3bc857a9c32629f0f26440001b9fb72e594e18c454127d38313ebab1",
+    "r3-m1": "bde6c509217b4b3121ef45f273a437a4240fa2a00ffb79eb3a1c73ae75ceb332",
+    "r3-m4": "1c82adde77e48e178e5d6ed8930c8c7462b22c265c7cd16135b6680f4aa54604",
+    "r4-m4": "4e24fd3425648a0ee96889ed6c8f3b5572fc585a5d34b8fe0f9d6cc804ceb36c",
+    "r4-m8": "9e10cc0bb6588daea84417162f27aa756b2296ad2f1fc0b348678e45e940e70c",
+    "r6-m4": "8de2eaf5735de9d892d0488f1cf04701ae22fb12a361f640633423b548897804",
+    "r6-m8": "0d8c66ac19d30d6d8cdcb4a377f1355a74ade89d54dc993aa7e257de35793622",
+    "r10-m2": "1618137adf1aed181429e422cf6312b468a88052e6ea5884a816cdda792b1da7",
+    "r10-m4": "642ecfe121ed0a935d365cd80b233306de794f2b614aca76964b647c9dbb6fd9",
+    "r16-m1": "d256b60daf8b4a41c1201d020b672dce0b8d1fa7b3fe60d9d6972a0b757a21fb",
+    "r16-m4": "d601c342f27c00a69a78021893515404dac62ed919816ebe3cae3b648ff9444a",
+    "r26-m1": "ee45b6fa9191d4bc4079f93c3ebe537f1e8d8f3362973efb7be6df0970c8792a",
+    "r26-m8": "f2561846fdaca35053ef7206c098df6bbc667cc06b8addbbd9157ad16fd70562",
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_FAMILY_DIGESTS))
+def test_family_reports_do_not_drift(family_maps, name):
+    fm = family_maps[name]
+    report = analyze(fm.input_text(), config=AnalysisConfig(max_word_len=fm.max_word_len))
+    report.pop("meta")
+    assert hashlib.sha256(report_json(report).encode()).hexdigest() == GOLDEN_FAMILY_DIGESTS[name]
+
+
 def test_report_json_serializes_all_examples():
     for name in sorted(corpus.REGISTRY):
         report = analyze(corpus.get(name), config=FAST)
