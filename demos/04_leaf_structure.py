@@ -63,16 +63,15 @@ for w in ("abaab", "abAB"):
     )
 print()
 
-# -- the probe: leaf segments grow inside exponential classes ---------------
-print("weak-limit probe (does the heaviest leaf segment in psi^m(w) grow?)")
+# -- the probe: one leaf segment longer than 2R certifies growth -------------
+print(f"weak-limit probe (a leaf segment of length >= 2R = {fib.critical_length:.3f} in psi^m(w)?)")
 for w in ("ab", "abAB"):
     probe = weak_limit_probe(corpus.get("fibonacci"), w, leaves)
-    head, tail = (", ".join(f"{v:.3f}" for v in part) for part in (probe.head, probe.tail))
     print(
-        f"  {w:5s} first and last quartile of {probe.positions}: [{head}] ... [{tail}]  "
+        f"  {w:5s} stops at m = {probe.m}, {probe.stop}: heaviest leaf match {probe.match:.3f}  "
         f"verdict: {'grows' if probe.verdict else 'bounded'}"
     )
-print()
+print("(a legal segment longer than 2R outgrows cancellation and persists)\n")
 
 # -- two leaves swapped by the rank-4 map ------------------------------------
 r4 = analyze_train_track(rose_map(corpus.get("swap-fibonacci")))

@@ -70,10 +70,13 @@ def _emit_json(args, payload) -> None:
 
 
 def _word_list(args, rank: int | None = None, sweep_len: int | None = None):
-    """The ``--words`` classes, else every class up to ``sweep_len`` if given."""
-    if args.words:
-        return [parse_word(w, rank) for chunk in args.words.split(",") for w in chunk.split() if w]
-    return None if sweep_len is None else enumerate_cyclic_words(rank, sweep_len)
+    """The ``--words`` classes, which must name one, else every class up to ``sweep_len`` if given."""
+    if args.words is None:
+        return None if sweep_len is None else enumerate_cyclic_words(rank, sweep_len)
+    words = [parse_word(w, rank) for chunk in args.words.split(",") for w in chunk.split() if w]
+    if not words:
+        raise InputError(f"--words names no class: {args.words!r}")
+    return words
 
 
 def _g(x: float) -> str:

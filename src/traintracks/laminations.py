@@ -10,20 +10,21 @@ be checked literally.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, count
 
 import numpy as np
 
 from .errors import BudgetExceededError, InputError, InternalConsistencyError, NotALeafSegmentError
+from .graphs import path_length
 from .spectral import TrainTrackData
-from .words import DEFAULT_WORD_BUDGET, canonical_rotation, invert_word, letter_counts
+from .words import DEFAULT_WORD_BUDGET, invert_word, letter_counts
 
-# Orbit horizon of the leaf probe; the equivalence sweep retries a lone
-# dissenting probe at 2x and 4x this horizon.
-PROBE_M = 12
-# Letters of each leaf prefix, around its center, that leaf matching searches.
+# Letters of each leaf prefix, around its center, that leaf matching searches
+# first and after the first uncertified probe, whose walk ends past MATCH_CAP.
+LEAF_SLICE = 3_000
 MATCH_CAP = 30_000
 
 
@@ -63,8 +64,8 @@ class LeafPrefix:
         return w[lo:c] + "|" + w[c] + "|" + w[c + 1 : hi]
 
     def centered_slice(self, size: int) -> str:
-        half = size // 2
-        lo = max(0, self.center - half)
+        """``size`` letters around the center, the whole word if shorter."""
+        lo = max(0, min(self.center - size // 2, len(self.word) - size))
         return self.word[lo : lo + size]
 
 
@@ -169,7 +170,11 @@ def leaf_contains(prefix: LeafPrefix, segment: str) -> bool:
 @dataclass
 class LeafCorpus:
     """One leaf prefix per cyclic block, with lazy matching automata that
-    keep the runs they have matched for the life of the corpus."""
+    keep the runs they have matched for the life of the corpus.
+
+    Each automaton reads the ``LEAF_SLICE`` letters around its prefix's
+    center until :meth:`widen` moves every block to ``MATCH_CAP`` letters;
+    a match in any slice is a leaf segment."""
 
     tt: TrainTrackData
     prefixes: tuple
@@ -177,7 +182,7 @@ class LeafCorpus:
 
     def __post_init__(self):
         self._automata = {}
-        self._matches = {}
+        self.slice = LEAF_SLICE
 
     @property
     def k(self) -> int:
@@ -189,20 +194,17 @@ class LeafCorpus:
 
     def automaton(self, block: int):
         if block not in self._automata:
-            self._automata[block] = _SuffixAutomaton(self.prefixes[block].centered_slice(MATCH_CAP))
+            self._automata[block] = _SuffixAutomaton(self.prefixes[block].centered_slice(self.slice))
         return self._automata[block]
 
-    def match_length(self, word: str) -> float:
-        """Eigenmetric length of the heaviest leaf segment of a cyclically
-        reduced word, matched once per class in the lesser canonical rotation
-        of the word and its inverse and stored under both."""
-        key = canonical_rotation(word)
-        if key not in self._matches:
-            inverse = canonical_rotation(invert_word(word))
-            if inverse not in self._matches:
-                self._matches[inverse] = longest_leaf_segment(min(key, inverse), self).length
-            self._matches[key] = self._matches[inverse]
-        return self._matches[key]
+    def widen(self) -> bool:
+        """Drop the automata, to be rebuilt on ``MATCH_CAP``-letter slices:
+        True the first time, if some prefix is longer than ``LEAF_SLICE``."""
+        if self.slice == MATCH_CAP or all(len(p.word) <= LEAF_SLICE for p in self.prefixes):
+            return False
+        self.slice = MATCH_CAP
+        self._automata.clear()
+        return True
 
     def contains(self, segment: str) -> int | None:
         """Block index of a prefix containing the segment, or None."""
@@ -433,57 +435,54 @@ def longest_leaf_segment(word: str, corpus: LeafCorpus) -> LeafMatch:
 
 @dataclass
 class ProbeReport:
-    """Growth of the heaviest leaf segment along the orbit of a word: the
-    stride-k series' length and its two quartiles, the only lengths matched."""
+    """Where the certificate walk of :func:`weak_limit_probe` stopped: at
+    stride position ``m``, for the reason ``stop`` (``certified``,
+    ``periodic`` or ``uncertified``), with ``match`` the heaviest leaf match
+    read up to m, the certifying one when certified."""
 
     word: str
-    head: tuple
-    tail: tuple
-    positions: int
-    k: int
     verdict: bool
+    m: int
+    match: float
+    stop: str
 
 
-def weak_limit_probe(
-    auto,
-    word: str,
-    corpus: LeafCorpus,
-    M: int = PROBE_M,
-    orbit=None,
-) -> ProbeReport:
-    """Does the orbit of the word sweep out ever-longer leaf segments?
+def weak_limit_probe(auto, word: str, corpus: LeafCorpus, orbit=None) -> ProbeReport:
+    """Does the orbit of the word weakly limit to the attracting lamination?
 
-    Tracks the heaviest leaf segment of psi^m(word), in the corpus's own
-    eigenmetric, along the stride-k positions m = 0, k, 2k, ... <= M and
-    judges that series: verdict True iff its last quartile is strictly
-    increasing and exceeds three times the first quartile's maximum.
-    Exponentially growing classes shadow leaves, so their segment lengths
-    blow up; bounded or polynomial classes stall.  The series ends before
-    the first orbit word longer than ``MATCH_CAP``: the matcher only
-    searches a ``MATCH_CAP``-letter slice of each leaf, so longer words
-    would stall for want of leaf, not of growth.  Every orbit word is built
-    and measured to find that end, but only the two quartiles are matched,
-    with :meth:`LeafCorpus.match_length`, once per class; a series shorter
-    than two quartiles is False with nothing matched.
+    Walks the stride-k positions m = 0, k, 2k, ... of the orbit and stops at
+    the first of these:
+
+    * certified (True): psi^m(word) has a leaf segment of eigenmetric length
+      >= 2R, ``TrainTrackData.critical_length``.  A leaf segment is legal,
+      and a legal segment that long grows under iteration and persists in
+      every later iterate (Bestvina-Feighn-Handel 1997), so the orbit
+      carries ever-longer leaf segments.  Words shorter than 2R are not
+      matched.
+    * periodic (False): psi^m(word) is a rotation of an earlier stride word.
+    * uncertified (False): the first word over ``MATCH_CAP`` letters or
+      over the orbit's budget, or m past 2 log(MATCH_CAP) / log(lam), the
+      steps in which lam^m passes MATCH_CAP^2, so that no slowly growing
+      orbit walks on unbounded.  The first uncertified walk on a corpus
+      widens its automata (:meth:`LeafCorpus.widen`) and walks once more.
     """
     from .limits import CyclicOrbit
 
-    if orbit is None:
-        orbit = CyclicOrbit(auto, word)
-    k, stop = corpus.k, M + 1
-    for m in range(M + 1):
-        w = orbit.word_at(m)
-        if w is None or len(w) > MATCH_CAP:
-            stop = m
+    tt, k = corpus.tt, corpus.k
+    orbit = orbit or CyclicOrbit(auto, word, tt=tt)
+    critical, horizon = tt.critical_length, 2 * math.log(MATCH_CAP) / math.log(tt.pf.lam)
+    strided: dict = {}  # length -> stride words of that length
+    best = 0.0
+    for m in count(0, k):
+        if m > horizon or (w := orbit.word_at(m)) is None or len(w) > MATCH_CAP:
             break
-    positions = len(range(0, stop, k))
-    q = max(2, positions // 4)
-    if positions < 2 * q:
-        return ProbeReport(word=word, head=(), tail=(), positions=positions, k=k, verdict=False)
-    head, tail = (
-        tuple(corpus.match_length(orbit.word_at(i * k)) for i in span)
-        for span in (range(q), range(positions - q, positions))
-    )
-    increasing = all(b > a for a, b in zip(tail, tail[1:]))
-    verdict = bool(increasing and min(tail) > 3 * max(head) and min(tail) > 0)
-    return ProbeReport(word=word, head=head, tail=tail, positions=positions, k=k, verdict=verdict)
+        if any(w in v + v for v in strided.get(len(w), ())):
+            return ProbeReport(word=word, verdict=False, m=m, match=best, stop="periodic")
+        strided.setdefault(len(w), []).append(w)
+        if path_length(w, tt.metric) >= critical:
+            best = max(best, longest_leaf_segment(w, corpus).length)
+            if best >= critical:
+                return ProbeReport(word=word, verdict=True, m=m, match=best, stop="certified")
+    if corpus.widen():
+        return weak_limit_probe(auto, word, corpus, orbit)
+    return ProbeReport(word=word, verdict=False, m=m, match=best, stop="uncertified")

@@ -329,8 +329,7 @@ def limit_length(
             break
         elif w:
             turns = [hit.start() for hit in illegal.finditer(w + w[0])]
-            # R = C / (lam - 1), with a margin for rounding in lam, nu and the sums
-            radius = (1 + 1e-9) * tt.cancellation_constant / (lam - 1)
+            radius = tt.critical_length / 2
             # a word shorter than 2R has no long segment
             clusters = _turn_clusters(w, turns, tt.metric, radius) if x * lam**m >= 2 * radius else None
             if clusters in clusters_seen:

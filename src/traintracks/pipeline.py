@@ -18,12 +18,7 @@ import numpy as np
 from .cancellation import cancellation_bound, measure_cancellation
 from .errors import InputError, NotALeafSegmentError, NotIrreducibleError, ParseError, PreconditionError
 from .graphs import Graph, Metric, rose, unit_metric
-from .laminations import (
-    PROBE_M,
-    build_leaf_corpus,
-    quasiperiodicity_window,
-    weak_limit_probe,
-)
+from .laminations import build_leaf_corpus, quasiperiodicity_window, weak_limit_probe
 from .limits import (
     SWEEP_BUDGET,
     SWEEP_M,
@@ -237,13 +232,11 @@ def equivalence_sweep(
     The verdicts are read once per class up to inversion and counted for
     both orientations (see :func:`_once_per_inverse_pair`).  The growth
     verdict is :func:`limit_length`'s unless low-confidence, and only then
-    the classifier's on the shared orbit; leaf matches are shared per class,
-    up to rotation and inversion, through the corpus.  A word counts as a
-    discrepancy when the verdicts do not agree; the limit-length verdict
-    decides the reported label.  When only the probe dissents it is retried
-    with a longer window before the disagreement is recorded: orbits that
-    dip through short words need a few extra strides to reveal their leaf
-    segments, and bounded orbits stay cheap to extend.
+    the classifier's on the shared orbit, which the leaf probe walks too
+    until it certifies or stops (see :func:`weak_limit_probe`).  A word
+    counts as a discrepancy when the verdicts do not agree, and its entry
+    records where the probe stopped; the limit-length verdict decides the
+    reported label.
     """
     config = config or AnalysisConfig()
     # Exponential classes grow like lam^m, so the growth statistic tends to
@@ -260,24 +253,20 @@ def equivalence_sweep(
         rep = limit_length(auto, word, tt, M=config.M, tol=config.tol, orbit=orbit)
         a, low = rep.classification.is_exponential, rep.classification.low_confidence
         b = classify_growth(auto, word, M=growth_M, eps=growth_eps, orbit=orbit).is_exponential if low else a
-        c = weak_limit_probe(auto, word, corpus, orbit=orbit).verdict
-        if a and b and not c:
-            for factor in (2, 4):
-                c = weak_limit_probe(auto, word, corpus, M=factor * PROBE_M, orbit=orbit).verdict
-                if c:
-                    break
+        probe = weak_limit_probe(auto, word, corpus, orbit=orbit)
         report.images[word] = orbit.word_at(1)
-        return rep.classification.label(), rep.limit, a, rep.certificate, b, c
+        return rep.classification.label(), rep.limit, a, rep.certificate, b, probe
 
-    for word, (label, limit, a, certificate, b, c) in _once_per_inverse_pair(words, verdicts):
+    for word, (label, limit, a, certificate, b, probe) in _once_per_inverse_pair(words, verdicts):
         report.checked += 1
         report.labels[word] = label
         report.limits[word] = limit
         report.exponential += a
         report.polynomial += not a
-        if not (a == b == c):
+        if not (a == b == probe.verdict):
             report.discrepancies.append(
-                {"word": word, "limit_length": a, "certificate": certificate, "growth": b, "leaf_probe": c}
+                {"word": word, "limit_length": a, "certificate": certificate, "growth": b,
+                 "leaf_probe": probe.verdict, "leaf_probe_stop": probe.stop}
             )
     return report
 

@@ -128,6 +128,13 @@ class TrainTrackData:
         """Cancellation bound C = Lip * vol in the eigenmetric, computed once."""
         return cancellation_bound(self.gmap, self.metric).bound
 
+    @cached_property
+    def critical_length(self) -> float:
+        """2R, R = C / (lam - 1) with C the cancellation constant and a margin
+        for rounding in lam, nu and the sums: a legal segment of eigenmetric
+        length >= 2R outgrows cancellation and persists under iteration."""
+        return 2 * (1 + 1e-9) * self.cancellation_constant / (self.pf.lam - 1)
+
 
 def analyze_train_track(gmap: GraphMap) -> TrainTrackData:
     """Run the verdict, irreducibility and spectral stages on one map."""

@@ -609,67 +609,76 @@ def test_leaf_matcher_cases_reached():
 
 
 def test_probe_verdicts(fib, fib_tt, fib_corpus):
-    grows = weak_limit_probe(fib, "ab", fib_corpus, M=12)
-    assert grows.verdict
-    assert grows.k == 1
-    assert grows.positions == 13
-    flat = weak_limit_probe(fib, "abAB", fib_corpus, M=12)
-    assert not flat.verdict
+    """ab certifies at m = 4, the first stride word with a leaf match of
+    length >= 2R = 2 phi^2 (its heaviest leaf segment weighs 1 + 2 phi^2,
+    above 2R); abAB, the commutator, is fixed up to rotation by m = 2."""
+    assert fib_tt.critical_length == pytest.approx(2 * PHI**2)
+    grows = weak_limit_probe(fib, "ab", fib_corpus)
+    assert (grows.verdict, grows.stop, grows.m) == (True, "certified", 4)
+    assert grows.match == pytest.approx(PHI**4) and grows.match >= fib_tt.critical_length
+    flat = weak_limit_probe(fib, "abAB", fib_corpus)
+    assert (flat.verdict, flat.stop, flat.m, flat.match) == (False, "periodic", 2, 0.0)
 
 
 def test_probe_rank4(rank4, rank4_tt, rank4_corpus):
-    rep = weak_limit_probe(rank4, "a", rank4_corpus, M=16)
-    assert rep.verdict
+    """Stride k = 2: the walk reads m = 0, 2, 4, ... and certifies a at
+    m = 16, the first stride word as long as 2R, with the match read there."""
+    rep = weak_limit_probe(rank4, "a", rank4_corpus)
+    assert (rep.verdict, rep.stop, rep.m) == (True, "certified", 16)
     orbit = CyclicOrbit(rank4, "a")
-    assert rep.head == tuple(rank4_corpus.match_length(orbit.word_at(m)) for m in (0, 2))
-    assert rep.tail == tuple(rank4_corpus.match_length(orbit.word_at(m)) for m in (14, 16))
-    rep = weak_limit_probe(rank4, "abAB", rank4_corpus, M=16)
-    assert not rep.verdict
+    assert rep.match == longest_leaf_segment(orbit.word_at(16), rank4_corpus).length >= rank4_tt.critical_length
+    assert path_length(orbit.word_at(14), rank4_tt.metric) < rank4_tt.critical_length
+    rep = weak_limit_probe(rank4, "abAB", rank4_corpus)
+    assert (rep.verdict, rep.stop, rep.m) == (False, "periodic", 4)
 
 
 @pytest.mark.parametrize(
-    "name, word, M, matched",
-    [("fib", "ab", 12, (0, 1, 2, 10, 11, 12)), ("rank4", "a", 16, (0, 2, 14, 16)), ("rank4", "a", 5, ())],
+    "name, word, matched",
+    [("fib", "ab", (4,)), ("fib", "aaBAB", (4, 5, 6)), ("rank4", "a", (16,)), ("rank4", "abAB", ())],
 )
-def test_probe_matches_only_its_quartiles(request, monkeypatch, name, word, M, matched):
-    """The verdict reads the first and last q = max(2, positions // 4) terms
-    of the stride-k series, so only those orbit words are matched; a series
-    of fewer than 2q positions (here 3: m = 0, 2, 4) matches none and is False."""
+def test_probe_matches_only_long_stride_words(request, monkeypatch, name, word, matched):
+    """The walk matches the stride words whose eigenmetric length reaches
+    2R, up to the first that certifies, each with one direct call of the
+    matcher; a periodic class shorter than 2R matches none."""
     auto, tt, leaves = (request.getfixturevalue(f"{name}{x}") for x in ("", "_tt", "_corpus"))
-    fresh = LeafCorpus(tt=tt, prefixes=leaves.prefixes, depth=leaves.depth)
-    seen, match = [], fresh.match_length
-    monkeypatch.setattr(fresh, "match_length", lambda w: seen.append(w) or match(w))
-    probe = weak_limit_probe(auto, word, fresh, M=M)
+    seen = []
+    monkeypatch.setattr(laminations, "longest_leaf_segment", lambda w, c: seen.append(w) or longest_leaf_segment(w, c))
+    probe = weak_limit_probe(auto, word, leaves)
     orbit = CyclicOrbit(auto, word)
     assert seen == [orbit.word_at(m) for m in matched]
+    assert all(path_length(w, tt.metric) >= tt.critical_length for w in seen)
     assert probe.verdict == bool(matched)
 
 
 @pytest.mark.parametrize("name, word", [("fib", "abaab"), ("fib", "aabAB"), ("rank4", "cdc"), ("rank4", "abAB")])
 def test_probe_values_are_class_invariant(request, name, word):
-    """Every rotation of a class and its inverse read bit-equal match
-    lengths, each from a fresh cache: matching a rotation of the doubled
-    word on its own sums the weights in another order."""
+    """Every rotation of a class and its inverse stop at the same m for the
+    same reason.  The match is the same up to rounding: matching a rotation
+    of the doubled word sums the weights in another order."""
     auto, tt, leaves = (request.getfixturevalue(f"{name}{x}") for x in ("", "_tt", "_corpus"))
-    values = set()
-    for w in [word[i:] + word[:i] for i in range(len(word))] + [invert_word(word)]:
-        fresh = LeafCorpus(tt=tt, prefixes=leaves.prefixes, depth=leaves.depth)
-        probe = weak_limit_probe(auto, w, fresh, M=12)
-        values.add((probe.head, probe.tail))
-    assert len(values) == 1
+    probes = [weak_limit_probe(auto, w, leaves) for w in [word[i:] + word[:i] for i in range(len(word))]]
+    probes.append(weak_limit_probe(auto, invert_word(word), leaves))
+    assert len({(p.verdict, p.stop, p.m) for p in probes}) == 1
+    assert max(p.match for p in probes) == pytest.approx(min(p.match for p in probes), rel=1e-12)
 
 
 def test_probe_stops_at_matcher_cap():
-    """The matcher searches a 30_000-letter slice of each leaf, so a longer
-    orbit word would stall the series.  Under a -> bcaca, b -> ca, c -> a the
-    orbit of b passes that length at m = 10; the probe ends there and sees
-    the growth."""
+    """Under a -> bcaca, b -> ca, c -> a the orbit of b passes MATCH_CAP
+    letters at m = 10.  With 2R the eigenmetric length of the whole word at
+    m = 9 (16,094 letters), only that word can certify, and only on the
+    MATCH_CAP slice: the walk ends at the cap, widens the corpus once and
+    certifies m = 9 on its second look.  With 2R just above it, the walk
+    ends uncertified at m = 10."""
     auto = Automorphism(["bcaca", "ca", "a"])
     tt = analyze_train_track(rose_map(auto))
-    leaves = build_leaf_corpus(tt, depth=12, budget=500_000)
-    for word in ("b", "B"):
-        orbit = CyclicOrbit(auto, word, budget=200_000)
-        probe = weak_limit_probe(auto, word, leaves, M=12, orbit=orbit)
-        assert probe.verdict, probe.tail
-        assert probe.positions == 10
-        assert len(orbit.word_at(10)) > 30_000
+    assert weak_limit_probe(auto, "b", build_leaf_corpus(tt, depth=12, budget=100_000)).m == 3
+    whole = path_length(CyclicOrbit(auto, "b").word_at(9), tt.metric)
+    for critical, expected in ((whole, (True, "certified", 9)), (whole * (1 + 1e-9), (False, "uncertified", 10))):
+        tt.critical_length = critical
+        leaves = build_leaf_corpus(tt, depth=12, budget=100_000)
+        for word in ("b", "B"):
+            orbit = CyclicOrbit(auto, word, budget=200_000)
+            probe = weak_limit_probe(auto, word, leaves, orbit=orbit)
+            assert (probe.verdict, probe.stop, probe.m) == expected
+            assert leaves.slice == laminations.MATCH_CAP
+        assert len(orbit.word_at(9)) > laminations.LEAF_SLICE and len(orbit.word_at(10)) > laminations.MATCH_CAP

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -27,14 +28,15 @@ from traintracks import (
     limit_length,
     longest_leaf_segment,
     parse_input,
+    path_length,
     report_json,
     rose_map,
     round_floats,
     train_track_twist,
+    weak_limit_probe,
 )
-from traintracks.laminations import PROBE_M
 from traintracks.limits import SWEEP_BUDGET, SWEEP_M
-from traintracks import corpus, pipeline
+from traintracks import corpus, laminations, pipeline
 from traintracks.cli import main
 from traintracks.pipeline import growth_section, homothety_section
 from traintracks.words import ALPHABET
@@ -184,26 +186,28 @@ def test_discrepancy_records_the_limit_certificate(fib, fib_tt, monkeypatch):
 
     import traintracks.pipeline as pipeline
 
-    monkeypatch.setattr(pipeline, "weak_limit_probe", lambda *args, **kwargs: types.SimpleNamespace(verdict=False))
+    dissent = types.SimpleNamespace(verdict=False, stop="uncertified")
+    monkeypatch.setattr(pipeline, "weak_limit_probe", lambda *args, **kwargs: dissent)
     rep = equivalence_sweep(fib, fib_tt, None, ["aabAB", "abAB"])
     assert rep.discrepancies == [
-        {"word": "aabAB", "limit_length": True, "certificate": "splitting", "growth": True, "leaf_probe": False}
+        {"word": "aabAB", "limit_length": True, "certificate": "splitting", "growth": True, "leaf_probe": False,
+         "leaf_probe_stop": "uncertified"}
     ]
 
 
-def reference_probe(auto, word, corpus, M, orbit):
-    """The leaf probe matching every orbit word itself, with no cache."""
-    values = []
-    for m in range(M + 1):
+def reference_probe(auto, word, corpus, orbit):
+    """The leaf probe's walk matching every stride word itself, short or
+    not, and scanning every earlier stride word for a rotation; its stop."""
+    tt, earlier = corpus.tt, []
+    for m in itertools.count(0, corpus.k):
         w = orbit.word_at(m)
-        if w is None or len(w) > 30_000:
-            break
-        values.append(longest_leaf_segment(w, corpus).length)
-    strided = values[:: corpus.k]
-    q = max(2, len(strided) // 4)
-    head, tail = strided[:q], strided[-q:]
-    increasing = all(b > a for a, b in zip(tail, tail[1:]))
-    return len(strided) >= 2 * q and increasing and min(tail) > 3 * max(head) and min(tail) > 0
+        if w is None or len(w) > 30_000 or m > 2 * math.log(30_000) / math.log(tt.pf.lam):
+            return "uncertified"
+        if any(len(v) == len(w) and w in v + v for v in earlier):
+            return "periodic"
+        if longest_leaf_segment(w, corpus).length >= tt.critical_length:
+            return "certified"
+        earlier.append(w)
 
 
 def sweep_growth_params(lam):
@@ -224,11 +228,8 @@ def reference_sweep(auto, tt, corpus, words, config):
         rep = limit_length(auto, word, tt, M=config.M, tol=config.tol, orbit=limit_orbit)
         b = classify_growth(auto, word, M=growth_M, eps=growth_eps, orbit=orbit).is_exponential
         a = rep.classification.is_exponential
-        c = reference_probe(auto, word, corpus, PROBE_M, orbit)
-        for factor in (2, 4) if a and b and not c else ():
-            c = reference_probe(auto, word, corpus, factor * PROBE_M, orbit)
-            if c:
-                break
+        stop = reference_probe(auto, word, corpus, orbit)
+        c = stop == "certified"
         labels[word] = rep.classification.label()
         inverse = canonical_rotation(invert_word(word))
         if inverse in limits:  # the sweep reads a class and its inverse once: one limit, one image
@@ -239,7 +240,8 @@ def reference_sweep(auto, tt, corpus, words, config):
         n_exp += a
         if not (a == b == c):
             discrepancies.append(
-                {"word": word, "limit_length": a, "certificate": rep.certificate, "growth": b, "leaf_probe": c}
+                {"word": word, "limit_length": a, "certificate": rep.certificate, "growth": b, "leaf_probe": c,
+                 "leaf_probe_stop": stop}
             )
     return EquivalenceReport(len(words), n_exp, len(words) - n_exp, discrepancies, labels, limits, images)
 
@@ -373,7 +375,8 @@ def test_growth_classifier_agrees_on_family_style_train_tracks(auto):
 def test_sweep_reads_growth_off_certificates(fib, fib_tt, monkeypatch):
     """On fibonacci at sweep length 5 every class is certified: the sweep
     calls the growth classifier 0 times, and apply_cyclic only on the words
-    before each orbit's first legal word, 120 times over 51 orbits.  With
+    before each orbit's first legal word, 79 times over 51 orbits: the
+    probe builds no word past its certificate or first repeat.  With
     every classification marked low-confidence the classifier runs once
     per class up to inversion, and reads the same verdicts."""
     import dataclasses
@@ -404,9 +407,9 @@ def test_sweep_reads_growth_off_certificates(fib, fib_tt, monkeypatch):
     monkeypatch.setattr(Automorphism, "apply_cyclic", counted_apply)
     monkeypatch.setattr(pipeline, "CyclicOrbit", TrackedOrbit)
     honest = equivalence_sweep(fib, fib_tt, leaves, words)
-    assert (len(classified), len(applied), len(orbits)) == (0, 120, 51)
+    assert (len(classified), len(applied), len(orbits)) == (0, 79, 51)
     before_legal = [o.legal_from if o.legal_from is not None else len(o.words) - 1 + o.truncated for o in orbits]
-    assert sum(before_legal) == 120
+    assert sum(before_legal) == 79
 
     def uncertain(*args, **kwargs):
         rep = certify(*args, **kwargs)
@@ -438,7 +441,7 @@ def test_sweep_builds_one_orbit_per_inverse_pair(fib, fib_tt, monkeypatch):
 
 def test_dissent_is_listed_for_both_orientations(fib, fib_tt, monkeypatch):
     """A dissenting probe is recorded for w and for w^-1, in sweep order,
-    although it ran on one orientation only (with its two retries)."""
+    although it ran once, on one orientation only."""
     import types
 
     import traintracks.pipeline as pipeline
@@ -450,14 +453,54 @@ def test_dissent_is_listed_for_both_orientations(fib, fib_tt, monkeypatch):
 
     def dissent(auto, word, *args, **kwargs):
         probed.append(word)
-        return types.SimpleNamespace(verdict=False)
+        return types.SimpleNamespace(verdict=False, stop="uncertified")
 
     monkeypatch.setattr(pipeline, "weak_limit_probe", dissent)
     rep = equivalence_sweep(fib, fib_tt, leaves, words)
     exponential = [w for w in words if honest.labels[w].startswith("Exponential")]
     assert (rep.checked, rep.exponential, rep.polynomial) == (honest.checked, honest.exponential, honest.polynomial)
     assert [d["word"] for d in rep.discrepancies] == exponential
-    assert len(probed) == len(words) // 2 + len(exponential)  # one probe per pair, two retries per exponential one
+    assert len(probed) == len(words) // 2  # one probe per pair, none retried
+
+
+def test_uncertified_probe_widens_once_and_names_its_stop(fib, monkeypatch):
+    """With the cancellation constant scaled by 1000, 2R is longer in the
+    eigenmetric than the whole 4,241-letter leaf prefix, so no walk can
+    certify: a and ab end uncertified at their first word over MATCH_CAP
+    letters (m = 21 for ab).  The first of them widens the corpus, which
+    builds the one automaton on the MATCH_CAP slice, here the whole prefix,
+    once for the sweep; each dissent names the stop."""
+    tt = analyze_train_track(rose_map(fib))
+    tt.cancellation_constant = 1000 * tt.cancellation_constant
+    leaves = build_leaf_corpus(tt, depth=12, budget=5_000)
+    prefix = leaves.prefixes[0].word
+    assert len(prefix) > laminations.LEAF_SLICE and path_length(prefix, tt.metric) < tt.critical_length
+    built = []
+
+    class CountedAutomaton(laminations._SuffixAutomaton):
+        def __init__(self, text):
+            built.append(len(text))
+            super().__init__(text)
+
+    monkeypatch.setattr(laminations, "_SuffixAutomaton", CountedAutomaton)
+    rep = equivalence_sweep(fib, tt, leaves, ["a", "ab", "abAB"])
+    assert built == [laminations.LEAF_SLICE, len(prefix)]
+    assert [(d["word"], d["limit_length"], d["leaf_probe"], d["leaf_probe_stop"]) for d in rep.discrepancies] == [
+        ("a", True, False, "uncertified"),
+        ("ab", True, False, "uncertified"),
+    ]
+    probe = weak_limit_probe(fib, "ab", leaves)
+    assert (probe.verdict, probe.stop, probe.m) == (False, "uncertified", 21)
+    assert built == [laminations.LEAF_SLICE, len(prefix)]
+
+
+@pytest.mark.parametrize("name, checked", [("r10-m2", 220), ("r16-m4", 544), ("r26-m8", 1404)])
+def test_slow_family_maps_agree_at_sweep_length_2(family_maps, name, checked):
+    """At sweep length 2 the quartile-trend probe dissented on 4, 2 and 66
+    exponential classes of these maps; the certificate walk certifies every
+    one of them by m = 32."""
+    report = analyze(family_maps[name].input_text(), config=AnalysisConfig(max_word_len=2))
+    assert report["equivalence"] == {"checked": checked, "discrepancies": 0, "details": []}
 
 
 # ----------------------------------------------------------------- analyze
@@ -949,6 +992,15 @@ def test_cli_refusals_name_their_stage(source, subdivided_fib, tmp_path, capsys)
         if codes[-1] == 2:
             assert err.startswith("error: ") and stage in err, (command, err)
     assert tuple(codes) == _REFUSALS[source]
+
+
+@pytest.mark.parametrize("command", ["lengths", "growth", "convergence", "analyze"])
+@pytest.mark.parametrize("words", [",", " ", ""])
+def test_cli_words_naming_no_class_is_input_error(command, words, capsys):
+    """An explicit ``--words`` with no class in it is malformed input, not
+    an empty request that prints nothing and exits 0."""
+    assert main([command, "example:fibonacci", "--words", words]) == 2
+    assert capsys.readouterr().err == f"error: --words names no class: {words!r}\n"
 
 
 def test_cli_analyze_json_file(tmp_path, capsys):
