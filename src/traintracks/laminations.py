@@ -22,8 +22,8 @@ from .graphs import path_length
 from .spectral import TrainTrackData
 from .words import DEFAULT_WORD_BUDGET, invert_word, letter_counts
 
-# Letters of each leaf prefix, around its center, that leaf matching searches
-# first and after the first uncertified probe, whose walk ends past MATCH_CAP.
+# Letters around each leaf prefix's center that leaf matching searches: LEAF_SLICE
+# until a probe ends uncertified, then MATCH_CAP, which also caps probed words.
 LEAF_SLICE = 3_000
 MATCH_CAP = 30_000
 
