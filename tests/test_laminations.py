@@ -610,8 +610,8 @@ def test_leaf_matcher_cases_reached():
 
 def test_probe_verdicts(fib, fib_tt, fib_corpus):
     """ab certifies at m = 4, the first stride word with a leaf match of
-    length >= 2R = 2 phi^2 (its heaviest leaf segment weighs 1 + 2 phi^2,
-    above 2R); abAB, the commutator, is fixed up to rotation by m = 2."""
+    length >= 2R = 2 phi^2: the whole word, of length phi^4 = 2 phi^2 + phi.
+    abAB, the commutator, is fixed up to rotation by m = 2."""
     assert fib_tt.critical_length == pytest.approx(2 * PHI**2)
     grows = weak_limit_probe(fib, "ab", fib_corpus)
     assert (grows.verdict, grows.stop, grows.m) == (True, "certified", 4)
