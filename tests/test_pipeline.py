@@ -38,7 +38,7 @@ from traintracks import (
 from traintracks.limits import SWEEP_BUDGET, SWEEP_M
 from traintracks import corpus, laminations, pipeline
 from traintracks.cli import main
-from traintracks.pipeline import growth_section, homothety_section
+from traintracks.pipeline import growth_section, homothety_section, lamination_section
 from traintracks.words import ALPHABET
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -690,6 +690,26 @@ def test_family_reports_do_not_drift(family_maps, name):
     report = analyze(fm.input_text(), config=AnalysisConfig(max_word_len=fm.max_word_len))
     report.pop("meta")
     assert hashlib.sha256(report_json(report).encode()).hexdigest() == GOLDEN_FAMILY_DIGESTS[name]
+
+
+# SHA-256 of report_json(lamination_section(build_leaf_corpus(tt, depth, budget)))
+# for the bundled expanding train tracks at the leaf configurations the
+# benchmark builds: analyze()'s defaults and the leaf queries'.
+GOLDEN_LEAF_DIGESTS = {
+    ("fibonacci", 12, 500_000): "de4302af1ba6b27e71187e7d09942e5dee7dd6b60b8d6e36c4999091de292166",
+    ("fibonacci", 14, 1_000_000): "79a0c41d0c650dacd6459fbe98414ecde40888a304310f304bce7cdfc4bf2baa",
+    ("fibonacci-conj-a", 12, 500_000): "2a3515d3d3d2b2dbe5bfae296031e6fdf734a4f52fae1e8f0650da1fbbcf8611",
+    ("fibonacci-conj-a", 14, 1_000_000): "e8105979d63c7941d76ce388a779a0a00e3d7894888143eadbe8e96f0314109a",
+    ("swap-fibonacci", 12, 500_000): "2fb824a5512a0becd096083e6257619c482c05719fab433d3265b566eff9501e",
+    ("swap-fibonacci", 14, 1_000_000): "d7e98e6e65408a46cc8d4011ad170e2b31e3fabbb5e8c5cd59a201149803802f",
+}
+
+
+@pytest.mark.parametrize("name, depth, budget", list(GOLDEN_LEAF_DIGESTS))
+def test_default_leaves_do_not_drift(all_tts, name, depth, budget):
+    lam = lamination_section(build_leaf_corpus(all_tts[name], depth=depth, budget=budget))
+    digest = hashlib.sha256(report_json(lam).encode()).hexdigest()
+    assert digest == GOLDEN_LEAF_DIGESTS[(name, depth, budget)]
 
 
 def test_report_json_serializes_all_examples():
