@@ -2,7 +2,9 @@
 
 Small words go through ``str.translate``; long words take a vectorized
 gather over a flattened image table, which keeps leaf expansion and deep
-iteration at C speed.
+iteration at C speed.  Per-letter image lengths let a caller place a window
+of the image on its source letters and substitute only those (leaf
+expansion keeps a window around its center at each step).
 """
 
 from __future__ import annotations
@@ -46,9 +48,10 @@ class SubstTable:
         src = np.repeat(self._starts[codes], lens) + (np.arange(total, dtype=np.int64) - block_starts)
         return self._flat[src].tobytes().decode("ascii")
 
+    def letter_lengths(self, word: str) -> np.ndarray:
+        """Image length of each letter of the word."""
+        return self._lens[np.frombuffer(word.encode("ascii"), dtype=np.uint8)]
+
     def output_length(self, word: str) -> int:
         """Length of the image without building it."""
-        if not word:
-            return 0
-        codes = np.frombuffer(word.encode("ascii"), dtype=np.uint8)
-        return int(self._lens[codes].sum())
+        return int(self.letter_lengths(word).sum())

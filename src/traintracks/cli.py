@@ -264,6 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "spectral data, limit lengths, laminations, cancellation bounds.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    defaults = AnalysisConfig()
 
     p = subs.add_parser("verify-tt", help="check the train-track property")
     _add_common(p)
@@ -290,15 +291,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("leaf", help="lamination leaf prefixes and windows")
     _add_common(p)
-    p.add_argument("--depth", type=int, default=12)
-    p.add_argument("--budget", type=int, default=500_000)
+    p.add_argument("--depth", type=int, default=defaults.leaf_depth)
+    p.add_argument("--budget", type=int, default=defaults.leaf_budget)
     p.add_argument("--segment", help="certify this segment instead of the center")
     p.set_defaults(func=_cmd_leaf)
 
     p = subs.add_parser("cancellation", help="bounded cancellation: bound and measurements")
     _add_common(p)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, default=defaults.samples)
+    p.add_argument("--seed", type=int, default=defaults.seed)
     p.set_defaults(func=_cmd_cancellation)
 
     p = subs.add_parser("convergence", help="per-block metric comparison constants")
@@ -309,12 +310,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("analyze", help="full pipeline")
     _add_common(p)
-    p.add_argument("--max-m", type=int, default=40)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--sweep-len", type=int, default=5)
-    p.add_argument("--depth", type=int, default=12)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-m", type=int, default=defaults.M)
+    p.add_argument("--tol", type=float, default=defaults.tol)
+    p.add_argument("--sweep-len", type=int, default=defaults.max_word_len)
+    p.add_argument("--depth", type=int, default=defaults.leaf_depth)
+    p.add_argument("--samples", type=int, default=defaults.samples)
+    p.add_argument("--seed", type=int, default=defaults.seed)
     p.add_argument("--words", help="extra classes for the lengths section")
     p.set_defaults(func=_cmd_analyze)
 

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import BudgetExceededError, InputError, InternalConsistencyError, NotALeafSegmentError
 from .graphs import path_length
 from .spectral import TrainTrackData
-from .words import DEFAULT_WORD_BUDGET, invert_word, letter_counts
+from .words import DEFAULT_WORD_BUDGET, invert_word, letter_counts, signed_substitution
 
 # Letters around each leaf prefix's center that leaf matching searches: LEAF_SLICE
 # until a probe ends uncertified, then MATCH_CAP, which also caps probed words.
@@ -128,31 +128,37 @@ def expand_leaf(
 
     Each step replaces the word by its image under tau^power and re-centers
     on the seed edge carried by the anchored occurrence.  No tightening is
-    needed: images of legal paths stay reduced.  When the next step would
-    exceed the budget the word is first trimmed symmetrically around the
-    center, which preserves nesting on the surviving window.
+    needed: images of legal paths stay reduced, so tau^power's letter table
+    is power - 1 plain substitutions of the edge images.  When the next step
+    would exceed the budget (the word's length times the longest letter
+    image), the word keeps ``budget // (2 growth)`` letters each side of the
+    center, which preserves nesting on the surviving window.  The image's
+    cumulative letter lengths place that window on the source letters that
+    cover it, and only those are substituted; the last step builds its
+    whole image.
     """
     if budget < 1:
         raise InputError(f"leaf budget must be >= 1, got {budget}")
-    gmap = tt.gmap
-    step = gmap
+    images = tt.gmap.edge_images
     for _ in range(seed.power - 1):
-        step = gmap.compose(step)
-    word = seed.edge
-    center = 0
-    truncated = False
-    growth = step._subst.max_growth
-    for _ in range(depth):
-        if len(word) * growth > budget:
-            half = max(1, budget // (2 * growth))
-            lo = max(0, center - half)
-            hi = min(len(word), center + half + 1)
-            word = word[lo:hi]
-            center -= lo
+        images = tuple(tt.gmap.substitute(w) for w in images)
+    table = signed_substitution(images)[1]
+    growth = table.max_growth
+    half = max(1, budget // (2 * growth))
+    word, center = seed.edge, 0
+    # a one-letter word over the budget is trimmed to itself, and flagged
+    truncated = depth > 0 and growth > budget
+    for step in range(depth):
+        ends = np.cumsum(table.letter_lengths(word))
+        center = (int(ends[center - 1]) if center else 0) + seed.anchor
+        lo, hi = 0, int(ends[-1])
+        if step < depth - 1 and hi * growth > budget:
+            lo, hi = max(0, center - half), min(hi, center + half + 1)
             truncated = True
-        prefix_len = step._subst.output_length(word[:center])
-        word = step.substitute(word)
-        center = prefix_len + seed.anchor
+        first, last = np.searchsorted(ends, (lo, hi - 1), side="right")
+        skipped = int(ends[first - 1]) if first else 0
+        word = table(word[first : last + 1])[lo - skipped : hi - skipped]
+        center -= lo
         if word[center] != seed.edge:
             raise InternalConsistencyError(
                 "anchored occurrence drifted during leaf expansion"

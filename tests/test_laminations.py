@@ -263,6 +263,78 @@ def test_expansion_trims_at_budget(fib_tt):
     assert p.word in expand_leaf(fib_tt, seed, depth=10, budget=10**7).word
 
 
+def build_then_trim(tt, seed, depth, budget):
+    """Leaf expansion as it was first written: each step builds the whole
+    image under tau^power, composed map by map, and the next step trims it
+    around the center when the word times the longest letter image is over
+    the budget."""
+    step = tt.gmap
+    for _ in range(seed.power - 1):
+        step = tt.gmap.compose(step)
+    growth = max(map(len, step.edge_images))
+    word, center, truncated = seed.edge, 0, False
+    for _ in range(depth):
+        if len(word) * growth > budget:
+            half = max(1, budget // (2 * growth))
+            lo, hi = max(0, center - half), min(len(word), center + half + 1)
+            word, center, truncated = word[lo:hi], center - lo, True
+        center = len(step.substitute(word[:center])) + seed.anchor
+        word = step.substitute(word)
+    return word, center, truncated
+
+
+def _expanding_train_tracks(all_tts, family_maps):
+    """The bundled expanding train tracks and the unconjugated family maps."""
+    tts = {name: all_tts[name] for name in ("fibonacci", "fibonacci-conj-a", "swap-fibonacci")}
+    for name, fm in family_maps.items():
+        if not fm.conjugated:
+            tts[name] = analyze_train_track(rose_map(Automorphism(fm.images)))
+    return tts
+
+
+@pytest.mark.parametrize(
+    "depth, budget", [(12, 500_000), (14, 1_000_000), (3, 100), (6, 50), (0, 10), (1, 1)]
+)
+def test_expansion_matches_build_then_trim(all_tts, family_maps, depth, budget):
+    """Building only the window the next step keeps gives the same prefix,
+    center and truncation flag, (1, 1) included: there the one-letter seed
+    is flagged truncated although the trim keeps it whole."""
+    tts = _expanding_train_tracks(all_tts, family_maps)
+    assert len(tts) == 17
+    for name, tt in tts.items():
+        for block in range(tt.pf.k):
+            seed = find_eigen_seed(tt, block=block)
+            p = expand_leaf(tt, seed, depth=depth, budget=budget)
+            assert (p.word, p.center, p.truncated) == build_then_trim(tt, seed, depth, budget), (name, block)
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "swap-fibonacci", "r26-m1"])
+def test_expansion_builds_little_past_its_prefix(all_tts, monkeypatch, name):
+    """At analyze()'s leaf depth and budget, every letter substituted while
+    expanding (tau^power's letter table included) counts, and the total
+    stays within 3 times the prefix returned (2.0 times on these maps).
+    Building each whole image and trimming it at the next step substituted
+    4.4 times on fibonacci and swap-fibonacci and 6.3 times on r26-m1."""
+    from traintracks._subst import SubstTable
+
+    tt = all_tts.get(name) or analyze_train_track(rose_map(Automorphism(R26_M1)))
+    seeds = [find_eigen_seed(tt, block=block) for block in range(tt.pf.k)]
+    built = [0]
+    build = SubstTable.__call__
+
+    def counted(table, word):
+        image = build(table, word)
+        built[0] += len(image)
+        return image
+
+    monkeypatch.setattr(SubstTable, "__call__", counted)
+    for seed in seeds:
+        built[0] = 0
+        prefix = expand_leaf(tt, seed, depth=12, budget=500_000)
+        assert prefix.truncated
+        assert built[0] <= 3 * len(prefix.word), (seed.block, built[0] / len(prefix.word))
+
+
 def test_spelled_and_slices(fib_tt):
     p = expand_leaf(fib_tt, find_eigen_seed(fib_tt), depth=3)
     s = p.spelled(radius=4)

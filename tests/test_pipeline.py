@@ -36,7 +36,7 @@ from traintracks import (
     weak_limit_probe,
 )
 from traintracks.limits import SWEEP_BUDGET, SWEEP_M
-from traintracks import corpus, laminations, pipeline
+from traintracks import cli, corpus, laminations, pipeline
 from traintracks.cli import main
 from traintracks.pipeline import growth_section, homothety_section, lamination_section
 from traintracks.words import ALPHABET
@@ -881,6 +881,30 @@ def test_cli_leaf(capsys):
 def test_cli_leaf_json_is_lamination_section(capsys, fib_report):
     assert main(["leaf", "example:fibonacci", "--depth", "8", "--budget", "100000", "--json", "-"]) == 0
     assert _json_tail(capsys.readouterr().out) == fib_report["lamination"]
+
+
+def test_cli_defaults_are_analysis_config_defaults(monkeypatch):
+    """analyze's flags default to AnalysisConfig(), and leaf's and
+    cancellation's to its leaf and sampling fields."""
+    seen = []
+
+    class Stop(Exception):
+        pass
+
+    def record(text, config, words):
+        seen.append(config)
+        raise Stop
+
+    monkeypatch.setattr("traintracks.cli.analyze", record)
+    with pytest.raises(Stop):
+        main(["analyze", "example:fibonacci"])
+    assert seen == [AnalysisConfig()]
+    defaults = AnalysisConfig()
+    parser = cli._build_parser()
+    leaf = parser.parse_args(["leaf", "example:fibonacci"])
+    assert (leaf.depth, leaf.budget) == (defaults.leaf_depth, defaults.leaf_budget)
+    cancel = parser.parse_args(["cancellation", "example:fibonacci"])
+    assert (cancel.samples, cancel.seed) == (defaults.samples, defaults.seed)
 
 
 def test_cli_leaf_segment_in_one_block_of_two(capsys):
