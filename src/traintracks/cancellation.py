@@ -57,16 +57,23 @@ def cancellation_bound(gmap: GraphMap, metric: Metric, lam: float | None = None)
 def measure_split(gmap: GraphMap, metric: Metric, p: str, q: str) -> float:
     """Metric length cancelled when the images of p and q are concatenated.
 
-    Both images are tightened separately first, so the measured value is
-    exactly the cancellation at the junction.
+    Both images tp and tq are tight, so the image of pq tightens to
+    tp[:len(tp) - k] + tq[k:], with k the length of the longest suffix of tp
+    whose inverse is a prefix of tq.  The cancelled length is exactly the
+    metric length of that suffix: 0.0 at a junction where nothing cancels,
+    so legal splits read exactly 0.
     """
     if not p or not q:
         raise InputError("both sides of a split must be nonempty")
+    graph = gmap.graph
+    if graph.terminus(p[-1]) != graph.origin(q[0]):
+        raise InputError(f"edges {p[-1]!r} and {q[0]!r} do not compose at the split")
     tp = gmap.map_path(p)
     tq = gmap.map_path(q)
-    whole = gmap.map_path(p + q)
-    lost = path_length(tp, metric) + path_length(tq, metric) - path_length(whole, metric)
-    return lost / 2.0
+    k, most = 0, min(len(tp), len(tq))
+    while k < most and tp[-1 - k] == tq[k].swapcase():
+        k += 1
+    return path_length(tp[len(tp) - k :], metric) if k else 0.0
 
 
 def sample_reduced_words(graph: Graph, count: int, rng: random.Random, legal=None):
@@ -116,11 +123,17 @@ def measure_cancellation(
 ) -> CancellationSample:
     """Cancellation measured over random reduced splits p|q of edge paths.
 
+    Each split is read off the junction of the two tightened images (see
+    :func:`measure_split`): two images and the metric length of the
+    cancelled suffix, so every value is a sum of edge lengths, never
+    negative, and exactly 0.0 where nothing cancels.
+
     With legal_only, only splits of legal paths p.q are kept (every turn of
     p.q legal), and sampled words are drawn as legal paths.  On a verified
-    train track these must measure exactly zero: the images of p and q are
-    legal and meet at the derivative image of the legal junction turn, so
-    nothing cancels.
+    train track these read exactly 0.0: the images of p and q are legal and
+    meet at the derivative image of the legal junction turn, so nothing
+    cancels.  Sampled words are reduced (and legal) by construction;
+    caller-supplied ``words`` are checked, reduced and filtered here.
     """
     rank = gmap.graph.edge_pairs
     rng = random.Random(seed)
@@ -130,15 +143,14 @@ def measure_cancellation(
             raise InputError(f"cancellation samples must be >= 1, got {samples}")
         words = sample_reduced_words(gmap.graph, samples, rng, legal=legal)
     else:
-        words = [gmap.graph.check_path(w) for w in words]
+        words = [reduce_word(gmap.graph.check_path(w), rank) for w in words]
+        if legal_only:
+            words = [w for w in words if all(frozenset((x.swapcase(), y)) in legal for x, y in zip(w, w[1:]))]
     bound = cancellation_bound(gmap, metric)
     measured = []
     worst = None
     for word in words:
-        word = reduce_word(word, rank)
         if len(word) < 2:
-            continue
-        if legal_only and any(frozenset((x.swapcase(), y)) not in legal for x, y in zip(word, word[1:])):
             continue
         cut = rng.randint(1, len(word) - 1)
         lost = measure_split(gmap, metric, word[:cut], word[cut:])

@@ -26,6 +26,10 @@ from .words import DEFAULT_WORD_BUDGET, invert_word, letter_counts, signed_subst
 # until a probe ends uncertified, then MATCH_CAP, which also caps probed words.
 LEAF_SLICE = 3_000
 MATCH_CAP = 30_000
+# How often a leaf prefix is re-substituted, and its letter budget, unless
+# the caller says otherwise (``AnalysisConfig`` reads its defaults here).
+LEAF_DEPTH = 12
+LEAF_BUDGET = 500_000
 
 
 @dataclass(frozen=True)
@@ -222,8 +226,8 @@ class LeafCorpus:
 
 def build_leaf_corpus(
     tt: TrainTrackData,
-    depth: int = 12,
-    budget: int = DEFAULT_WORD_BUDGET,
+    depth: int = LEAF_DEPTH,
+    budget: int = LEAF_BUDGET,
 ) -> LeafCorpus:
     """One expanded leaf prefix for each cyclic block."""
     if depth < 0:

@@ -18,7 +18,7 @@ import numpy as np
 from .cancellation import cancellation_bound, measure_cancellation
 from .errors import InputError, NotALeafSegmentError, NotIrreducibleError, ParseError, PreconditionError
 from .graphs import Graph, Metric, rose, unit_metric
-from .laminations import build_leaf_corpus, quasiperiodicity_window, weak_limit_probe
+from .laminations import LEAF_BUDGET, LEAF_DEPTH, build_leaf_corpus, quasiperiodicity_window, weak_limit_probe
 from .limits import (
     SWEEP_BUDGET,
     SWEEP_M,
@@ -53,8 +53,8 @@ class AnalysisConfig:
     M: int = 40
     tol: float = 1e-9
     max_word_len: int = 5
-    leaf_depth: int = 12
-    leaf_budget: int = 500_000
+    leaf_depth: int = LEAF_DEPTH
+    leaf_budget: int = LEAF_BUDGET
     samples: int = 200
     seed: int = 0
 

@@ -106,20 +106,21 @@ def all_tts(fib_tt, conj_a_tt, conj_b_tt, rank4_tt, swap_tt, unipotent_tt, ident
     }
 
 
-@pytest.fixture
-def family_maps(monkeypatch):
+@pytest.fixture(scope="session")
+def family_maps():
     """name -> ``FamilyMap`` for the 28 maps of the benchmark family, built
     by ``perfbench/family.py`` loaded from its file."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_family", Path(__file__).resolve().parents[1] / "perfbench" / "family.py"
     )
     family = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, family)  # its dataclass looks itself up there
-    spec.loader.exec_module(family)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(sys.modules, spec.name, family)  # its dataclass looks itself up there
+        spec.loader.exec_module(family)
     return {fm.name: fm for fm in family.generate(traintracks, family.DESIGN_SEED)}
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def family_autos(family_maps):
     """The 28 maps of the benchmark family as automorphisms."""
     return [Automorphism(fm.images) for fm in family_maps.values()]

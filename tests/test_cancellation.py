@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from traintracks import (
     Automorphism,
+    GraphMap,
     InputError,
     PreconditionError,
     analyze_train_track,
@@ -29,6 +30,7 @@ from traintracks import (
     unit_metric,
 )
 from traintracks.cancellation import sample_reduced_words
+from traintracks.pipeline import cancellation_section
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -70,7 +72,7 @@ def test_measure_split_closed_form(fib_tt):
     nu_a = metric.of_letter("a")
     assert measure_split(gmap, metric, "A", "b") == pytest.approx(nu_a, abs=1e-12)
     # legal junction: images concatenate without loss
-    assert measure_split(gmap, metric, "a", "b") == pytest.approx(0.0, abs=1e-15)
+    assert measure_split(gmap, metric, "a", "b") == 0.0
     with pytest.raises(InputError):
         measure_split(gmap, metric, "", "b")
 
@@ -86,6 +88,81 @@ def test_measure_split_matches_direct_computation(fib_tt):
         assert measure_split(gmap, metric, p, q) == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.fixture(scope="module")
+def rose_tts(all_tts, family_maps):
+    """name -> TrainTrackData for the 7 bundled and 28 family rose maps."""
+    tts = dict(all_tts)
+    for name, fm in family_maps.items():
+        tts[name] = analyze_train_track(rose_map(Automorphism(fm.images)))
+    return tts
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_junction_reading_matches_three_images(rose_tts, data):
+    """The cancelled suffix of tp read at the junction is the three-image
+    loss (|tp| + |tq| - |tau(pq)|) / 2, and tau(pq) is tp with that suffix
+    cut, followed by tq with its inverse cut.  Lengths are in the metric the
+    reports use: the eigenmetric, or the unit metric without one."""
+    tt = rose_tts[data.draw(st.sampled_from(sorted(rose_tts)))]
+    gmap = tt.gmap
+    metric = tt.metric if tt.metric is not None else unit_metric(gmap.graph)
+    rank = gmap.graph.edge_pairs
+    letters = gmap.graph.letters + gmap.graph.letters.upper()
+    word = reduce_word(data.draw(st.text(alphabet=letters, min_size=2, max_size=16)), rank)
+    if len(word) < 2:
+        return
+    cut = data.draw(st.integers(min_value=1, max_value=len(word) - 1))
+    p, q = word[:cut], word[cut:]
+    tp, tq, whole = gmap.map_path(p), gmap.map_path(q), gmap.map_path(p + q)
+    k = (len(tp) + len(tq) - len(whole)) // 2
+    assert tp[: len(tp) - k] + tq[k:] == whole
+    expected = (path_length(tp, metric) + path_length(tq, metric) - path_length(whole, metric)) / 2
+    lost = measure_split(gmap, metric, p, q)
+    assert lost == pytest.approx(expected, abs=1e-12)
+    assert lost >= 0.0 and (lost == 0.0) == (k == 0)
+
+
+def test_split_off_a_rose_must_meet_at_a_vertex(subdivided_fib):
+    """a runs from vertex 0 to 1 and c starts at 0: both halves are edge
+    paths, but a | c is no split of one."""
+    tt = analyze_train_track(parse_input(subdivided_fib).gmap)
+    with pytest.raises(InputError, match="do not compose"):
+        measure_split(tt.gmap, tt.metric, "a", "c")
+    assert measure_split(tt.gmap, tt.metric, "ab", "c") == 0.0
+
+
+def test_reported_cancellation_is_never_negative(rose_tts, all_tts, family_maps):
+    """Every reported value is a sum of edge lengths: on the bundled and the
+    unconjugated family maps the random-split mean lies in [0, max], and
+    legal splits on a train track read exactly 0."""
+    names = [name for name in rose_tts if name in all_tts or not family_maps[name].conjugated]
+    assert len(names) == 21
+    for name in names:
+        tt = rose_tts[name]
+        section = cancellation_section(tt, samples=200, seed=0)
+        random_splits = section["random_splits"]
+        assert 0.0 <= random_splits["mean_measured"] <= random_splits["max_measured"], name
+        if tt.verdict.is_train_track:
+            assert section["legal_splits"]["max_measured"] == 0.0, name
+
+
+def test_each_split_maps_two_paths(fib_tt, monkeypatch):
+    """A split costs the images of its two halves, no third image of the
+    whole word: the layer's work pinned by a count."""
+    calls = []
+    map_path = GraphMap.map_path
+
+    def counted(self, word, *args, **kwargs):
+        calls.append(word)
+        return map_path(self, word, *args, **kwargs)
+
+    monkeypatch.setattr(GraphMap, "map_path", counted)
+    sample = measure_cancellation(fib_tt.gmap, fib_tt.metric, samples=200)
+    assert sample.count == 200
+    assert len(calls) == 2 * sample.count
+
+
 @given(st.text(alphabet="abAB", min_size=2, max_size=12), st.data())
 def test_split_loss_bounded_and_nonnegative(w, data):
     import traintracks as T
@@ -97,7 +174,7 @@ def test_split_loss_bounded_and_nonnegative(w, data):
         return
     cut = data.draw(st.integers(min_value=1, max_value=len(core) - 1))
     lost = measure_split(tt.gmap, tt.metric, core[:cut], core[cut:])
-    assert -1e-12 <= lost <= PHI + 1e-9
+    assert 0.0 <= lost <= PHI + 1e-9
 
 
 # -------------------------------------------------------------- sampling
@@ -150,7 +227,7 @@ def test_legal_splits_cancel_nothing(fib_tt, rank4_tt):
     for tt in (fib_tt, rank4_tt):
         sample = measure_cancellation(tt.gmap, tt.metric, samples=200, seed=0, legal_only=True)
         assert sample.legal_only
-        assert sample.max_measured <= 1e-12
+        assert sample.max_measured == 0.0
         assert sample.count == 200  # sampled words are legal paths, so every one splits
 
 
@@ -165,7 +242,7 @@ def test_legal_splits_are_splits_of_legal_paths():
         measure_cancellation(tt.gmap, tt.metric, words=["BcaBACb"], legal_only=True)
     sample = measure_cancellation(tt.gmap, tt.metric, samples=200, seed=0, legal_only=True)
     assert sample.count == 200
-    assert sample.max_measured <= 1e-12
+    assert sample.max_measured == 0.0
 
 
 def test_non_train_track_cancels_positively(conj_b_tt):

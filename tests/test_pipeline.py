@@ -651,14 +651,19 @@ def test_round_floats_shapes():
 # when the homothety section began to check the dilation on the sweep's
 # limits (only "homothety", "skipped.homothety", the removed
 # "spectral.primitive_first_return" and the new
-# "spectral.lambda_is_stretch_factor" changed); the report must not drift.
+# "spectral.lambda_is_stretch_factor" changed), and when each split's
+# cancellation was read off the junction of its two tightened images instead
+# of subtracting three image lengths (only cancellation "max_measured" and
+# "mean_measured" changed, each from round-off of at most 1e-14 to exactly
+# 0.0: swap-fibonacci here and 13 maps of GOLDEN_FAMILY_DIGESTS); the report
+# must not drift.
 GOLDEN_FAST_DIGESTS = {
     "fibonacci": "e643b4473b9ada6c64a7cdaba634d2f27e6376653007def06ca798362fb9d14c",
     "fibonacci-conj-a": "97bd814db30da24d87a8b730cc512f3874d95f2782d3644c2d4158c813ff9201",
     "fibonacci-conj-b": "d6d488cbac49b9c67a3ca314e00ca010ee5c424856a7682a8d184240727e50f3",
     "identity": "730b0851820705b5ebf57fc5a9381540947e25e56cfdde6ce406fbba1a89fffb",
     "swap": "4f7ae6852f9cd7a99a5ed4373eb5eb6eda60cb45528b8d4f70454e06d4f2ef84",
-    "swap-fibonacci": "91f54e4add8cf71e4fd2de6750543bf0161c50a67ee1ceba66466c583705798c",
+    "swap-fibonacci": "f6c43993088b79898e930342c6fd65d489fa072e6f61f343dac94233050a0adc",
     "unipotent": "ad7e27b8056b81101c4e9ab8725b197aa9aed98938b47dfc46c61d7e8640e188",
 }
 
@@ -668,19 +673,19 @@ GOLDEN_FAST_DIGESTS = {
 # (``FamilyMap.max_word_len``), as the benchmark's family workload reads them.
 GOLDEN_FAMILY_DIGESTS = {
     "r2-m1": "458de367dc7ee41cb810f24a72e9661643007f52a6ad3eb5688417b7afdac764",
-    "r2-m4": "5e2ee8fc3bc857a9c32629f0f26440001b9fb72e594e18c454127d38313ebab1",
-    "r3-m1": "bde6c509217b4b3121ef45f273a437a4240fa2a00ffb79eb3a1c73ae75ceb332",
-    "r3-m4": "1c82adde77e48e178e5d6ed8930c8c7462b22c265c7cd16135b6680f4aa54604",
-    "r4-m4": "4e24fd3425648a0ee96889ed6c8f3b5572fc585a5d34b8fe0f9d6cc804ceb36c",
-    "r4-m8": "9e10cc0bb6588daea84417162f27aa756b2296ad2f1fc0b348678e45e940e70c",
-    "r6-m4": "8de2eaf5735de9d892d0488f1cf04701ae22fb12a361f640633423b548897804",
-    "r6-m8": "0d8c66ac19d30d6d8cdcb4a377f1355a74ade89d54dc993aa7e257de35793622",
-    "r10-m2": "1618137adf1aed181429e422cf6312b468a88052e6ea5884a816cdda792b1da7",
-    "r10-m4": "642ecfe121ed0a935d365cd80b233306de794f2b614aca76964b647c9dbb6fd9",
-    "r16-m1": "d256b60daf8b4a41c1201d020b672dce0b8d1fa7b3fe60d9d6972a0b757a21fb",
-    "r16-m4": "d601c342f27c00a69a78021893515404dac62ed919816ebe3cae3b648ff9444a",
-    "r26-m1": "ee45b6fa9191d4bc4079f93c3ebe537f1e8d8f3362973efb7be6df0970c8792a",
-    "r26-m8": "f2561846fdaca35053ef7206c098df6bbc667cc06b8addbbd9157ad16fd70562",
+    "r2-m4": "ba01f045c75bf91a9e0defe26afc14b920250b1ed7d7d3f7b3cc609e6235f3d9",
+    "r3-m1": "a093ced5483ef8ffd6f00125cbc2b6a8e6df2648b3665522b2b731456d140ef6",
+    "r3-m4": "432c28e996b0010453bb26184b7e5450053ef4ed00428aa03c61087b027bfc49",
+    "r4-m4": "6a7fc283a6c36b36ad896c4312f6cdc12ac98797df6492da6eec70588b9f664b",
+    "r4-m8": "a3505d0edd85a178b96f21ce89274d819ca6460d80713127fef85dd0685591fd",
+    "r6-m4": "2d7e88b7231f2a5de336ff9760afc78f14f3aa1e3246baac135dfdaba8ed10bf",
+    "r6-m8": "75a6f1c8fee7aafb8c7f84446060ceb15486341af9ce5022072364afaadbfd42",
+    "r10-m2": "f4214f298eb0480faea63af44298772b4031a62ae090bd52992d71245a021fdd",
+    "r10-m4": "87cd1f1772fab8d9016d00a780e8e3d56698135a06ae8cc0d1a5336830a34edd",
+    "r16-m1": "a71e3f1ee334588ce3495cfdd526e72388861032a84d1f72993f73516dfbcc7b",
+    "r16-m4": "b85fb4e79b2e71a63cd20b6ddefaeda71afb23654c073b1e6683771b731cd520",
+    "r26-m1": "2c2813a5ae2c7511553377dd6d0aa35aa284385ed4ae3b1f715ac66ba84971dc",
+    "r26-m8": "559a7c66e930004e04d4e3f82b4bfd7a877fffb08d68b7e89e8063f8d173b766",
 }
 
 
@@ -905,6 +910,17 @@ def test_cli_defaults_are_analysis_config_defaults(monkeypatch):
     assert (leaf.depth, leaf.budget) == (defaults.leaf_depth, defaults.leaf_budget)
     cancel = parser.parse_args(["cancellation", "example:fibonacci"])
     assert (cancel.samples, cancel.seed) == (defaults.samples, defaults.seed)
+
+
+def test_leaf_corpus_defaults_are_analysis_config_defaults(fib_tt):
+    """A library caller taking build_leaf_corpus's defaults builds the leaf
+    analyze() builds: 423,611 letters on fibonacci, not the 8,472,141 of the
+    whole word budget."""
+    defaults = AnalysisConfig()
+    assert (defaults.leaf_depth, defaults.leaf_budget) == (laminations.LEAF_DEPTH, laminations.LEAF_BUDGET)
+    leaves = build_leaf_corpus(fib_tt)
+    assert leaves.depth == defaults.leaf_depth
+    assert len(leaves.prefixes[0].word) == 423_611
 
 
 def test_cli_leaf_segment_in_one_block_of_two(capsys):
