@@ -123,10 +123,9 @@ def measure_cancellation(
 ) -> CancellationSample:
     """Cancellation measured over random reduced splits p|q of edge paths.
 
-    Each split is read off the junction of the two tightened images (see
-    :func:`measure_split`): two images and the metric length of the
-    cancelled suffix, so every value is a sum of edge lengths, never
-    negative, and exactly 0.0 where nothing cancels.
+    Each split is read off the junction of its two tightened images (see
+    :func:`measure_split`), so every value is a sum of edge lengths, and
+    exactly 0.0 where nothing cancels.
 
     With legal_only, only splits of legal paths p.q are kept (every turn of
     p.q legal), and sampled words are drawn as legal paths.  On a verified
