@@ -697,6 +697,42 @@ def test_family_reports_do_not_drift(family_maps, name):
     assert hashlib.sha256(report_json(report).encode()).hexdigest() == GOLDEN_FAMILY_DIGESTS[name]
 
 
+# The same for the 14 conjugated family maps, which are not train tracks, and
+# for subdivided fibonacci at FAST, which is not a rose: reports that are
+# mostly ``skipped``, so these digests pin the skip reasons too.
+GOLDEN_CONJ_DIGESTS = {
+    "r2-m2-conj": "b5aae5bd5830bf7d5e120750c30da6d3c8ca427e0bada2b1bf3e2ac193550d86",
+    "r2-m8-conj": "2c89f94f12c9727f260cb09e0c262ec3481756483858887a585f477a3231705c",
+    "r3-m2-conj": "3d5c50ac2330997ba07f5af8cc35dbc11867aea641d51825d02d4614a6d4cc23",
+    "r3-m8-conj": "8042d433501ba82c20fc0002656099d68d7acd32204dbbcfb28a0f432687c979",
+    "r4-m1-conj": "fd492838614987586aa7c4aa85942441996d81612e974d7c2718be4c4e0fef00",
+    "r4-m2-conj": "32d8541870c0196a08ffacf3d9b0265450040762afef15bd4ac027aace48eda4",
+    "r6-m1-conj": "83455b05c213c4b42bee3ee97e671467134764195c8a4c7d61d2deb6f1446892",
+    "r6-m2-conj": "be2bbf5e506f96827855e0efc99bfac2628f7f8ba33305f271552caf75910a64",
+    "r10-m1-conj": "0b9e09e933b1a1695dac2930b8651309dfe33f3faa887f049dd861e2fb940194",
+    "r10-m8-conj": "a8113c74edaef4698270d9324b237fe670d4c9d933c1bf3083a82f79770cc1e9",
+    "r16-m2-conj": "3594c4ea5c0a5108c829b22d3982299d67552e882e829e5e1a00e422790c0136",
+    "r16-m8-conj": "e0707588b4c03b066e30fface36f069e423adadcb997e980dd967c63c2131fcf",
+    "r26-m2-conj": "bcd88b4810a12748e2416cc56caed6e8765210b118f6e90208c5c2e95fa969f9",
+    "r26-m4-conj": "eb25f1c05c07d40cc43c0aa94238c25287a4f4e11e55a967a388b2336c455687",
+}
+GOLDEN_SUBDIVIDED_DIGEST = "44bec8389f65e535c631fc52d8a62a632a3171b4c91f8d743a7a89491cad5368"
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_CONJ_DIGESTS))
+def test_conjugated_family_reports_do_not_drift(family_maps, name):
+    fm = family_maps[name]
+    report = analyze(fm.input_text(), config=AnalysisConfig(max_word_len=fm.max_word_len))
+    report.pop("meta")
+    assert hashlib.sha256(report_json(report).encode()).hexdigest() == GOLDEN_CONJ_DIGESTS[name]
+
+
+def test_subdivided_report_does_not_drift(subdivided_fib):
+    report = analyze(subdivided_fib, config=FAST)
+    report.pop("meta")
+    assert hashlib.sha256(report_json(report).encode()).hexdigest() == GOLDEN_SUBDIVIDED_DIGEST
+
+
 # SHA-256 of report_json(lamination_section(build_leaf_corpus(tt, depth, budget)))
 # for the bundled expanding train tracks at the leaf configurations the
 # benchmark builds: analyze()'s defaults and the leaf queries'.
