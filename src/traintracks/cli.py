@@ -25,6 +25,7 @@ from .errors import (
 from .graphs import Metric
 from .laminations import build_leaf_corpus
 from .pipeline import (
+    STAGES,
     AnalysisConfig,
     analyze,
     cancellation_section,
@@ -54,8 +55,12 @@ def _read_source(source: str) -> str:
         return fh.read()
 
 
-def _load(args):
-    return parse_input(_read_source(args.input))
+def _load(args, stage: str | None = None):
+    """The parsed input, which ``stage`` refuses off a rose with the reason its row records."""
+    parsed = parse_input(_read_source(args.input))
+    if stage is not None and parsed.auto is None:
+        raise PreconditionError(STAGES[stage][0]["rose"])
+    return parsed
 
 
 def _emit_json(args, payload) -> None:
@@ -113,9 +118,7 @@ def _cmd_spectral(args) -> int:
 
 
 def _cmd_growth(args) -> int:
-    parsed = _load(args)
-    if parsed.auto is None:
-        raise PreconditionError("growth classification needs a rose map")
+    parsed = _load(args, "growth")
     words = _word_list(args, parsed.auto.rank, args.sweep_len)
     classes = growth_classes(parsed.auto, analyze_train_track(parsed.gmap), words, args.max_m)
     for word, cls in classes.items():
@@ -126,11 +129,8 @@ def _cmd_growth(args) -> int:
 
 
 def _cmd_lengths(args) -> int:
-    parsed = _load(args)
-    if parsed.auto is None:
-        raise PreconditionError("limit lengths need a rose map")
-    auto = parsed.auto
-    tt = analyze_train_track(parsed.gmap)
+    parsed = _load(args, "lengths")
+    auto, tt = parsed.auto, analyze_train_track(parsed.gmap)
     words = _word_list(args, auto.rank, args.sweep_len)
     lengths = lengths_section(auto, tt, words, M=args.max_m, tol=args.tol)
     for word in words:
@@ -180,9 +180,7 @@ def _cmd_cancellation(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    parsed = _load(args)
-    if parsed.auto is None:
-        raise PreconditionError("convergence constants need a rose map")
+    parsed = _load(args, "convergence")
     tt = analyze_train_track(parsed.gmap)
     alt = Metric(args.metric.split(",")) if args.metric else None
     words = _word_list(args, parsed.auto.rank)
@@ -239,17 +237,13 @@ def _print_summary(report: dict) -> None:
     if "lamination" in rounded:
         lam = rounded["lamination"]
         print(f"leaves: {lam['k']} block(s), prefix lengths {lam['prefix_lengths']}")
-    if "cancellation" in rounded:
-        c = rounded["cancellation"]
-        print(
-            f"cancellation: bound {c['bound']}, measured max {c['random_splits']['max_measured']}"
-        )
+    c = rounded["cancellation"]
+    print(f"cancellation: bound {c['bound']}, measured max {c['random_splits']['max_measured']}")
     if "convergence" in rounded:
         conv = rounded["convergence"]
         print(f"convergence constants: {conv['constants']}")
-    if rounded.get("skipped"):
-        for stage, reason in rounded["skipped"].items():
-            print(f"skipped {stage}: {reason}")
+    for stage, reason in rounded["skipped"].items():
+        print(f"skipped {stage}: {reason}")
 
 
 def _add_common(sub):
@@ -330,13 +324,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (
-        InputError,
-        PreconditionError,
-        NotALeafSegmentError,
-        NotIrreducibleError,
-        BudgetExceededError,
-    ) as exc:
+    except (InputError, PreconditionError, NotALeafSegmentError, NotIrreducibleError, BudgetExceededError) as exc:
         msg = exc.args[0] if exc.args else str(exc)
         print(f"error: {msg}", file=sys.stderr)
         return 2

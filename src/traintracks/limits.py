@@ -162,12 +162,13 @@ def classify_growth(
     """Classify the conjugacy growth of a class from raw reduced lengths.
 
     The log-rate statistic is the mean of log(length at m)/m over the last
-    quartile of the computed range; it reads exponential above log1p(eps).
-    A statistic in (eps/5, eps), (0.01, 0.05) at the default eps, escalates
-    once from M to 2M for more data.  The finite-difference polynomial
-    detector takes precedence when it certifies a settled d-th difference;
-    exponential orbits have geometrically growing differences and are never
-    captured by it.
+    quartile of the computed range; it reads exponential above log1p(eps)
+    if that quartile reaches a new longest length, which a bounded orbit's
+    never does.  A statistic in (eps/5, eps), (0.01, 0.05) at the default
+    eps, escalates once from M to 2M for more data.  The finite-difference
+    polynomial detector takes precedence when it certifies a settled d-th
+    difference; exponential orbits have geometrically growing differences
+    and are never captured by it.
     """
     if M < 1:
         raise InputError(f"iterate horizon M must be >= 1, got {M}")
@@ -192,7 +193,7 @@ def classify_growth(
             continue
         degree = polynomial_degree(lengths)
         low_confidence = orbit.truncated and m_eff < M
-        if degree is None and statistic > math.log1p(eps):
+        if degree is None and statistic > math.log1p(eps) and max(lengths[quart.start :]) > max(lengths[: quart.start]):
             # under 4 lengths the detector cannot rule out even degree 1
             return GrowthClass(
                 kind="exponential", rate=math.exp(statistic), statistic=statistic, escalated=escalated,

@@ -1,9 +1,9 @@
 """End-to-end analysis: parse a description, run every applicable stage,
 emit a JSON-ready report.
 
-Stages that do not apply to the input (spectral data for a reducible
-matrix, laminations for a non-expanding map, ...) are skipped with a
-recorded reason instead of failing, so the report shape is stable.
+``STAGES`` lists the report's sections in order, each with the domain it
+needs (a rose, an irreducible matrix, an expanding train track, a sweep);
+a section off its domain is skipped with its row's reason, not failed.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import datetime
 import math
 import time
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +36,7 @@ from .words import (
     DEFAULT_WORD_BUDGET,
     Automorphism,
     canonical_rotation,
+    check_word,
     enumerate_cyclic_words,
     invert_word,
     parse_word,
@@ -282,8 +284,8 @@ def _coerce(source):
     raise InputError(f"cannot analyze {type(source).__name__}")
 
 
-# One function per report section.  ``analyze`` calls them in report order;
-# the CLI subcommands call the same functions for their JSON output.
+# The report's sections.  ``STAGES`` below runs them in report order; the
+# CLI subcommands call the same functions for their JSON output.
 
 
 def input_section(gmap: GraphMap) -> dict:
@@ -293,10 +295,6 @@ def input_section(gmap: GraphMap) -> dict:
         "is_rose": gmap.graph.is_rose(),
         "images": {letter: gmap.image_of_letter(letter) for letter in gmap.graph.letters},
     }
-
-
-def validation_section(auto: Automorphism) -> dict:
-    return asdict(auto.validate())
 
 
 def train_track_section(tt: TrainTrackData) -> dict:
@@ -313,10 +311,10 @@ def transition_section(tt: TrainTrackData) -> dict:
 
 
 def spectral_section(tt: TrainTrackData) -> dict:
-    """Perron-Frobenius data; raises :class:`NotIrreducibleError` (the
-    section's skip reason) for a reducible transition matrix."""
+    """Perron-Frobenius data; raises :class:`NotIrreducibleError` with the
+    section's skip reason for a reducible transition matrix."""
     if not tt.irreducible:
-        raise NotIrreducibleError("transition matrix is reducible; no positive eigendata")
+        raise NotIrreducibleError(STAGES["spectral"][0]["irreducible"])
     pf = tt.pf
     return {
         "lambda": pf.lam,
@@ -455,20 +453,14 @@ def cancellation_section(tt: TrainTrackData, samples: int, seed: int) -> dict:
     if tt.verdict.is_train_track:
         try:
             legal = measure_cancellation(gmap, metric, samples=samples, seed=seed, legal_only=True)
-            cancel["legal_splits"] = {
-                "count": legal.count,
-                "max_measured": legal.max_measured,
-            }
+            cancel["legal_splits"] = {"count": legal.count, "max_measured": legal.max_measured}
         except PreconditionError as exc:
             cancel["legal_splits"] = {"skipped": str(exc)}
     return cancel
 
 
 def convergence_section(
-    auto: Automorphism,
-    tt: TrainTrackData,
-    alt_metric: Metric | None = None,
-    loop_words=None,
+    auto: Automorphism, tt: TrainTrackData, alt_metric: Metric | None = None, loop_words=None
 ) -> dict:
     """Per-block comparison constants against ``alt_metric`` (unit if None)."""
     alt = unit_metric(tt.gmap.graph) if alt_metric is None else alt_metric
@@ -481,84 +473,102 @@ def convergence_section(
     }
 
 
-def analyze(source, config: AnalysisConfig | None = None, words=None) -> dict:
-    """Full analysis of an automorphism or marked graph map.
+class _Run:
+    """One analysis: its input, the requirements it meets (``tree``, the
+    domain of ``TrainTrackData.require``, and ``swept``, that on a rose), and
+    the intermediates the sections share, each built once, on first use."""
 
-    ``source`` may be input text, an :class:`Automorphism`, or a
-    :class:`GraphMap`.  ``words`` adds explicit conjugacy classes to the
-    limit-length section.  Returns a JSON-ready dict; apart from the
-    timestamp the output is deterministic for a fixed input and config.
+    def __init__(self, source, config: AnalysisConfig, words):
+        parsed = _coerce(source)
+        self.gmap, self.auto, self.config = parsed.gmap, parsed.auto, config
+        edges = self.gmap.graph.edge_pairs  # lengths reads ``words``, else a..d at most
+        self.words = [check_word(word, edges) for word in words or ()] or list(ALPHABET[: min(edges, 4)])
+        tt = self.tt = analyze_train_track(self.gmap)
+        rose, tree = self.auto is not None, tt.verdict.is_train_track and tt.expanding
+        self.meets = {"rose": rose, "irreducible": tt.irreducible, "tree": tree, "swept": rose and tree}
+
+    @cached_property
+    def corpus(self):
+        return build_leaf_corpus(self.tt, depth=self.config.leaf_depth, budget=self.config.leaf_budget)
+
+    @cached_property
+    def sweep(self) -> list:
+        return enumerate_cyclic_words(self.auto.rank, self.config.max_word_len)
+
+    @cached_property
+    def eq(self) -> EquivalenceReport:
+        return equivalence_sweep(self.auto, self.tt, self.corpus, self.sweep, self.config)
+
+    @property
+    def loop_words(self) -> list:
+        """Convergence's cross-check loops: the first six exponential sweep classes of length <= 2."""
+        return [w for w in self.sweep if len(w) <= 2 and self.eq.labels[w].startswith("Exponential")][:6]
+
+
+# Report key -> (requirements, section).  The requirements, keys of
+# ``_Run.meets``, are checked in order; the first one a run does not meet
+# puts its reason in ``skipped``.  Sections are called through lambdas, so
+# a name patched later is seen.
+STAGES = {
+    "input": ({}, lambda run: input_section(run.gmap)),
+    "validation": (
+        {"rose": "not a rose map; no group automorphism to validate"},
+        lambda run: asdict(run.auto.validate()),
+    ),
+    "train_track": ({}, lambda run: train_track_section(run.tt)),
+    "transition": ({}, lambda run: transition_section(run.tt)),
+    "spectral": (
+        {"irreducible": "transition matrix is reducible; no positive eigendata"},
+        lambda run: spectral_section(run.tt),
+    ),
+    "homothety": (
+        {"swept": "checked on the equivalence sweep, which needs an expanding train track on a rose"},
+        lambda run: homothety_section(run.tt, run.eq),
+    ),
+    "growth": (
+        {"rose": "conjugacy sweeps need a rose map"},
+        lambda run: growth_section(run.auto, run.tt, run.sweep, run.eq if run.meets["swept"] else None, run.config),
+    ),
+    "equivalence": (
+        {"rose": "conjugacy sweeps need a rose map", "tree": "verdict comparison needs an expanding train track"},
+        lambda run: equivalence_section(run.eq),
+    ),
+    "lengths": (
+        {"rose": "limit lengths need a rose map", "tree": "limit lengths need an expanding irreducible train track"},
+        lambda run: lengths_section(run.auto, run.tt, run.words, run.config.M, run.config.tol),
+    ),
+    "lamination": (
+        {"tree": "leaves need an expanding irreducible train track"},
+        lambda run: lamination_section(run.corpus),
+    ),
+    "cancellation": ({}, lambda run: cancellation_section(run.tt, run.config.samples, run.config.seed)),
+    "convergence": (
+        {"rose": "comparison constants need a rose map", "tree": "comparison constants need an expanding train track"},
+        lambda run: convergence_section(run.auto, run.tt, loop_words=run.loop_words),
+    ),
+}
+
+
+def analyze(source, config: AnalysisConfig | None = None, words=None) -> dict:
+    """Full analysis of an automorphism or marked graph map: each of
+    :data:`STAGES` in turn, in the report or, with its reason, in ``skipped``.
+
+    ``source`` is input text, an :class:`Automorphism` or a :class:`GraphMap`.
+    ``words``, checked up front against the input's edges, adds conjugacy
+    classes to the limit-length section.  Apart from the timestamp the
+    report is deterministic for a fixed input and config.
     """
     t0 = time.perf_counter()
-    config = config or AnalysisConfig()
-    parsed = _coerce(source)
-    gmap, auto = parsed.gmap, parsed.auto
+    run = _Run(source, config or AnalysisConfig(), words)
+    now = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    report: dict = {"meta": {"tool": "traintracks", "timestamp": now, "config": asdict(run.config)}}
     skipped: dict = {}
-    report: dict = {
-        "meta": {
-            "tool": "traintracks",
-            "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            "config": asdict(config),
-        },
-        "input": input_section(gmap),
-    }
-
-    if auto is not None:
-        report["validation"] = validation_section(auto)
-    else:
-        skipped["validation"] = "not a rose map; no group automorphism to validate"
-
-    tt = analyze_train_track(gmap)
-    report["train_track"] = train_track_section(tt)
-    report["transition"] = transition_section(tt)
-    try:
-        report["spectral"] = spectral_section(tt)
-    except NotIrreducibleError as exc:
-        skipped["spectral"] = str(exc)
-
-    leafy = tt.verdict.is_train_track and tt.expanding
-    swept = leafy and auto is not None
-    corpus = build_leaf_corpus(tt, depth=config.leaf_depth, budget=config.leaf_budget) if leafy else None
-    sweep = enumerate_cyclic_words(auto.rank, config.max_word_len) if auto is not None else None
-    eq = equivalence_sweep(auto, tt, corpus, sweep, config) if swept else None
-    if swept:
-        report["homothety"] = homothety_section(tt, eq)
-    else:
-        skipped["homothety"] = "checked on the equivalence sweep, which needs an expanding train track on a rose"
-
-    if auto is not None:
-        report["growth"] = growth_section(auto, tt, sweep, eq, config)
-        if swept:
-            report["equivalence"] = equivalence_section(eq)
+    for key, (needs, section) in STAGES.items():
+        reason = next((reason for need, reason in needs.items() if not run.meets[need]), None)
+        if reason is None:
+            report[key] = section(run)
         else:
-            skipped["equivalence"] = "verdict comparison needs an expanding train track"
-    else:
-        skipped["growth"] = "conjugacy sweeps need a rose map"
-        skipped["equivalence"] = "conjugacy sweeps need a rose map"
-
-    if swept:
-        probe_words = list(words) if words else list(ALPHABET[: min(auto.rank, 4)])
-        report["lengths"] = lengths_section(auto, tt, probe_words, M=config.M, tol=config.tol)
-    elif auto is None:
-        skipped["lengths"] = "limit lengths need a rose map"
-    else:
-        skipped["lengths"] = "limit lengths need an expanding irreducible train track"
-
-    if leafy:
-        report["lamination"] = lamination_section(corpus)
-    else:
-        skipped["lamination"] = "leaves need an expanding irreducible train track"
-
-    report["cancellation"] = cancellation_section(tt, config.samples, config.seed)
-
-    if swept:
-        loop_words = [w for w in sweep if len(w) <= 2 and eq.labels[w].startswith("Exponential")][:6]
-        report["convergence"] = convergence_section(auto, tt, loop_words=loop_words)
-    elif auto is None:
-        skipped["convergence"] = "comparison constants need a rose map"
-    else:
-        skipped["convergence"] = "comparison constants need an expanding train track"
-
+            skipped[key] = reason
     report["skipped"] = skipped
     report["meta"]["elapsed_seconds"] = time.perf_counter() - t0
     return report

@@ -338,6 +338,18 @@ def test_growth_escalates_in_ambiguous_band(rank4):
     assert cls.escalated
 
 
+def test_growth_bounded_orbit_is_not_exponential():
+    """On a -> b, b -> c, c -> dccc, d -> abbb (lambda ~ 3.30) the class bD
+    has lengths 2, 5, 2, 5, ...: at M = 24 the log-rate reads 0.054, above
+    log1p(0.05), and no degree settles, which read Exponential(1.056).  Its
+    last quartile never exceeds an earlier length, so it is not exponential;
+    limit_length certifies it periodic."""
+    auto = Automorphism(["b", "c", "dccc", "abbb"])
+    cls = classify_growth(auto, "bD", M=24)
+    assert cls.statistic > math.log1p(0.05)
+    assert not cls.is_exponential and cls.low_confidence
+
+
 def test_growth_escalation_band_follows_eps():
     """The band that escalates to 2M is (eps/5, eps).  On a -> b, ...,
     s -> t, t -> ab the statistic of a at 40 is about 0.03: inside the band

@@ -8,7 +8,7 @@ import math
 import re
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from traintracks import (
@@ -17,6 +17,7 @@ from traintracks import (
     CyclicOrbit,
     EquivalenceReport,
     ParseError,
+    PreconditionError,
     analyze,
     analyze_train_track,
     build_leaf_corpus,
@@ -38,7 +39,7 @@ from traintracks import (
 from traintracks.limits import SWEEP_BUDGET, SWEEP_M
 from traintracks import cli, corpus, laminations, pipeline
 from traintracks.cli import main
-from traintracks.pipeline import growth_section, homothety_section, lamination_section
+from traintracks.pipeline import STAGES, growth_section, homothety_section, lamination_section
 from traintracks.words import ALPHABET
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -358,6 +359,7 @@ def family_style_maps(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(family_style_maps())
+@example(Automorphism(["b", "c", "dccc", "abbb"]))  # bD: lengths 2, 5, 2, 5, ... once read exponential
 def test_growth_classifier_agrees_on_family_style_train_tracks(auto):
     """Over sweeps of length 2: the classifier agrees with every class whose
     limit classification is not low-confidence, and the orbit's words past
@@ -598,6 +600,34 @@ def test_analyze_subdivided_fibonacci(subdivided_fib):
     assert skipped["convergence"] == "comparison constants need a rose map"
     assert set(skipped) == {"validation", "homothety", "growth", "equivalence", "lengths", "convergence"}
     assert "lamination" in report
+
+
+def test_stage_table_agrees_with_library(family_maps, subdivided_fib):
+    """On the 7 bundled maps, the 28 family maps and subdivided fibonacci:
+    each ``STAGES`` key lands once, in the report or in ``skipped``, in table
+    order, and a stage that needs the limit tree's domain runs exactly where
+    ``TrainTrackData.require`` passes and, if it needs a rose, on a rose."""
+    sources = [corpus.input_text(name) for name in sorted(corpus.REGISTRY)]
+    sources += [fm.input_text() for fm in family_maps.values()] + [subdivided_fib]
+    config = AnalysisConfig(max_word_len=1, leaf_depth=6, samples=10)
+    automorphic = {key for key, (needs, _) in STAGES.items() if "rose" in needs or "swept" in needs}
+    assert automorphic == {"validation", "homothety", "growth", "equivalence", "lengths", "convergence"}
+    for text in sources:
+        report = analyze(text, config=config)
+        report.pop("meta")
+        skipped = report.pop("skipped")
+        assert list(report) == [key for key in STAGES if key not in skipped]
+        assert list(skipped) == [key for key in STAGES if key not in report]
+        parsed = parse_input(text)
+        try:
+            analyze_train_track(parsed.gmap).require("stage table")
+            tree = True
+        except PreconditionError:
+            tree = False
+        for key, (needs, _) in STAGES.items():
+            if "tree" in needs or "swept" in needs:
+                rose = parsed.auto is not None or not ("rose" in needs or "swept" in needs)
+                assert (key in report) == (tree and rose), (key, text)
 
 
 @pytest.mark.parametrize("name, expected", [("fibonacci", True), ("swap-fibonacci", True), ("fibonacci-conj-b", False)])
@@ -1057,7 +1087,8 @@ def test_cli_subcommand_defaults_on_examples(command, name, capsys):
 
 
 # The exit code of each stage subcommand at its defaults on inputs at the
-# edge of its domain; a refusal (exit 2) names the refusing stage.
+# edge of its domain; a refusal (exit 2) names the refusing stage, or off a
+# rose is the reason its ``STAGES`` row records (see the next test).
 _STAGE_WORDS = {
     "spectral": "eigendata",
     "growth": "growth",
@@ -1072,6 +1103,7 @@ _REFUSALS = {  # exit codes in the order of _STAGE_WORDS
     "example:fibonacci-conj-b": (0, 0, 2, 2, 2),
     "subdivided-fibonacci": (0, 2, 2, 0, 2),
 }
+_ROSE_REFUSALS = {command: STAGES[command][0]["rose"] for command in ("growth", "lengths", "convergence")}
 
 
 @pytest.mark.parametrize("source", sorted(_REFUSALS))
@@ -1085,9 +1117,40 @@ def test_cli_refusals_name_their_stage(source, subdivided_fib, tmp_path, capsys)
         codes.append(main([command, path]))
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        if codes[-1] == 2:
+        if codes[-1] == 2 and err != f"error: {_ROSE_REFUSALS.get(command)}\n":
             assert err.startswith("error: ") and stage in err, (command, err)
     assert tuple(codes) == _REFUSALS[source]
+
+
+def test_cli_rose_refusals_are_their_rows_reasons(subdivided_fib, tmp_path, capsys):
+    """growth, lengths and convergence refuse a map off a rose with the
+    reason that their row records, which ``analyze`` puts in ``skipped``."""
+    path = tmp_path / "map.txt"
+    path.write_text(subdivided_fib)
+    skipped = analyze(subdivided_fib, config=FAST)["skipped"]
+    expected = {
+        "growth": "conjugacy sweeps need a rose map",
+        "lengths": "limit lengths need a rose map",
+        "convergence": "comparison constants need a rose map",
+    }
+    for command, reason in expected.items():
+        assert STAGES[command][0]["rose"] == skipped[command] == reason
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {reason}\n"
+
+
+@pytest.mark.parametrize("name", ["identity", "swap", "unipotent", "fibonacci-conj-b", "fibonacci"])
+def test_cli_analyze_checks_words_up_front(name, capsys):
+    """``--words`` is checked against the input's edges before any stage
+    runs: it exited 0 on every map here but fibonacci, where lengths is
+    skipped."""
+    assert main(["analyze", f"example:{name}", "--sweep-len", "1", "--words", "abz"]) == 2
+    assert capsys.readouterr().err == "error: letter 'z' at position 2 is not valid for rank 2\n"
+
+
+def test_cli_analyze_words_in_rank_pass_where_lengths_skip(capsys):
+    assert main(["analyze", "example:identity", "--sweep-len", "1", "--words", "ab"]) == 0
+    assert "skipped lengths: limit lengths need an expanding irreducible train track" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["lengths", "growth", "convergence", "analyze"])
