@@ -130,7 +130,8 @@ def _cmd_growth(args) -> int:
 
 def _cmd_lengths(args) -> int:
     parsed = _load(args, "lengths")
-    auto, tt = parsed.auto, analyze_train_track(parsed.gmap)
+    auto = parsed.auto
+    tt = analyze_train_track(parsed.gmap)
     words = _word_list(args, auto.rank, args.sweep_len)
     lengths = lengths_section(auto, tt, words, M=args.max_m, tol=args.tol)
     for word in words:
@@ -324,7 +325,13 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (InputError, PreconditionError, NotALeafSegmentError, NotIrreducibleError, BudgetExceededError) as exc:
+    except (
+        InputError,
+        PreconditionError,
+        NotALeafSegmentError,
+        NotIrreducibleError,
+        BudgetExceededError,
+    ) as exc:
         msg = exc.args[0] if exc.args else str(exc)
         print(f"error: {msg}", file=sys.stderr)
         return 2

@@ -453,14 +453,20 @@ def cancellation_section(tt: TrainTrackData, samples: int, seed: int) -> dict:
     if tt.verdict.is_train_track:
         try:
             legal = measure_cancellation(gmap, metric, samples=samples, seed=seed, legal_only=True)
-            cancel["legal_splits"] = {"count": legal.count, "max_measured": legal.max_measured}
+            cancel["legal_splits"] = {
+                "count": legal.count,
+                "max_measured": legal.max_measured,
+            }
         except PreconditionError as exc:
             cancel["legal_splits"] = {"skipped": str(exc)}
     return cancel
 
 
 def convergence_section(
-    auto: Automorphism, tt: TrainTrackData, alt_metric: Metric | None = None, loop_words=None
+    auto: Automorphism,
+    tt: TrainTrackData,
+    alt_metric: Metric | None = None,
+    loop_words=None,
 ) -> dict:
     """Per-block comparison constants against ``alt_metric`` (unit if None)."""
     alt = unit_metric(tt.gmap.graph) if alt_metric is None else alt_metric
@@ -496,56 +502,43 @@ class _Run:
         return enumerate_cyclic_words(self.auto.rank, self.config.max_word_len)
 
     @cached_property
-    def eq(self) -> EquivalenceReport:
-        return equivalence_sweep(self.auto, self.tt, self.corpus, self.sweep, self.config)
+    def eq(self) -> EquivalenceReport | None:
+        """The equivalence sweep; None off its domain, where growth classifies alone."""
+        swept = self.meets["swept"]
+        return equivalence_sweep(self.auto, self.tt, self.corpus, self.sweep, self.config) if swept else None
 
     @property
     def loop_words(self) -> list:
-        """Convergence's cross-check loops: the first six exponential sweep classes of length <= 2."""
         return [w for w in self.sweep if len(w) <= 2 and self.eq.labels[w].startswith("Exponential")][:6]
 
 
-# Report key -> (requirements, section).  The requirements, keys of
-# ``_Run.meets``, are checked in order; the first one a run does not meet
-# puts its reason in ``skipped``.  Sections are called through lambdas, so
-# a name patched later is seen.
+# Report key -> (requirements, section).  Requirements, keys of _Run.meets,
+# are checked in order; the first one unmet puts its reason in ``skipped``.
+# Lambdas call the sections, so that a name patched later is seen.
 STAGES = {
     "input": ({}, lambda run: input_section(run.gmap)),
-    "validation": (
-        {"rose": "not a rose map; no group automorphism to validate"},
-        lambda run: asdict(run.auto.validate()),
-    ),
+    "validation": ({"rose": "not a rose map; no group automorphism to validate"},
+                   lambda run: asdict(run.auto.validate())),
     "train_track": ({}, lambda run: train_track_section(run.tt)),
     "transition": ({}, lambda run: transition_section(run.tt)),
-    "spectral": (
-        {"irreducible": "transition matrix is reducible; no positive eigendata"},
-        lambda run: spectral_section(run.tt),
-    ),
-    "homothety": (
-        {"swept": "checked on the equivalence sweep, which needs an expanding train track on a rose"},
-        lambda run: homothety_section(run.tt, run.eq),
-    ),
-    "growth": (
-        {"rose": "conjugacy sweeps need a rose map"},
-        lambda run: growth_section(run.auto, run.tt, run.sweep, run.eq if run.meets["swept"] else None, run.config),
-    ),
-    "equivalence": (
-        {"rose": "conjugacy sweeps need a rose map", "tree": "verdict comparison needs an expanding train track"},
-        lambda run: equivalence_section(run.eq),
-    ),
-    "lengths": (
-        {"rose": "limit lengths need a rose map", "tree": "limit lengths need an expanding irreducible train track"},
-        lambda run: lengths_section(run.auto, run.tt, run.words, run.config.M, run.config.tol),
-    ),
-    "lamination": (
-        {"tree": "leaves need an expanding irreducible train track"},
-        lambda run: lamination_section(run.corpus),
-    ),
+    "spectral": ({"irreducible": "transition matrix is reducible; no positive eigendata"},
+                 lambda run: spectral_section(run.tt)),
+    "homothety": ({"swept": "checked on the equivalence sweep, which needs an expanding train track on a rose"},
+                  lambda run: homothety_section(run.tt, run.eq)),
+    "growth": ({"rose": "conjugacy sweeps need a rose map"},
+               lambda run: growth_section(run.auto, run.tt, run.sweep, run.eq, run.config)),
+    "equivalence": ({"rose": "conjugacy sweeps need a rose map",
+                     "tree": "verdict comparison needs an expanding train track"},
+                    lambda run: equivalence_section(run.eq)),
+    "lengths": ({"rose": "limit lengths need a rose map",
+                 "tree": "limit lengths need an expanding irreducible train track"},
+                lambda run: lengths_section(run.auto, run.tt, run.words, run.config.M, run.config.tol)),
+    "lamination": ({"tree": "leaves need an expanding irreducible train track"},
+                   lambda run: lamination_section(run.corpus)),
     "cancellation": ({}, lambda run: cancellation_section(run.tt, run.config.samples, run.config.seed)),
-    "convergence": (
-        {"rose": "comparison constants need a rose map", "tree": "comparison constants need an expanding train track"},
-        lambda run: convergence_section(run.auto, run.tt, loop_words=run.loop_words),
-    ),
+    "convergence": ({"rose": "comparison constants need a rose map",
+                     "tree": "comparison constants need an expanding train track"},
+                    lambda run: convergence_section(run.auto, run.tt, loop_words=run.loop_words)),
 }
 
 

@@ -626,8 +626,8 @@ def test_stage_table_agrees_with_library(family_maps, subdivided_fib):
             tree = False
         for key, (needs, _) in STAGES.items():
             if "tree" in needs or "swept" in needs:
-                rose = parsed.auto is not None or not ("rose" in needs or "swept" in needs)
-                assert (key in report) == (tree and rose), (key, text)
+                needs_rose = "rose" in needs or "swept" in needs
+                assert (key in report) == (tree and (parsed.auto is not None or not needs_rose)), (key, text)
 
 
 @pytest.mark.parametrize("name, expected", [("fibonacci", True), ("swap-fibonacci", True), ("fibonacci-conj-b", False)])
@@ -1142,8 +1142,8 @@ def test_cli_rose_refusals_are_their_rows_reasons(subdivided_fib, tmp_path, caps
 @pytest.mark.parametrize("name", ["identity", "swap", "unipotent", "fibonacci-conj-b", "fibonacci"])
 def test_cli_analyze_checks_words_up_front(name, capsys):
     """``--words`` is checked against the input's edges before any stage
-    runs: it exited 0 on every map here but fibonacci, where lengths is
-    skipped."""
+    runs: it exited 0 on every map here but fibonacci, the one where lengths
+    runs."""
     assert main(["analyze", f"example:{name}", "--sweep-len", "1", "--words", "abz"]) == 2
     assert capsys.readouterr().err == "error: letter 'z' at position 2 is not valid for rank 2\n"
 
