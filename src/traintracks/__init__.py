@@ -88,7 +88,6 @@ from .words import (
     canonical_rotation,
     cyclic_reduce,
     enumerate_cyclic_words,
-    format_word,
     invert_word,
     parse_word,
     reduce_word,

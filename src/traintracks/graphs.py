@@ -66,9 +66,6 @@ class Graph:
     def terminus(self, letter: str) -> int:
         return self._origin[letter.swapcase()]
 
-    def betti(self) -> int:
-        return self.edge_pairs - self.vertex_count + 1
-
     def check_path(self, word: str) -> str:
         """Return ``word`` if it is an edge path, else raise :class:`InputError`.
 
@@ -117,9 +114,6 @@ class Metric:
         for g, val in zip(ALPHABET, lengths):
             self.table[ord(g)] = val
             self.table[ord(g.upper())] = val
-
-    def of_pair(self, index: int) -> float:
-        return float(self.lengths[index])
 
     def of_letter(self, letter: str) -> float:
         return float(self.table[ord(letter)])

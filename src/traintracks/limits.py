@@ -28,8 +28,8 @@ MONOTONE_SLACK = 1e-9
 EXACT_CERTIFICATES = ("legal", "periodic", "splitting")
 
 # Word budget of the orbits in conjugacy sweeps, shared by the uniform
-# cross-check of the convergence constants, and the growth classifier's
-# least horizon in those sweeps.
+# cross-check of the convergence constants, and the horizon of the growth
+# section's sweep when no equivalence sweep ran.
 SWEEP_BUDGET = 200_000
 SWEEP_M = 24
 
@@ -284,7 +284,9 @@ def limit_length(
 
     Legal and splitting read Exponential(lam), periodic Polynomial(0).
     Otherwise a positive lower bound reads Exponential(lam); without one the
-    verdict defers to the growth classifier, flagged low-confidence.
+    verdict defers to the growth classifier on the same orbit, flagged
+    low-confidence, with a horizon and threshold derived from lam, so that
+    a class growing like lam^m reads exponential however close lam is to 1.
     """
     tt.require("limit lengths", expanding=False)
     if M < 0:
@@ -350,7 +352,12 @@ def limit_length(
     elif certificate == "periodic":
         cls = GrowthClass(kind="polynomial", degree=0)
     else:
-        cls = classify_growth(auto, word, M=M, orbit=orbit)
+        # Exponential classes grow like lam^m, so the growth statistic tends to
+        # log(lam): the threshold log1p(eps) is at most half of that, and the
+        # horizon's last quartile spans a growth factor of 3 or more.  The
+        # horizon is M for lam >= 3^(4/M), and eps the default for lam >= 1.1025.
+        horizon = max(M, 4 * math.ceil(math.log(3) / math.log(lam)))
+        cls = classify_growth(auto, word, M=horizon, eps=min(0.05, math.sqrt(lam) - 1), orbit=orbit)
         cls = replace(cls, rate=lam if cls.is_exponential else None, low_confidence=True)
     if certificate not in EXACT_CERTIFICATES:
         limit = strided[-1][1] if cls.is_exponential else 0.0

@@ -47,9 +47,11 @@ from .words import (
 class AnalysisConfig:
     """Knobs for the full pipeline.
 
-    Sweeps sample the growth classifier at a reduced depth and budget
-    (``limits.SWEEP_M``, ``limits.SWEEP_BUDGET``) to stay interactive;
-    single-word queries use the full M and ``DEFAULT_WORD_BUDGET``.
+    Sweeps build their orbits within a reduced budget
+    (``limits.SWEEP_BUDGET``) to stay interactive, and the growth section
+    without an equivalence sweep reads them at the reduced horizon
+    ``limits.SWEEP_M``; single-word queries use the full M and
+    ``DEFAULT_WORD_BUDGET``.
     """
 
     M: int = 40
@@ -198,7 +200,7 @@ def parse_input(text: str) -> ParsedInput:
 
 @dataclass
 class EquivalenceReport:
-    """Agreement of the three loxodromic-growth detectors over a word sweep."""
+    """Agreement of the two loxodromic detectors over a word sweep."""
 
     checked: int
     exponential: int
@@ -229,45 +231,37 @@ def equivalence_sweep(
     words,
     config: AnalysisConfig | None = None,
 ) -> EquivalenceReport:
-    """Run limit-length, growth, and leaf-probe verdicts on every word.
+    """Compare the two loxodromic detectors, a positive limit length and a
+    weak limit on the lamination, on every word.
 
     The verdicts are read once per class up to inversion and counted for
-    both orientations (see :func:`_once_per_inverse_pair`).  The growth
-    verdict is :func:`limit_length`'s unless low-confidence, and only then
-    the classifier's on the shared orbit, which the leaf probe walks too
-    until it certifies or stops (see :func:`weak_limit_probe`).  A word
-    counts as a discrepancy when the verdicts do not agree, and its entry
-    records where the probe stopped; the limit-length verdict decides the
-    reported label.
+    both orientations (see :func:`_once_per_inverse_pair`).  The limit
+    length's verdict is also the growth verdict (:func:`limit_length` runs
+    the classifier itself where it finds no certificate); the leaf probe
+    walks the same orbit until it certifies or stops (see
+    :func:`weak_limit_probe`).  A word counts as a discrepancy when the two
+    disagree, and its entry records where the probe stopped; its ``growth``
+    key repeats the limit-length verdict.
     """
     config = config or AnalysisConfig()
-    # Exponential classes grow like lam^m, so the growth statistic tends to
-    # log(lam): the threshold log1p(eps) is at most half of that, and the
-    # horizon's last quartile spans a growth factor of 3 or more.  For lam
-    # above 3^(1/6), about 1.2, these are SWEEP_M and the default eps.
-    lam = tt.pf.lam
-    growth_M = max(SWEEP_M, 4 * math.ceil(math.log(3) / math.log(lam)))
-    growth_eps = min(0.05, math.sqrt(lam) - 1)
     report = EquivalenceReport(checked=0, exponential=0, polynomial=0)
 
     def verdicts(word):
         orbit = CyclicOrbit(auto, word, budget=SWEEP_BUDGET, tt=tt)
         rep = limit_length(auto, word, tt, M=config.M, tol=config.tol, orbit=orbit)
-        a, low = rep.classification.is_exponential, rep.classification.low_confidence
-        b = classify_growth(auto, word, M=growth_M, eps=growth_eps, orbit=orbit).is_exponential if low else a
         probe = weak_limit_probe(auto, word, corpus, orbit=orbit)
         report.images[word] = orbit.word_at(1)
-        return rep.classification.label(), rep.limit, a, rep.certificate, b, probe
+        return rep.classification.label(), rep.limit, rep.classification.is_exponential, rep.certificate, probe
 
-    for word, (label, limit, a, certificate, b, probe) in _once_per_inverse_pair(words, verdicts):
+    for word, (label, limit, a, certificate, probe) in _once_per_inverse_pair(words, verdicts):
         report.checked += 1
         report.labels[word] = label
         report.limits[word] = limit
         report.exponential += a
         report.polynomial += not a
-        if not (a == b == probe.verdict):
+        if a != probe.verdict:
             report.discrepancies.append(
-                {"word": word, "limit_length": a, "certificate": certificate, "growth": b,
+                {"word": word, "limit_length": a, "certificate": certificate, "growth": a,
                  "leaf_probe": probe.verdict, "leaf_probe_stop": probe.stop}
             )
     return report
@@ -356,11 +350,10 @@ def growth_classes(auto: Automorphism, tt: TrainTrackData, words, M: int, budget
     limit's certificate on an expanding train track, else the classifier's.
     Read once per class up to inversion, as in :func:`equivalence_sweep`."""
     phi, phi_tt = train_track_twist(auto, tt)
-    certified = phi_tt.verdict.is_train_track and phi_tt.expanding
 
     def verdict(w):
         orbit = CyclicOrbit(phi, w, budget=budget, tt=phi_tt)
-        if certified:
+        if phi_tt.tree:
             return limit_length(phi, w, phi_tt, M=M, orbit=orbit).classification
         return classify_growth(phi, w, M=M, orbit=orbit)
 
@@ -481,8 +474,8 @@ def convergence_section(
 
 class _Run:
     """One analysis: its input, the requirements it meets (``tree``, the
-    domain of ``TrainTrackData.require``, and ``swept``, that on a rose), and
-    the intermediates the sections share, each built once, on first use."""
+    limit tree's domain :attr:`TrainTrackData.tree`, and ``swept``, that
+    on a rose), and the intermediates the sections share, built once, on first use."""
 
     def __init__(self, source, config: AnalysisConfig, words):
         parsed = _coerce(source)
@@ -490,8 +483,8 @@ class _Run:
         edges = self.gmap.graph.edge_pairs  # lengths reads ``words``, else a..d at most
         self.words = [check_word(word, edges) for word in words or ()] or list(ALPHABET[: min(edges, 4)])
         tt = self.tt = analyze_train_track(self.gmap)
-        rose, tree = self.auto is not None, tt.verdict.is_train_track and tt.expanding
-        self.meets = {"rose": rose, "irreducible": tt.irreducible, "tree": tree, "swept": rose and tree}
+        rose = self.auto is not None
+        self.meets = {"rose": rose, "irreducible": tt.irreducible, "tree": tt.tree, "swept": rose and tt.tree}
 
     @cached_property
     def corpus(self):

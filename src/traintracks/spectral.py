@@ -112,10 +112,16 @@ class TrainTrackData:
     def expanding(self) -> bool:
         return self.pf is not None and self.pf.expanding
 
+    @property
+    def tree(self) -> bool:
+        """In the domain of the limit tree: a verified train track with lam > 1,
+        so with an irreducible transition matrix; :meth:`require` passes."""
+        return self.verdict.is_train_track and self.expanding
+
     def require(self, stage: str, expanding: bool = True):
         """Raise :class:`PreconditionError`, naming ``stage``, unless the map
-        is in the domain of the limit tree: a verified train track with an
-        irreducible transition matrix and, if ``expanding``, lam > 1."""
+        is in the domain of the limit tree (:attr:`tree`) or, if not
+        ``expanding``, a verified train track with an irreducible matrix."""
         if not self.verdict.is_train_track:
             raise PreconditionError(f"the {stage} stage needs a verified train track")
         if self.pf is None:

@@ -177,12 +177,6 @@ def parse_word(text: str, rank: int | None = None) -> str:
     return word
 
 
-def format_word(word: str, spaced: bool = False) -> str:
-    if not word:
-        return "1"
-    return " ".join(word) if spaced else word
-
-
 def signed_substitution(images) -> tuple[dict, SubstTable]:
     """Letter table sending the i-th generator to ``images[i]`` and its
     inverse to the inverse word, with the :class:`SubstTable` that applies it."""

@@ -4,7 +4,9 @@ The third-party packages that ``src/traintracks/*.py`` import, found with
 ``ast`` (the standard library and the package's own modules left out), must
 be exactly the names in ``pyproject.toml``'s ``dependencies``, so a stale or
 missing declaration fails the suite.  Every name a module imports at module
-level must also be read in it (``__init__.py``, which re-exports, aside).
+level must also be read in it (``__init__.py``, which re-exports, aside),
+and every public function or method the package defines must be named
+somewhere in ``src/`` or ``demos/``, so a helper that only tests call fails.
 """
 
 import ast
@@ -66,3 +68,27 @@ def unused_imports(path: Path) -> list:
 @pytest.mark.parametrize("name", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py"))
 def test_module_reads_every_import(name):
     assert unused_imports(PACKAGE / name) == []
+
+
+def public_defs(path: Path) -> list:
+    """Names of the module-level functions and class methods in ``path``
+    that do not start with an underscore."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    bodies = [tree.body] + [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+    return [
+        node.name
+        for body in bodies
+        for node in body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")
+    ]
+
+
+def test_every_public_def_is_named_in_src_or_demos():
+    """A public def's name occurs, as a word, somewhere besides its ``def``
+    lines in ``src/`` or ``demos/``; the re-exports in ``__init__.py``
+    do not count, so a helper that only tests call fails."""
+    paths = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"] + sorted((ROOT / "demos").glob("*.py"))
+    text = "\n".join(p.read_text(encoding="utf-8") for p in paths)
+    defined = sorted({name for path in PACKAGE.glob("*.py") for name in public_defs(path)})
+    unnamed = [name for name in defined if len(re.findall(rf"\b{name}\b", text)) == text.count(f"def {name}(")]
+    assert unnamed == []

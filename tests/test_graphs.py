@@ -39,14 +39,12 @@ def test_rose_shape():
     g = rose(3)
     assert g.is_rose()
     assert g.letters == "abc"
-    assert g.betti() == 3
     assert g.origin("a") == g.terminus("a") == 0
 
 
 def test_theta_incidence():
     g = theta()
     assert not g.is_rose()
-    assert g.betti() == 2
     assert g.origin("a") == 0 and g.terminus("a") == 1
     assert g.origin("A") == 1 and g.terminus("A") == 0
     assert g.check_path("aB") == "aB"
@@ -83,7 +81,6 @@ def test_metric_validation():
         Metric([])
     m = Metric([0.5, 2.0])
     assert m.of_letter("a") == m.of_letter("A") == 0.5
-    assert m.of_pair(1) == 2.0
     assert m.volume() == 2.5
     assert m.scaled(2.0).volume() == 5.0
     assert len(m) == 2

@@ -350,6 +350,27 @@ def test_growth_bounded_orbit_is_not_exponential():
     assert not cls.is_exponential and cls.low_confidence
 
 
+R26_M1 = [ALPHABET[(i + 1) % 26] for i in range(26)]
+R26_M1[23] = "yo"  # family map r26-m1: lambda ~ 1.042, k = 2
+
+
+@pytest.mark.parametrize("word", ["aK", "aU", "Ak", "Au", "bL", "bV"])
+def test_uncertified_slow_expansion_reads_exponential(word):
+    """On r26-m1 at M = 2 these classes stop with no certificate and no
+    positive lower bound.  Their growth rate log(lambda) = 0.0415 lies below
+    the fixed threshold log1p(0.05) = 0.0488, which read them Polynomial(0)
+    with limit 0; the classifier's horizon and threshold now follow lambda,
+    so they read Exponential(lambda), low-confidence, at the last
+    normalized length, with the same interval."""
+    auto = Automorphism(R26_M1)
+    tt = analyze_train_track(rose_map(auto))
+    rep = limit_length(auto, word, tt, M=2)
+    assert rep.certificate is None and rep.m_stop == 2 and rep.lower == 0.0
+    assert rep.classification.label() == f"Exponential({tt.pf.lam:.9g})"
+    assert rep.classification.low_confidence
+    assert rep.limit == rep.upper == rep.strided[-1][1] > 0
+
+
 def test_growth_escalation_band_follows_eps():
     """The band that escalates to 2M is (eps/5, eps).  On a -> b, ...,
     s -> t, t -> ab the statistic of a at 40 is about 0.03: inside the band

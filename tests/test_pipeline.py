@@ -379,8 +379,8 @@ def test_sweep_reads_growth_off_certificates(fib, fib_tt, monkeypatch):
     calls the growth classifier 0 times, and apply_cyclic only on the words
     before each orbit's first legal word, 79 times over 51 orbits: the
     probe builds no word past its certificate or first repeat.  With
-    every classification marked low-confidence the classifier runs once
-    per class up to inversion, and reads the same verdicts."""
+    every classification marked low-confidence the sweep still reads the
+    limit length's verdict and calls no classifier of its own."""
     import dataclasses
 
     import traintracks.limits as limits
@@ -419,7 +419,7 @@ def test_sweep_reads_growth_off_certificates(fib, fib_tt, monkeypatch):
 
     monkeypatch.setattr(pipeline, "limit_length", uncertain)
     assert equivalence_sweep(fib, fib_tt, leaves, words) == honest
-    assert len(classified) == len(words) // 2 == 51
+    assert classified == []
 
 
 def test_sweep_builds_one_orbit_per_inverse_pair(fib, fib_tt, monkeypatch):
@@ -628,6 +628,25 @@ def test_stage_table_agrees_with_library(family_maps, subdivided_fib):
             if "tree" in needs or "swept" in needs:
                 needs_rose = "rose" in needs or "swept" in needs
                 assert (key in report) == (tree and (parsed.auto is not None or not needs_rose)), (key, text)
+
+
+def test_tree_predicate_is_the_domain_of_require_and_the_stage_table(family_autos):
+    """``TrainTrackData.tree`` holds exactly where ``require`` passes and
+    where ``_Run`` meets ``tree``, on the 7 bundled maps, the 28 family maps
+    and the train-track twists of all of them."""
+    autos = [corpus.get(name) for name in sorted(corpus.REGISTRY)] + family_autos
+    seen = set()
+    for auto in autos:
+        tt = analyze_train_track(rose_map(auto))
+        for phi, phi_tt in ((auto, tt), train_track_twist(auto, tt)):
+            try:
+                phi_tt.require("x")
+                passes = True
+            except PreconditionError:
+                passes = False
+            assert phi_tt.tree == passes == pipeline._Run(phi, FAST, None).meets["tree"], phi.images
+            seen.add(passes)
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize("name, expected", [("fibonacci", True), ("swap-fibonacci", True), ("fibonacci-conj-b", False)])
@@ -1065,18 +1084,32 @@ def test_cli_lengths_tol_reaches_limit_length(capsys):
     assert entry["interval"] == [entry["limit"], entry["limit"]]
 
 
+def _r26_m1_file(tmp_path) -> str:
+    source = tmp_path / "r26-m1.txt"
+    source.write_text("rank: 26\n" + "".join(f"{g} -> {w}\n" for g, w in zip(ALPHABET, R26_M1)))
+    return str(source)
+
+
 def test_cli_growth_reads_certificates_on_slow_train_track(capsys, tmp_path):
     """On the rank-26 rotation with x -> yo (lambda ~ 1.042) the growth
     classifier's fixed threshold log1p(0.05) read a and c as Polynomial(?);
     on an expanding train track the verdict is the limit's certificate."""
-    images = [ALPHABET[(i + 1) % 26] for i in range(26)]
-    images[23] = "yo"
-    source = tmp_path / "r26-m1.txt"
-    source.write_text("rank: 26\n" + "".join(f"{g} -> {w}\n" for g, w in zip(ALPHABET, images)))
-    assert main(["growth", str(source), "--words", "a,c", "--json", "-"]) == 0
+    assert main(["growth", _r26_m1_file(tmp_path), "--words", "a,c", "--json", "-"]) == 0
     out = capsys.readouterr().out
     assert "a: Exponential(1.04239177)\nc: Exponential(1.04239177)\n" in out
     assert _json_tail(out)["c"]["kind"] == "exponential"
+
+
+def test_cli_lengths_reads_slow_expansion_without_certificate(capsys, tmp_path):
+    """On the same map at --max-m 2, aK and bV stop with no certificate; the
+    fixed threshold log1p(0.05), above log(lambda) = 0.0415, read them
+    Polynomial(0) with limit 0, and the threshold now follows lambda."""
+    assert main(["lengths", _r26_m1_file(tmp_path), "--words", "aK,bV", "--max-m", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "aK: limit 0.0596106569 at m=2 [Exponential(1.04239177)] uncertified, in [0, 0.0596106569]" in out
+    assert "bV: limit 0.0813992883 at m=2 [Exponential(1.04239177)] uncertified, in [0, 0.0813992883]" in out
+
+
 # Every subcommand but growth and analyze, which take minutes at their
 # defaults, on every bundled example: an answer or a domain error (exit 2),
 # never an internal consistency failure (exit 3).

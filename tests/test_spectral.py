@@ -247,7 +247,7 @@ def test_eigenmetric_homothety(name, all_tts):
     assert metric.volume() == pytest.approx(1.0, abs=1e-12)
     for i, w in enumerate(tt.gmap.edge_images):
         assert path_length(w, metric) == pytest.approx(
-            tt.pf.lam * metric.of_pair(i), rel=1e-10
+            tt.pf.lam * metric.lengths[i], rel=1e-10
         )
 
 

@@ -19,7 +19,6 @@ from traintracks import (
     canonical_rotation,
     cyclic_reduce,
     enumerate_cyclic_words,
-    format_word,
     invert_word,
     parse_word,
     reduce_word,
@@ -191,8 +190,6 @@ def test_enumerate_rejects_bad_rank():
 def test_parse_and_format():
     assert parse_word("a b A") == "abA"
     assert parse_word("abA") == "abA"
-    assert format_word("") == "1"
-    assert format_word("abA", spaced=True) == "a b A"
     with pytest.raises(InputError):
         parse_word("a2b")
     with pytest.raises(InputError):
