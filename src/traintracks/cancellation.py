@@ -77,25 +77,25 @@ def measure_split(gmap: GraphMap, metric: Metric, p: str, q: str) -> float:
 
 
 def sample_reduced_words(graph: Graph, count: int, rng: random.Random, legal=None):
-    """Uniform-ish reduced edge paths of 2 to 14 letters: each letter leaves
-    from the terminus of its predecessor and does not cancel it.
+    """Uniform-ish reduced edge paths of 2 to 14 letters: each letter is
+    drawn uniformly from those that leave from the terminus of its
+    predecessor and do not cancel it.
 
     Given a set of ``legal`` turns, each letter instead forms a legal turn
     with its predecessor, so the words are legal paths; a word ends early at
-    a letter with no continuation.
+    a letter with no continuation.  The successors are lists in alphabet
+    order, so the draws depend on ``rng`` alone.
     """
     alphabet = graph.letters + graph.letters.upper()
-    nexts = {x: {y for y in alphabet if graph.origin(y) == graph.terminus(x)} - {x.swapcase()} for x in alphabet}
+    nexts = {x: [y for y in alphabet if graph.origin(y) == graph.terminus(x) and y != x.swapcase()] for x in alphabet}
     if legal is not None:
-        nexts = {x: {y for y in ys if frozenset((x.swapcase(), y)) in legal} for x, ys in nexts.items()}
+        nexts = {x: [y for y in ys if frozenset((x.swapcase(), y)) in legal] for x, ys in nexts.items()}
     words = []
     for _ in range(count):
         n = rng.randint(2, 14)
         out = [rng.choice(alphabet)]
         while len(out) < n and nexts[out[-1]]:
-            ch = rng.choice(alphabet)
-            if ch in nexts[out[-1]]:
-                out.append(ch)
+            out.append(rng.choice(nexts[out[-1]]))
         words.append("".join(out))
     return words
 

@@ -25,7 +25,7 @@ from .errors import (
 from .graphs import Metric
 from .laminations import build_leaf_corpus
 from .pipeline import (
-    STAGES,
+    NEEDS_ROSE,
     AnalysisConfig,
     analyze,
     cancellation_section,
@@ -56,10 +56,10 @@ def _read_source(source: str) -> str:
 
 
 def _load(args, stage: str | None = None):
-    """The parsed input, which ``stage`` refuses off a rose with the reason its row records."""
+    """The parsed input, which ``stage`` refuses off a rose with the reason ``analyze`` skips it for."""
     parsed = parse_input(_read_source(args.input))
     if stage is not None and parsed.auto is None:
-        raise PreconditionError(STAGES[stage][0]["rose"])
+        raise PreconditionError(f"the {stage} stage {NEEDS_ROSE}")
     return parsed
 
 
@@ -129,7 +129,7 @@ def _cmd_growth(args) -> int:
 
 
 def _cmd_lengths(args) -> int:
-    parsed = _load(args, "lengths")
+    parsed = _load(args, "limit lengths")
     auto = parsed.auto
     tt = analyze_train_track(parsed.gmap)
     words = _word_list(args, auto.rank, args.sweep_len)
@@ -181,7 +181,7 @@ def _cmd_cancellation(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    parsed = _load(args, "convergence")
+    parsed = _load(args, "convergence constants")
     tt = analyze_train_track(parsed.gmap)
     alt = Metric(args.metric.split(",")) if args.metric else None
     words = _word_list(args, parsed.auto.rank)

@@ -198,10 +198,6 @@ class LeafCorpus:
     def k(self) -> int:
         return len(self.prefixes)
 
-    def sigma(self, block: int) -> int:
-        """Index of the block the map sends this block's leaves into."""
-        return (block + 1) % self.k
-
     def automaton(self, block: int):
         if block not in self._automata:
             self._automata[block] = _SuffixAutomaton(self.prefixes[block].centered_slice(self.slice))
@@ -259,10 +255,6 @@ class WindowCertificate:
     status: str  # "certified" or "degenerate"
     occurrences: int
     prefix_length: int
-
-    @property
-    def certified(self) -> bool:
-        return self.status == "certified"
 
 
 def quasiperiodicity_window(prefix: LeafPrefix, segment: str) -> WindowCertificate:

@@ -223,7 +223,6 @@ class LimitLengthReport:
     classification: GrowthClass
     truncated: bool
     anchor: int | None = None  # splitting: the earlier stride whose turn clusters recur at m_stop
-    skipped_reason: str | None = None
 
     @property
     def upper(self) -> float:
@@ -260,7 +259,8 @@ def limit_length(
     tol: float = 1e-6,
     orbit: CyclicOrbit | None = None,
 ) -> LimitLengthReport:
-    """Translation length of a class in the limit forest of the map.
+    """Translation length of a class in the limit forest of the map; off the
+    limit tree's domain this raises naming :attr:`TrainTrackData.missing`.
 
     Walks the orbit at stride k, with w = psi^m(x), x_m = |w| / lam^m and t
     the number of illegal turns of w read cyclically, and stops at the first
@@ -288,7 +288,7 @@ def limit_length(
     low-confidence, with a horizon and threshold derived from lam, so that
     a class growing like lam^m reads exponential however close lam is to 1.
     """
-    tt.require("limit lengths", expanding=False)
+    tt.require("limit lengths")
     if M < 0:
         raise InputError(f"iterate horizon M must be >= 0, got {M}")
     if not tol > 0:
@@ -300,14 +300,6 @@ def limit_length(
     orbit = orbit or CyclicOrbit(auto, word, tt=tt)
     if orbit.tt is not tt:
         raise PreconditionError("limit lengths read legality off an orbit built with the same train track")
-    if not tt.expanding:
-        # lam = 1 makes the irreducible transition matrix a permutation: the
-        # map permutes the edges, so every orbit is periodic.
-        return LimitLengthReport(
-            word=word, lam=lam, stride=k, limit=0.0, converged=True, certificate="periodic", lower=0.0,
-            m_stop=0, strided=[], classification=GrowthClass(kind="polynomial", degree=0), truncated=False,
-            skipped_reason="not expanding (lambda = 1)",
-        )
     illegal = tt.gmap.illegal_pairs()
     strided, clusters_seen = [], {}
     legal_before = truncated = False

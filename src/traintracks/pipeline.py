@@ -1,9 +1,9 @@
 """End-to-end analysis: parse a description, run every applicable stage,
 emit a JSON-ready report.
 
-``STAGES`` lists the report's sections in order, each with the domain it
-needs (a rose, an irreducible matrix, an expanding train track, a sweep);
-a section off its domain is skipped with its row's reason, not failed.
+``STAGES`` lists the report's sections in order, each with what it needs: a
+rose, an irreducible matrix or the limit tree's domain.  A section off its
+domain is skipped, not failed, with the words its CLI subcommand refuses with.
 """
 
 from __future__ import annotations
@@ -279,7 +279,10 @@ def _coerce(source):
 
 
 # The report's sections.  ``STAGES`` below runs them in report order; the
-# CLI subcommands call the same functions for their JSON output.
+# CLI subcommands call the same functions for their JSON output, and off a
+# section's domain both give these reasons or "needs " + TrainTrackData.missing.
+NEEDS_ROSE = "needs a rose map"
+REDUCIBLE = "transition matrix is reducible; no positive eigendata"
 
 
 def input_section(gmap: GraphMap) -> dict:
@@ -308,7 +311,7 @@ def spectral_section(tt: TrainTrackData) -> dict:
     """Perron-Frobenius data; raises :class:`NotIrreducibleError` with the
     section's skip reason for a reducible transition matrix."""
     if not tt.irreducible:
-        raise NotIrreducibleError(STAGES["spectral"][0]["irreducible"])
+        raise NotIrreducibleError(REDUCIBLE)
     pf = tt.pf
     return {
         "lambda": pf.lam,
@@ -473,9 +476,9 @@ def convergence_section(
 
 
 class _Run:
-    """One analysis: its input, the requirements it meets (``tree``, the
-    limit tree's domain :attr:`TrainTrackData.tree`, and ``swept``, that
-    on a rose), and the intermediates the sections share, built once, on first use."""
+    """One analysis: its input, the reason each requirement (``rose``,
+    ``irreducible``, ``tree``) is unmet or None, and the intermediates the
+    sections share, built once, on first use."""
 
     def __init__(self, source, config: AnalysisConfig, words):
         parsed = _coerce(source)
@@ -483,8 +486,9 @@ class _Run:
         edges = self.gmap.graph.edge_pairs  # lengths reads ``words``, else a..d at most
         self.words = [check_word(word, edges) for word in words or ()] or list(ALPHABET[: min(edges, 4)])
         tt = self.tt = analyze_train_track(self.gmap)
-        rose = self.auto is not None
-        self.meets = {"rose": rose, "irreducible": tt.irreducible, "tree": tt.tree, "swept": rose and tt.tree}
+        self.unmet = {"rose": None if self.auto is not None else NEEDS_ROSE,
+                      "irreducible": None if tt.irreducible else REDUCIBLE,
+                      "tree": tt.missing and "needs " + tt.missing}
 
     @cached_property
     def corpus(self):
@@ -496,8 +500,8 @@ class _Run:
 
     @cached_property
     def eq(self) -> EquivalenceReport | None:
-        """The equivalence sweep; None off its domain, where growth classifies alone."""
-        swept = self.meets["swept"]
+        """The equivalence sweep; None off its domain, a rose and the tree, where growth classifies alone."""
+        swept = self.auto is not None and self.tt.tree
         return equivalence_sweep(self.auto, self.tt, self.corpus, self.sweep, self.config) if swept else None
 
     @property
@@ -505,33 +509,23 @@ class _Run:
         return [w for w in self.sweep if len(w) <= 2 and self.eq.labels[w].startswith("Exponential")][:6]
 
 
-# Report key -> (requirements, section).  Requirements, keys of _Run.meets,
+# Report key -> (requirements, section).  Requirements, keys of _Run.unmet,
 # are checked in order; the first one unmet puts its reason in ``skipped``.
 # Lambdas call the sections, so that a name patched later is seen.
 STAGES = {
-    "input": ({}, lambda run: input_section(run.gmap)),
-    "validation": ({"rose": "not a rose map; no group automorphism to validate"},
-                   lambda run: asdict(run.auto.validate())),
-    "train_track": ({}, lambda run: train_track_section(run.tt)),
-    "transition": ({}, lambda run: transition_section(run.tt)),
-    "spectral": ({"irreducible": "transition matrix is reducible; no positive eigendata"},
-                 lambda run: spectral_section(run.tt)),
-    "homothety": ({"swept": "checked on the equivalence sweep, which needs an expanding train track on a rose"},
-                  lambda run: homothety_section(run.tt, run.eq)),
-    "growth": ({"rose": "conjugacy sweeps need a rose map"},
-               lambda run: growth_section(run.auto, run.tt, run.sweep, run.eq, run.config)),
-    "equivalence": ({"rose": "conjugacy sweeps need a rose map",
-                     "tree": "verdict comparison needs an expanding train track"},
-                    lambda run: equivalence_section(run.eq)),
-    "lengths": ({"rose": "limit lengths need a rose map",
-                 "tree": "limit lengths need an expanding irreducible train track"},
+    "input": ((), lambda run: input_section(run.gmap)),
+    "validation": (("rose",), lambda run: asdict(run.auto.validate())),
+    "train_track": ((), lambda run: train_track_section(run.tt)),
+    "transition": ((), lambda run: transition_section(run.tt)),
+    "spectral": (("irreducible",), lambda run: spectral_section(run.tt)),
+    "homothety": (("rose", "tree"), lambda run: homothety_section(run.tt, run.eq)),
+    "growth": (("rose",), lambda run: growth_section(run.auto, run.tt, run.sweep, run.eq, run.config)),
+    "equivalence": (("rose", "tree"), lambda run: equivalence_section(run.eq)),
+    "lengths": (("rose", "tree"),
                 lambda run: lengths_section(run.auto, run.tt, run.words, run.config.M, run.config.tol)),
-    "lamination": ({"tree": "leaves need an expanding irreducible train track"},
-                   lambda run: lamination_section(run.corpus)),
-    "cancellation": ({}, lambda run: cancellation_section(run.tt, run.config.samples, run.config.seed)),
-    "convergence": ({"rose": "comparison constants need a rose map",
-                     "tree": "comparison constants need an expanding train track"},
-                    lambda run: convergence_section(run.auto, run.tt, loop_words=run.loop_words)),
+    "lamination": (("tree",), lambda run: lamination_section(run.corpus)),
+    "cancellation": ((), lambda run: cancellation_section(run.tt, run.config.samples, run.config.seed)),
+    "convergence": (("rose", "tree"), lambda run: convergence_section(run.auto, run.tt, loop_words=run.loop_words)),
 }
 
 
@@ -550,7 +544,7 @@ def analyze(source, config: AnalysisConfig | None = None, words=None) -> dict:
     report: dict = {"meta": {"tool": "traintracks", "timestamp": now, "config": asdict(run.config)}}
     skipped: dict = {}
     for key, (needs, section) in STAGES.items():
-        reason = next((reason for need, reason in needs.items() if not run.meets[need]), None)
+        reason = next(filter(None, (run.unmet[need] for need in needs)), None)
         if reason is None:
             report[key] = section(run)
         else:

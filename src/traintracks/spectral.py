@@ -113,21 +113,28 @@ class TrainTrackData:
         return self.pf is not None and self.pf.expanding
 
     @property
-    def tree(self) -> bool:
-        """In the domain of the limit tree: a verified train track with lam > 1,
-        so with an irreducible transition matrix; :meth:`require` passes."""
-        return self.verdict.is_train_track and self.expanding
-
-    def require(self, stage: str, expanding: bool = True):
-        """Raise :class:`PreconditionError`, naming ``stage``, unless the map
-        is in the domain of the limit tree (:attr:`tree`) or, if not
-        ``expanding``, a verified train track with an irreducible matrix."""
+    def missing(self) -> str | None:
+        """What keeps the map out of the limit tree's domain, None inside it.
+        The tree and its expanding dilation exist on an expanding irreducible
+        train track (Bestvina-Handel 1992); at lam = 1 there is none."""
         if not self.verdict.is_train_track:
-            raise PreconditionError(f"the {stage} stage needs a verified train track")
+            return "a verified train track"
         if self.pf is None:
-            raise PreconditionError(f"the {stage} stage needs an irreducible transition matrix")
-        if expanding and not self.pf.expanding:
-            raise PreconditionError(f"the {stage} stage needs an expanding stretch factor")
+            return "an irreducible transition matrix"
+        if not self.pf.expanding:
+            return "an expanding stretch factor"
+        return None
+
+    @property
+    def tree(self) -> bool:
+        """In the domain of the limit tree: nothing :attr:`missing`."""
+        return self.missing is None
+
+    def require(self, stage: str):
+        """Raise :class:`PreconditionError`, naming ``stage`` and what is
+        :attr:`missing`, unless the map is in the limit tree's domain."""
+        if self.missing:
+            raise PreconditionError(f"the {stage} stage needs {self.missing}")
 
     @cached_property
     def cancellation_constant(self) -> float:

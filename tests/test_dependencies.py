@@ -5,11 +5,13 @@ The third-party packages that ``src/traintracks/*.py`` import, found with
 be exactly the names in ``pyproject.toml``'s ``dependencies``, so a stale or
 missing declaration fails the suite.  Every name a module imports at module
 level must also be read in it (``__init__.py``, which re-exports, aside),
-and every public function or method the package defines must be named
-somewhere in ``src/`` or ``demos/``, so a helper that only tests call fails.
+and every public function or method the package defines must be read as a
+name or an attribute by code in ``src/``, ``demos/`` or ``perfbench/``, or
+be patched by the benchmark's tracer, so a helper that only tests call fails.
 """
 
 import ast
+import importlib.util
 import os
 import re
 import subprocess
@@ -83,12 +85,31 @@ def public_defs(path: Path) -> list:
     ]
 
 
+def names_read(path: Path) -> set:
+    """Every name and attribute that the code in ``path`` reads, from its AST,
+    so words in strings and comments do not count."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | {
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    }
+
+
+def traced_names() -> set:
+    """The functions and methods that ``perfbench/tracing.py`` patches by name,
+    its module loaded from its file as ``tests/test_traced_names.py`` loads it."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    attrs = [attr for _, _, attr, _ in tracing.SPANS] + [attr for _, attr, _ in tracing.COUNTERS]
+    return {attr.rsplit(".", 1)[-1] for attr in attrs}
+
+
 def test_every_public_def_is_named_in_src_or_demos():
-    """A public def's name occurs, as a word, somewhere besides its ``def``
-    lines in ``src/`` or ``demos/``; the re-exports in ``__init__.py``
-    do not count, so a helper that only tests call fails."""
-    paths = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"] + sorted((ROOT / "demos").glob("*.py"))
-    text = "\n".join(p.read_text(encoding="utf-8") for p in paths)
+    """A public def is read, as a name or an attribute, by code in ``src/``,
+    ``demos/`` or ``perfbench/``, or is patched by the tracer; the re-exports
+    in ``__init__.py`` do not count, so a helper that only tests call fails."""
+    paths = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    paths += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    read = set().union(*map(names_read, paths)) | traced_names()
     defined = sorted({name for path in PACKAGE.glob("*.py") for name in public_defs(path)})
-    unnamed = [name for name in defined if len(re.findall(rf"\b{name}\b", text)) == text.count(f"def {name}(")]
-    assert unnamed == []
+    assert [name for name in defined if name not in read] == []

@@ -359,18 +359,17 @@ def test_leaf_contains(fib_corpus):
 def test_corpus_shapes(fib_corpus, rank4_corpus):
     assert fib_corpus.k == 1
     assert rank4_corpus.k == 2
-    assert rank4_corpus.sigma(0) == 1 and rank4_corpus.sigma(1) == 0
     assert set(rank4_corpus.prefixes[0].word) <= set("ab")
     assert set(rank4_corpus.prefixes[1].word) <= set("cd")
 
 
 def test_map_permutes_blocks(rank4_tt, rank4_corpus):
-    """Images of block-i leaf segments are block-sigma(i) leaf segments."""
+    """Images of block-i leaf segments are block-(i + 1 mod k) leaf segments."""
     gmap = rank4_tt.gmap
     for block in range(2):
         word = rank4_corpus.prefixes[block].centered_slice(30)
         img = gmap.substitute(word)
-        assert rank4_corpus.contains(img) == rank4_corpus.sigma(block)
+        assert rank4_corpus.contains(img) == (block + 1) % rank4_corpus.k
 
 
 def test_edge_images_are_leaf_segments(fib_tt, fib_corpus):
@@ -400,7 +399,7 @@ def test_window_matches_brute_scan(fib_tt, segment):
     p = expand_leaf(fib_tt, find_eigen_seed(fib_tt), depth=5)
     cert = quasiperiodicity_window(p, segment)
     assert cert.window == brute_window(p.word, segment)
-    assert cert.certified
+    assert cert.status == "certified"
     assert cert.occurrences > 0
     assert cert.prefix_length == len(p.word)
 
@@ -440,7 +439,6 @@ def test_window_degenerate_on_whole_prefix(fib_tt):
     p = expand_leaf(fib_tt, find_eigen_seed(fib_tt), depth=1)
     cert = quasiperiodicity_window(p, p.word)
     assert cert.status == "degenerate"
-    assert not cert.certified
     assert cert.window == len(p.word)
 
 
@@ -488,7 +486,7 @@ def test_window_matches_brute_scan_on_generated_maps(maps, mixed, depth, data):
             assert not fwd & bwd  # a reduced segment is not its own inverse
             cert = quasiperiodicity_window(prefix, segment)
             assert cert.window == brute_window(word, segment)
-            assert cert.certified == (cert.window < len(word))
+            assert (cert.status == "certified") == (cert.window < len(word))
             assert cert.occurrences == len(fwd | bwd)
 
 

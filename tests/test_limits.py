@@ -293,12 +293,15 @@ def test_limit_length_reads_legality_off_the_orbit(name, monkeypatch):
         limit_length(auto, "ab", tt, orbit=CyclicOrbit(auto, "ab"))
 
 
-def test_non_expanding_map_reports_zero(swap, swap_tt):
-    rep = limit_length(swap, "a", swap_tt)
-    assert rep.limit == 0.0
-    assert rep.skipped_reason is not None
-    assert rep.classification.kind == "polynomial"
-    assert rep.classification.degree == 0
+def test_non_expanding_map_has_no_limit_length(swap, swap_tt):
+    """At lam = 1 there is no expanding dilation and no limit tree: swap keeps
+    every nu-length, so lam^-m |psi^m(x)|_nu never tends to 0, and the limit
+    length refuses instead of reading 0 in the interval [0, 0]."""
+    for word, length in (("a", 0.5), ("ab", 1.0)):
+        orbit = CyclicOrbit(swap, word, tt=swap_tt)
+        assert [path_length(orbit.word_at(m), swap_tt.metric) for m in range(12)] == [length] * 12
+    with pytest.raises(PreconditionError, match="needs an expanding stretch factor$"):
+        limit_length(swap, "a", swap_tt)
 
 
 def test_strided_values_non_increasing(rank4, rank4_tt):

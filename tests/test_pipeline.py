@@ -39,12 +39,16 @@ from traintracks import (
 from traintracks.limits import SWEEP_BUDGET, SWEEP_M
 from traintracks import cli, corpus, laminations, pipeline
 from traintracks.cli import main
-from traintracks.pipeline import STAGES, growth_section, homothety_section, lamination_section
+from traintracks.pipeline import NEEDS_ROSE, REDUCIBLE, STAGES, growth_section, homothety_section, lamination_section
 from traintracks.words import ALPHABET
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 FAST = AnalysisConfig(max_word_len=3, leaf_depth=8, leaf_budget=100_000, samples=50)
+
+# What TrainTrackData.missing can name, and so every reason in ``skipped``.
+MISSING = ("a verified train track", "an irreducible transition matrix", "an expanding stretch factor")
+SKIP_REASONS = {NEEDS_ROSE, REDUCIBLE} | {"needs " + missing for missing in MISSING}
 
 
 # ----------------------------------------------------------------- parsing
@@ -580,8 +584,7 @@ def test_analyze_homothety_needs_a_sweep():
     """swap is a train track with lambda = 1: no sweep, so no dilation check."""
     report = analyze(corpus.swap_rank2(), config=FAST)
     assert "homothety" not in report and "equivalence" not in report
-    reason = "checked on the equivalence sweep, which needs an expanding train track on a rose"
-    assert report["skipped"]["homothety"] == reason
+    assert report["skipped"]["homothety"] == "needs an expanding stretch factor"
 
 
 def test_analyze_subdivided_fibonacci(subdivided_fib):
@@ -596,8 +599,7 @@ def test_analyze_subdivided_fibonacci(subdivided_fib):
     assert cancel["random_splits"]["within_bound"] is True
     assert cancel["legal_splits"]["max_measured"] == 0.0
     skipped = report["skipped"]
-    assert skipped["lengths"] == "limit lengths need a rose map"
-    assert skipped["convergence"] == "comparison constants need a rose map"
+    assert skipped["lengths"] == skipped["convergence"] == "needs a rose map"
     assert set(skipped) == {"validation", "homothety", "growth", "equivalence", "lengths", "convergence"}
     assert "lamination" in report
 
@@ -605,13 +607,17 @@ def test_analyze_subdivided_fibonacci(subdivided_fib):
 def test_stage_table_agrees_with_library(family_maps, subdivided_fib):
     """On the 7 bundled maps, the 28 family maps and subdivided fibonacci:
     each ``STAGES`` key lands once, in the report or in ``skipped``, in table
-    order, and a stage that needs the limit tree's domain runs exactly where
-    ``TrainTrackData.require`` passes and, if it needs a rose, on a rose."""
+    order; a stage that needs the limit tree's domain runs exactly where
+    ``TrainTrackData.require`` passes and, if it needs a rose, on a rose; and
+    each skip reason is the rose reason, the reducible one, or "needs "
+    followed by what ``TrainTrackData.missing`` names for that map."""
     sources = [corpus.input_text(name) for name in sorted(corpus.REGISTRY)]
     sources += [fm.input_text() for fm in family_maps.values()] + [subdivided_fib]
     config = AnalysisConfig(max_word_len=1, leaf_depth=6, samples=10)
-    automorphic = {key for key, (needs, _) in STAGES.items() if "rose" in needs or "swept" in needs}
+    automorphic = {key for key, (needs, _) in STAGES.items() if "rose" in needs}
     assert automorphic == {"validation", "homothety", "growth", "equivalence", "lengths", "convergence"}
+    assert all(set(needs) <= {"rose", "irreducible", "tree"} for needs, _ in STAGES.values())
+    reasons = set()
     for text in sources:
         report = analyze(text, config=config)
         report.pop("meta")
@@ -619,32 +625,39 @@ def test_stage_table_agrees_with_library(family_maps, subdivided_fib):
         assert list(report) == [key for key in STAGES if key not in skipped]
         assert list(skipped) == [key for key in STAGES if key not in report]
         parsed = parse_input(text)
+        tt = analyze_train_track(parsed.gmap)
         try:
-            analyze_train_track(parsed.gmap).require("stage table")
+            tt.require("stage table")
             tree = True
         except PreconditionError:
             tree = False
         for key, (needs, _) in STAGES.items():
-            if "tree" in needs or "swept" in needs:
-                needs_rose = "rose" in needs or "swept" in needs
-                assert (key in report) == (tree and (parsed.auto is not None or not needs_rose)), (key, text)
+            if "tree" in needs:
+                assert (key in report) == (tree and (parsed.auto is not None or "rose" not in needs)), (key, text)
+        assert set(skipped.values()) <= {NEEDS_ROSE, REDUCIBLE, f"needs {tt.missing}"}, text
+        reasons |= set(skipped.values())
+    assert reasons == SKIP_REASONS
 
 
 def test_tree_predicate_is_the_domain_of_require_and_the_stage_table(family_autos):
     """``TrainTrackData.tree`` holds exactly where ``require`` passes and
     where ``_Run`` meets ``tree``, on the 7 bundled maps, the 28 family maps
-    and the train-track twists of all of them."""
+    and the train-track twists of all of them; off it, ``require`` and
+    ``_Run`` name the same ``missing`` requirement."""
     autos = [corpus.get(name) for name in sorted(corpus.REGISTRY)] + family_autos
     seen = set()
     for auto in autos:
         tt = analyze_train_track(rose_map(auto))
         for phi, phi_tt in ((auto, tt), train_track_twist(auto, tt)):
+            reason = pipeline._Run(phi, FAST, None).unmet["tree"]
             try:
                 phi_tt.require("x")
                 passes = True
-            except PreconditionError:
+            except PreconditionError as exc:
                 passes = False
-            assert phi_tt.tree == passes == pipeline._Run(phi, FAST, None).meets["tree"], phi.images
+                assert phi_tt.missing in MISSING
+                assert str(exc) == f"the x stage {reason}" == f"the x stage needs {phi_tt.missing}"
+            assert phi_tt.tree == passes == (reason is None), phi.images
             seen.add(passes)
     assert seen == {True, False}
 
@@ -704,16 +717,20 @@ def test_round_floats_shapes():
 # cancellation was read off the junction of its two tightened images instead
 # of subtracting three image lengths (only cancellation "max_measured" and
 # "mean_measured" changed, each from round-off of at most 1e-14 to exactly
-# 0.0: swap-fibonacci here and 13 maps of GOLDEN_FAMILY_DIGESTS); the report
-# must not drift.
+# 0.0: swap-fibonacci here and 13 maps of GOLDEN_FAMILY_DIGESTS), and when
+# skip reasons became "needs " + TrainTrackData.missing or one rose reason
+# and cancellation sampling drew each letter from its successors instead of
+# rejecting draws (only "skipped" values and random_splits "max_measured" and
+# "mean_measured" changed, here and in the three tables below; swap-fibonacci,
+# r16-m1 and r26-m1 kept theirs); the report must not drift.
 GOLDEN_FAST_DIGESTS = {
-    "fibonacci": "e643b4473b9ada6c64a7cdaba634d2f27e6376653007def06ca798362fb9d14c",
-    "fibonacci-conj-a": "97bd814db30da24d87a8b730cc512f3874d95f2782d3644c2d4158c813ff9201",
-    "fibonacci-conj-b": "d6d488cbac49b9c67a3ca314e00ca010ee5c424856a7682a8d184240727e50f3",
-    "identity": "730b0851820705b5ebf57fc5a9381540947e25e56cfdde6ce406fbba1a89fffb",
-    "swap": "4f7ae6852f9cd7a99a5ed4373eb5eb6eda60cb45528b8d4f70454e06d4f2ef84",
+    "fibonacci": "301d049a764d16a2526cfc3cd3f8539f798b0abe221cf96398926a220f407f26",
+    "fibonacci-conj-a": "8b4b868a6580c31185ee0286ca77e9b424830f39db9712a14f30c90f1332768f",
+    "fibonacci-conj-b": "9480b47a7a59210a3e899cf8d880a6fbe0dfdbcfe6cd5a0f4ef950b410b06771",
+    "identity": "2aa1df1f5a8c0c6b163751a33a865bbfeb392f0cc6f284cef0d8a8899da36bf8",
+    "swap": "562ac1d37184a002471e27cad4e0fefa6e916aee313894ca0e5ca435963b4916",
     "swap-fibonacci": "f6c43993088b79898e930342c6fd65d489fa072e6f61f343dac94233050a0adc",
-    "unipotent": "ad7e27b8056b81101c4e9ab8725b197aa9aed98938b47dfc46c61d7e8640e188",
+    "unipotent": "5cbf76de8c0c861bf71a04a5a20cf0874c46d07dbac09f7a3a9b2db280f7cdb5",
 }
 
 
@@ -721,20 +738,20 @@ GOLDEN_FAST_DIGESTS = {
 # family maps, read from their input text at their own sweep length
 # (``FamilyMap.max_word_len``), as the benchmark's family workload reads them.
 GOLDEN_FAMILY_DIGESTS = {
-    "r2-m1": "458de367dc7ee41cb810f24a72e9661643007f52a6ad3eb5688417b7afdac764",
-    "r2-m4": "ba01f045c75bf91a9e0defe26afc14b920250b1ed7d7d3f7b3cc609e6235f3d9",
-    "r3-m1": "a093ced5483ef8ffd6f00125cbc2b6a8e6df2648b3665522b2b731456d140ef6",
-    "r3-m4": "432c28e996b0010453bb26184b7e5450053ef4ed00428aa03c61087b027bfc49",
-    "r4-m4": "6a7fc283a6c36b36ad896c4312f6cdc12ac98797df6492da6eec70588b9f664b",
-    "r4-m8": "a3505d0edd85a178b96f21ce89274d819ca6460d80713127fef85dd0685591fd",
-    "r6-m4": "2d7e88b7231f2a5de336ff9760afc78f14f3aa1e3246baac135dfdaba8ed10bf",
-    "r6-m8": "75a6f1c8fee7aafb8c7f84446060ceb15486341af9ce5022072364afaadbfd42",
-    "r10-m2": "f4214f298eb0480faea63af44298772b4031a62ae090bd52992d71245a021fdd",
-    "r10-m4": "87cd1f1772fab8d9016d00a780e8e3d56698135a06ae8cc0d1a5336830a34edd",
+    "r2-m1": "bf8a462e160487e8f5bf97cee6d8f39761bf1c271e671b53e67f0c7cce98e14a",
+    "r2-m4": "d4b59a294cf5cbb372213a05ba41586c8e0b1c45a98bdde331c9c5a63677ef23",
+    "r3-m1": "0cf585b6fc57554bd5d34545e245d7a29d697c4e36275ea8e900a6e1172aec2f",
+    "r3-m4": "edb40634174d97fe03765bb65ec1d706089c7ea28af42f4ee416cd99d0b53e6d",
+    "r4-m4": "75c691908e3bd5471553b05773a30907fdaa7d624b98b68406072e746b091dd2",
+    "r4-m8": "9b5265f1a6d1d3cd3fe4465e0ab0d9405eba486cf0518a5fc31271ef5d6d4705",
+    "r6-m4": "63427fea59ab77cd0dc3c9d0d236a60bc4ef2b4dc809a160cd09d9d66bc92334",
+    "r6-m8": "0381b3aeb3ceb7f8db2efc9982a24bfac9775d8b21d7526fdd586117a571a93a",
+    "r10-m2": "170e314fd5c1038687a3cac06d7ddcc5bd70f423e08f4888342b584dbb4489e5",
+    "r10-m4": "aef52b53ed5fb77a75d059b678a445081ac2b13d478dab853149155c07d2fbb1",
     "r16-m1": "a71e3f1ee334588ce3495cfdd526e72388861032a84d1f72993f73516dfbcc7b",
-    "r16-m4": "b85fb4e79b2e71a63cd20b6ddefaeda71afb23654c073b1e6683771b731cd520",
+    "r16-m4": "3cf4eb6c0ce1216b312eef12036344d2dd58b7cf1591c73452fbf5c684479449",
     "r26-m1": "2c2813a5ae2c7511553377dd6d0aa35aa284385ed4ae3b1f715ac66ba84971dc",
-    "r26-m8": "559a7c66e930004e04d4e3f82b4bfd7a877fffb08d68b7e89e8063f8d173b766",
+    "r26-m8": "82d1c805572f6a56a74947dc778eb14bbc0772e90e16f2584a4d0ddf73fe1ec2",
 }
 
 
@@ -750,22 +767,22 @@ def test_family_reports_do_not_drift(family_maps, name):
 # for subdivided fibonacci at FAST, which is not a rose: reports that are
 # mostly ``skipped``, so these digests pin the skip reasons too.
 GOLDEN_CONJ_DIGESTS = {
-    "r2-m2-conj": "b5aae5bd5830bf7d5e120750c30da6d3c8ca427e0bada2b1bf3e2ac193550d86",
-    "r2-m8-conj": "2c89f94f12c9727f260cb09e0c262ec3481756483858887a585f477a3231705c",
-    "r3-m2-conj": "3d5c50ac2330997ba07f5af8cc35dbc11867aea641d51825d02d4614a6d4cc23",
-    "r3-m8-conj": "8042d433501ba82c20fc0002656099d68d7acd32204dbbcfb28a0f432687c979",
-    "r4-m1-conj": "fd492838614987586aa7c4aa85942441996d81612e974d7c2718be4c4e0fef00",
-    "r4-m2-conj": "32d8541870c0196a08ffacf3d9b0265450040762afef15bd4ac027aace48eda4",
-    "r6-m1-conj": "83455b05c213c4b42bee3ee97e671467134764195c8a4c7d61d2deb6f1446892",
-    "r6-m2-conj": "be2bbf5e506f96827855e0efc99bfac2628f7f8ba33305f271552caf75910a64",
-    "r10-m1-conj": "0b9e09e933b1a1695dac2930b8651309dfe33f3faa887f049dd861e2fb940194",
-    "r10-m8-conj": "a8113c74edaef4698270d9324b237fe670d4c9d933c1bf3083a82f79770cc1e9",
-    "r16-m2-conj": "3594c4ea5c0a5108c829b22d3982299d67552e882e829e5e1a00e422790c0136",
-    "r16-m8-conj": "e0707588b4c03b066e30fface36f069e423adadcb997e980dd967c63c2131fcf",
-    "r26-m2-conj": "bcd88b4810a12748e2416cc56caed6e8765210b118f6e90208c5c2e95fa969f9",
-    "r26-m4-conj": "eb25f1c05c07d40cc43c0aa94238c25287a4f4e11e55a967a388b2336c455687",
+    "r2-m2-conj": "69574c1716be73f8839610b6cd14a8a289c1345ea1786fe2181787791e0a75b6",
+    "r2-m8-conj": "8c9384c49d0416037138ebe09572c31721e4764e36065e804f8ba460b9165d3c",
+    "r3-m2-conj": "622940db21a17de872fbad113ce8d97e91ef688d2be1d22ea119d02675cab1fa",
+    "r3-m8-conj": "5b649b6b798717721594896cf4c4dd75ca24a11afd65aed382b4dad45a9adc2c",
+    "r4-m1-conj": "158d8cd84eede81e7e082e146c0d1aff56866d8b99619668303902db7dfd3c97",
+    "r4-m2-conj": "22efbdd929db252dfbd4e5d40b9134581031a765b807f6e2278a01bddd78a1b0",
+    "r6-m1-conj": "e9669e14e829e189fd0f6501dc241f6625278e14457307103d547703c49633f2",
+    "r6-m2-conj": "6fffd11ee3ba5658329d32c7f3a9e96e3dcf0aea8e96a6ed65a761bc09d8a93f",
+    "r10-m1-conj": "b26bd849699ed11f43e26c5f082f28d5cf4e0973a3162e9ea69bfbcc50e87960",
+    "r10-m8-conj": "341d4fccfd9fb11e9a1f8a489cb07bb9188bea445487014162abec01766d4e19",
+    "r16-m2-conj": "2fac4121206e864d85f0190e7a5100124297e852ef5ac0a69c4ce4a02ae3e9e4",
+    "r16-m8-conj": "70dcdf4a7d38fac6cd3cc7c83e10a503033afc990276b32f30d931638cf0f771",
+    "r26-m2-conj": "21fa81bdd6149f41b7ddb5f6cd803d9c554822c02041e22a2c122f332d1753d4",
+    "r26-m4-conj": "6099f49fbe21cb06740b8400132728e8d155a52228ef891cdad2f8d2064fbfe8",
 }
-GOLDEN_SUBDIVIDED_DIGEST = "44bec8389f65e535c631fc52d8a62a632a3171b4c91f8d743a7a89491cad5368"
+GOLDEN_SUBDIVIDED_DIGEST = "0d9a9356d0a509733c95c5543b0ef5d69043cbdef687e59c78b1e8930d97ae15"
 
 
 @pytest.mark.parametrize("name", list(GOLDEN_CONJ_DIGESTS))
@@ -949,11 +966,15 @@ def test_cli_lengths(capsys):
     assert _json_tail(out)["a"]["per_block"] == [pytest.approx(0.618034, abs=1e-6)]
 
 
-def test_cli_lengths_answers_on_non_expanding_train_track(capsys):
-    assert main(["lengths", "example:swap", "--words", "a", "--json", "-"]) == 0
-    out = capsys.readouterr().out
-    assert "a: limit 0 at m=0 [Polynomial(0)]" in out
-    assert "per_block" not in _json_tail(out)["a"]
+def test_cli_lengths_refuses_non_expanding_train_track(capsys):
+    """swap keeps every nu-length, so it has no limit tree: lengths used to
+    print limit 0 in [0, 0] for a and ab, whose normalized lengths read 0.5
+    and 1.0 at every m, and ``analyze`` skips the section with these words."""
+    assert main(["lengths", "example:swap", "--words", "a,ab", "--json", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the limit lengths stage needs an expanding stretch factor\n"
+    assert analyze(corpus.swap_rank2(), config=FAST)["skipped"]["lengths"] == "needs an expanding stretch factor"
 
 
 def test_cli_lengths_per_block(capsys):
@@ -1119,57 +1140,48 @@ def test_cli_subcommand_defaults_on_examples(command, name, capsys):
     assert main([command, f"example:{name}"]) in (0, 2)
 
 
-# The exit code of each stage subcommand at its defaults on inputs at the
-# edge of its domain; a refusal (exit 2) names the refusing stage, or off a
-# rose is the reason its ``STAGES`` row records (see the next test).
-_STAGE_WORDS = {
-    "spectral": "eigendata",
+# Each stage subcommand and the report row it projects.
+_SUBCOMMAND_ROWS = {
+    "spectral": "spectral",
     "growth": "growth",
-    "lengths": "limit lengths",
-    "leaf": "leaf",
-    "convergence": "convergence constants",
+    "lengths": "lengths",
+    "leaf": "lamination",
+    "convergence": "convergence",
 }
-_REFUSALS = {  # exit codes in the order of _STAGE_WORDS
-    "example:identity": (2, 0, 2, 2, 2),
-    "example:swap": (0, 0, 0, 2, 2),
-    "example:unipotent": (2, 0, 2, 2, 2),
-    "example:fibonacci-conj-b": (0, 0, 2, 2, 2),
-    "subdivided-fibonacci": (0, 2, 2, 0, 2),
-}
-_ROSE_REFUSALS = {command: STAGES[command][0]["rose"] for command in ("growth", "lengths", "convergence")}
 
 
-@pytest.mark.parametrize("source", sorted(_REFUSALS))
-def test_cli_refusals_name_their_stage(source, subdivided_fib, tmp_path, capsys):
-    path = source
-    if source == "subdivided-fibonacci":
+@pytest.mark.parametrize(
+    "source", [f"example:{name}" for name in sorted(corpus.REGISTRY)] + ["subdivided-fibonacci", "r2-m2-conj"]
+)
+def test_cli_refusals_name_their_stage(source, subdivided_fib, family_maps, tmp_path, capsys):
+    """Each stage subcommand at its defaults refuses (exit 2) exactly where
+    ``analyze`` skips its row, and its message carries the skip reason."""
+    if source.startswith("example:"):
+        path, text = source, corpus.input_text(source.split(":", 1)[1])
+    else:
+        text = subdivided_fib if source == "subdivided-fibonacci" else family_maps[source].input_text()
         path = str(tmp_path / "map.txt")
-        (tmp_path / "map.txt").write_text(subdivided_fib)
-    codes = []
-    for command, stage in _STAGE_WORDS.items():
-        codes.append(main([command, path]))
+        (tmp_path / "map.txt").write_text(text)
+    skipped = analyze(text, config=FAST)["skipped"]
+    for command, row in _SUBCOMMAND_ROWS.items():
+        code = main([command, path])
         err = capsys.readouterr().err
-        assert "Traceback" not in err
-        if codes[-1] == 2 and err != f"error: {_ROSE_REFUSALS.get(command)}\n":
-            assert err.startswith("error: ") and stage in err, (command, err)
-    assert tuple(codes) == _REFUSALS[source]
+        assert code == (2 if row in skipped else 0), (command, err)
+        if code == 2:
+            assert err.startswith("error: ") and skipped[row] in err, (command, err)
 
 
 def test_cli_rose_refusals_are_their_rows_reasons(subdivided_fib, tmp_path, capsys):
-    """growth, lengths and convergence refuse a map off a rose with the
-    reason that their row records, which ``analyze`` puts in ``skipped``."""
+    """growth, lengths and convergence refuse a map off a rose, naming their
+    stage, with the reason that ``analyze`` puts in ``skipped``."""
     path = tmp_path / "map.txt"
     path.write_text(subdivided_fib)
     skipped = analyze(subdivided_fib, config=FAST)["skipped"]
-    expected = {
-        "growth": "conjugacy sweeps need a rose map",
-        "lengths": "limit lengths need a rose map",
-        "convergence": "comparison constants need a rose map",
-    }
-    for command, reason in expected.items():
-        assert STAGES[command][0]["rose"] == skipped[command] == reason
+    stages = {"growth": "growth", "lengths": "limit lengths", "convergence": "convergence constants"}
+    for command, stage in stages.items():
+        assert skipped[command] == NEEDS_ROSE == "needs a rose map"
         assert main([command, str(path)]) == 2
-        assert capsys.readouterr().err == f"error: {reason}\n"
+        assert capsys.readouterr().err == f"error: the {stage} stage needs a rose map\n"
 
 
 @pytest.mark.parametrize("name", ["identity", "swap", "unipotent", "fibonacci-conj-b", "fibonacci"])
@@ -1183,7 +1195,7 @@ def test_cli_analyze_checks_words_up_front(name, capsys):
 
 def test_cli_analyze_words_in_rank_pass_where_lengths_skip(capsys):
     assert main(["analyze", "example:identity", "--sweep-len", "1", "--words", "ab"]) == 0
-    assert "skipped lengths: limit lengths need an expanding irreducible train track" in capsys.readouterr().out
+    assert "skipped lengths: needs an irreducible transition matrix" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["lengths", "growth", "convergence", "analyze"])

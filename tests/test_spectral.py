@@ -263,5 +263,4 @@ def test_require_names_the_stage_and_what_is_missing(name, missing):
     tt = analyze_train_track(rose_map(corpus.get(name)))
     with pytest.raises(PreconditionError, match=f"^the probe stage needs {missing}$"):
         tt.require("probe")
-    if name == "swap":
-        tt.require("probe", expanding=False)  # lam = 1 is in the limit-length domain
+    assert tt.missing == missing and not tt.tree
